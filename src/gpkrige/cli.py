@@ -16,29 +16,33 @@ failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .exceptions import InputError, NumericalError, SingularityError, StudyError
-from .gpr import gpr_predict, gpr_predict_basis
 from .kernels import (
     Dataset,
     MeanSpec,
+    basis_at,
+    basis_matrix,
+    build_gram,
+    cross_cov,
     empirical_semivariogram,
     model_from_json,
     semivariogram_of,
 )
 from .kriging import (
-    blup_general,
-    ordinary_krige,
+    _factor_observation_cov,
+    _fit,
+    _predict,
+    _variant_mean,
     ordinary_krige_direct,
-    predict_points,
+    sk_mean_subtraction,
     sk_with_plugin_mean,
-    universal_krige,
 )
+from .linalg import solve_saddle
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -182,30 +186,10 @@ def cmd_predict(args) -> int:
     data = Dataset(x, y, noise)
     targets = _resolve_targets(args, data.dim)
 
-    jitter_seen = False
-    if variant == "gpr":
-        if not mean.is_identified:
-            raise InputError("variant 'gpr' requires a known mean in the config")
-        post = gpr_predict(data, kernel, mean, targets, max_jitter=max_jitter)
-        means, variances = post.mean, post.variance
-    elif variant == "gpr-basis":
-        means_spec = mean if mean.kind != "known" else None
-        if means_spec is None:
-            raise InputError("variant 'gpr-basis' requires a basis or constant_unknown mean")
-        post = gpr_predict_basis(data, kernel, means_spec, targets, max_jitter=max_jitter)
-        means, variances = post.mean, post.variance
-    else:
-        lib_variant = {"sk": "sk", "ok": "ok", "uk": "uk"}[variant]
-        if lib_variant == "sk" and not mean.is_identified:
-            raise InputError("variant 'sk' requires a known mean in the config")
-        preds = predict_points(data, kernel, targets, lib_variant,
-                               mean=mean if lib_variant != "ok" else None,
-                               max_jitter=max_jitter)
-        means = np.array([p.mean for p in preds])
-        variances = np.array([p.error_variance for p in preds])
-        jitter_seen = any(p.jitter_warning for p in preds)
-
-    if jitter_seen:
+    spec = _variant_mean(variant, mean)
+    factor = _factor_observation_cov(data, kernel, max_jitter)
+    batch = _predict(_fit(data, kernel, spec, factor), targets)
+    if factor.jitter_used > 0.0:
         print("warning: diagonal jitter was added to factor the covariance",
               file=sys.stderr)
 
@@ -213,7 +197,7 @@ def cmd_predict(args) -> int:
     try:
         header = [f"x{i + 1}" for i in range(data.dim)] + ["mean", "error_variance"]
         out.write(",".join(header) + "\n")
-        for point, m, v in zip(targets, means, variances):
+        for point, m, v in zip(targets, batch.mean, batch.variance):
             fields = [_fmt(c) for c in point] + [_fmt(m), _fmt(v)]
             out.write(",".join(fields) + "\n")
     finally:
@@ -297,7 +281,7 @@ def cmd_verify(args) -> int:
 
     constant = MeanSpec.constant_unknown()
     if mean.kind == "basis":
-        basis = dataclasses.replace(mean, prior_mean=None, prior_cov=None)
+        basis = _variant_mean("uk", mean)
     else:
         basis = MeanSpec.polynomial(data.dim, 1)
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
@@ -308,52 +292,46 @@ def cmd_verify(args) -> int:
         status = "pass" if deviation <= VERIFY_TOL else "fail"
         results.append((name, deviation, status))
 
-    dev = 0.0
-    for point in targets:
-        a = ordinary_krige(data, kernel, point, max_jitter)
-        b = ordinary_krige_direct(data, kernel, point, max_jitter)
-        dev = max(dev, _pair_deviation(a.mean, a.error_variance, b.mean, b.error_variance))
-    record("ok_vs_ok_direct", dev)
+    factor = _factor_observation_cov(data, kernel, max_jitter)
 
-    dev = 0.0
-    for point in targets:
-        a = ordinary_krige(data, kernel, point, max_jitter)
-        b = sk_with_plugin_mean(data, kernel, constant, point, max_jitter)
-        dev = max(dev, _pair_deviation(a.mean, a.error_variance, b.mean, b.error_variance))
-    record("ok_vs_sk_plus_gls", dev)
+    def engine(variant, spec, xs=targets):
+        return _predict(_fit(data, kernel, _variant_mean(variant, spec), factor), xs)
 
-    dev = 0.0
-    for point in targets:
-        a = universal_krige(data, kernel, basis, point, max_jitter)
-        b = sk_with_plugin_mean(data, kernel, basis, point, max_jitter)
-        dev = max(dev, _pair_deviation(a.mean, a.error_variance, b.mean, b.error_variance))
-    record("uk_vs_sk_plus_gls_beta", dev)
+    def route(predictor, *spec):
+        def oracle(point):
+            p = predictor(data, kernel, *spec, point, max_jitter)
+            return p.mean, p.error_variance
+        return oracle
 
-    post = gpr_predict(data, kernel, known, targets, max_jitter=max_jitter)
-    dev = 0.0
-    for j, point in enumerate(targets):
-        b = blup_general(data, kernel, known, point, max_jitter)
-        dev = max(dev, _pair_deviation(post.mean[j], post.variance[j],
-                                       b.mean, b.error_variance))
-    record("gpr_vs_sk", dev)
+    gram = build_gram(kernel, data.x, data.noise_variance)
+    m_basis = basis_matrix(basis, data.x)
 
-    post = gpr_predict_basis(data, kernel, basis, targets, max_jitter=max_jitter)
-    dev = 0.0
-    for j, point in enumerate(targets):
-        b = universal_krige(data, kernel, basis, point, max_jitter)
-        dev = max(dev, _pair_deviation(post.mean[j], post.variance[j],
-                                       b.mean, b.error_variance))
-    record("gpr_basis_vs_uk", dev)
+    def bordered(point):
+        # [[S, M], [M^T, 0]] (lam; nu) = (k*; f*), through its own factor
+        kstar, fstar = cross_cov(kernel, data.x, point), basis_at(basis, point)
+        lam, nu = solve_saddle(gram, m_basis, kstar, fstar, max_jitter)
+        return lam @ data.y, kernel.variance - lam @ kstar - nu @ fstar
+
+    def compare(name, batch, oracle):
+        dev = 0.0
+        for j, point in enumerate(targets):
+            b_mean, b_var = oracle(point)
+            dev = max(dev, _pair_deviation(batch.mean[j], batch.variance[j], b_mean, b_var))
+        record(name, dev)
+
+    ok = engine("ok", None)
+    compare("ok_vs_ok_direct", ok, route(ordinary_krige_direct))
+    compare("ok_vs_sk_plus_gls", ok, route(sk_with_plugin_mean, constant))
+    compare("uk_vs_sk_plus_gls_beta", engine("uk", basis), route(sk_with_plugin_mean, basis))
+    compare("gpr_vs_sk", engine("gpr", known), route(sk_mean_subtraction, known))
+    compare("gpr_basis_vs_uk", engine("gpr-basis", basis), bordered)
 
     if data.noise_variance > 0.0:
         results.append(("interpolation", None, "skipped (noisy)"))
     else:
-        dev = 0.0
-        for i in range(data.n):
-            p = ordinary_krige(data, kernel, data.x[i], max_jitter)
-            dev = max(dev, abs(p.mean - data.y[i]) / max(1.0, abs(data.y[i])))
-            dev = max(dev, p.error_variance)
-        record("interpolation", dev)
+        fitted = engine("ok", None, data.x)
+        miss = np.abs(fitted.mean - data.y) / np.maximum(1.0, np.abs(data.y))
+        record("interpolation", float(np.max(np.maximum(miss, fitted.variance))))
 
     width = max(len(name) for name, _, _ in results)
     for name, deviation, status in results:

@@ -19,19 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError, SingularityError
-from .kernels import (
-    BASIS,
-    CONSTANT_UNKNOWN,
-    Dataset,
-    KernelSpec,
-    MeanSpec,
-    basis_matrix,
-    build_gram,
-    kernel_matrix,
-)
-from .kriging import _factor_observation_cov, _gls_pieces, _mean_vector
-from .linalg import solve_spd, spd_factor
+from .exceptions import InputError, NumericalError
+from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram, kernel_matrix
+from .kriging import _factor_observation_cov, _fit, _mean_vector, _predict, _variant_mean
 
 _DIAG_TOL = 1e-9
 
@@ -66,15 +56,6 @@ class GaussianPredictive:
         return np.maximum(np.diag(self.covariance), 0.0)
 
 
-def _as_test_points(xs, dim):
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None] if dim == 1 else xs[None, :]
-    if xs.ndim != 2 or xs.shape[1] != dim:
-        raise InputError(f"test points must be (m, {dim}), got shape {xs.shape}")
-    return xs
-
-
 def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
     """Joint prior over (Y, Z(X*)): mean vector and (n+m) x (n+m) covariance.
 
@@ -82,7 +63,7 @@ def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
     """
     if not mean.is_identified:
         raise InputError("joint_prior requires a fully known mean")
-    xs = _as_test_points(xs, data.dim)
+    xs = _as_locations(xs, data.dim, "test points")
     if kernel.dim != data.dim:
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
@@ -106,17 +87,7 @@ def gpr_predict(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     For a single test point this is numerically the Simple-Kriging
     predictor and error variance.
     """
-    if not mean.is_identified:
-        raise InputError("gpr_predict requires a fully known mean")
-    xs = _as_test_points(xs, data.dim)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    cross = kernel_matrix(kernel, data.x, xs)
-    a = solve_spd(factor, cross)
-    post_mean = _mean_vector(mean, xs) + a.T @ (data.y - _mean_vector(mean, data.x))
-    post_cov = build_gram(kernel, xs, 0.0) - cross.T @ a
-    if observe_noise:
-        post_cov = post_cov + data.noise_variance * np.eye(xs.shape[0])
-    return GaussianPredictive(mean=post_mean, covariance=post_cov)
+    return _posterior(data, kernel, "gpr", mean, xs, observe_noise, max_jitter)
 
 
 def gpr_predict_basis(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
@@ -139,54 +110,25 @@ def gpr_predict_basis(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     with Gamma = f(X*) - M^T S^-1 K*.  The noninformative posterior never
     touches the prior mean.
     """
-    if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-        raise InputError("gpr_predict_basis requires a basis or constant-unknown mean")
-    xs = _as_test_points(xs, data.dim)
-    if mean.kind == BASIS and mean.prior_cov is not None:
-        return _finite_prior_posterior(data, kernel, mean, xs, observe_noise,
-                                       max_jitter)
+    return _posterior(data, kernel, "gpr-basis", mean, xs, observe_noise, max_jitter)
+
+
+def _posterior(data, kernel, variant, mean, xs, observe_noise, max_jitter):
+    """The engine's mean and variances plus the joint m x m covariance.
+
+    cov = K** - K*^T S^-1 K* + Gamma^T G^-1 Gamma, with the engine's
+    variances on the diagonal.
+    """
+    spec = _variant_mean(variant, mean)
+    xs = _as_locations(xs, data.dim, "test points")
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    m_mat, w, gram_factor, beta = _gls_pieces(data, kernel, mean, factor)
-    m_star = basis_matrix(mean, xs)
-    cross = kernel_matrix(kernel, data.x, xs)
-    a = solve_spd(factor, cross)
-    gamma = m_star.T - w.T @ cross
-    post_mean = m_star @ beta + a.T @ (data.y - m_mat @ beta)
-    post_cov = (build_gram(kernel, xs, 0.0) - cross.T @ a
-                + gamma.T @ solve_spd(gram_factor, gamma))
+    batch = _predict(_fit(data, kernel, spec, factor), xs)
+    post_cov = (build_gram(kernel, xs, 0.0) - batch.kt @ batch.at.T
+                + batch.gamma @ batch.h.T)
+    np.fill_diagonal(post_cov, batch.variance)
     if observe_noise:
         post_cov = post_cov + data.noise_variance * np.eye(xs.shape[0])
-    return GaussianPredictive(mean=post_mean, covariance=post_cov)
-
-
-def _finite_prior_posterior(data, kernel, mean, xs, observe_noise, max_jitter):
-    p = mean.p
-    b = mean.prior_mean if mean.prior_mean is not None else np.zeros(p)
-    try:
-        prior_factor = spd_factor(mean.prior_cov)
-    except SingularityError as err:
-        raise InputError("prior covariance must be positive definite") from err
-    prior_precision = solve_spd(prior_factor, np.eye(p))
-
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    m_mat = basis_matrix(mean, data.x)
-    m_star = basis_matrix(mean, xs)
-    w = solve_spd(factor, m_mat)
-    penalized = prior_precision + m_mat.T @ w
-    penalized = 0.5 * (penalized + penalized.T)
-    pen_factor = spd_factor(penalized)
-    # posterior coefficient mean: shrinks the GLS estimate toward b
-    beta_bar = solve_spd(pen_factor, w.T @ data.y + prior_precision @ b)
-
-    cross = kernel_matrix(kernel, data.x, xs)
-    a = solve_spd(factor, cross)
-    gamma = m_star.T - w.T @ cross
-    post_mean = m_star @ beta_bar + a.T @ (data.y - m_mat @ beta_bar)
-    post_cov = (build_gram(kernel, xs, 0.0) - cross.T @ a
-                + gamma.T @ solve_spd(pen_factor, gamma))
-    if observe_noise:
-        post_cov = post_cov + data.noise_variance * np.eye(xs.shape[0])
-    return GaussianPredictive(mean=post_mean, covariance=post_cov)
+    return GaussianPredictive(mean=batch.mean, covariance=post_cov)
 
 
 def map_predict(predictive: GaussianPredictive) -> np.ndarray:

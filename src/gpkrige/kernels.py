@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .exceptions import InputError
 
@@ -240,22 +240,19 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     if x.shape[0] < 2:
         raise InputError("need at least two points for an empirical semivariogram")
 
-    iu, ju = np.triu_indices(x.shape[0], k=1)
-    lags = np.linalg.norm(x[iu] - x[ju], axis=1)
-    sqdiff = (y[iu] - y[ju]) ** 2
+    lags = pdist(x)
+    sqdiff = pdist(y[:, None], "sqeuclidean")
 
     edges = np.linspace(0.0, max_lag, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     idx = np.digitize(lags, edges[1:-1], right=False)
-    inside = lags <= max_lag
+    idx[~(lags <= max_lag)] = bins  # one overflow bin, dropped below
 
-    counts = np.zeros(bins, dtype=int)
+    counts = np.bincount(idx, minlength=bins + 1)[:bins]
+    sums = np.bincount(idx, weights=sqdiff, minlength=bins + 1)[:bins]
     gamma = np.full(bins, np.nan)
-    for b in range(bins):
-        mask = inside & (idx == b)
-        counts[b] = int(mask.sum())
-        if counts[b] > 0:
-            gamma[b] = sqdiff[mask].sum() / (2.0 * counts[b])
+    filled = counts > 0
+    gamma[filled] = sums[filled] / (2.0 * counts[filled])
     return centers, counts, gamma
 
 

@@ -12,10 +12,25 @@ minimize the error variance V[T(Y) - Z(x*)] subject to unbiasedness:
   constraint M^T lambda = f(x*) and p multipliers.
 
 The multiplier stored on :class:`KrigingWeights` follows the closed-form
-convention lambda = Sigma^-1 (k* + M mu_tilde); the raw block-system
-solution carries the opposite sign and is negated on the way out.  The
-classic compact variance expression uses the block-system sign and is
-asserted against the expanded form on every Ordinary-Kriging call.
+convention lambda = Sigma^-1 (k* + M mu_tilde); the multiplier of the
+block system carries the opposite sign.  The classic compact variance expression uses the block-system sign and is
+asserted against the expanded form whenever OK weights are built.
+
+Every variant runs through one engine.  :func:`_fit` computes the
+target-independent pieces once for a mean assumption: a known mean is a
+basis with zero columns, and a Gaussian coefficient prior adds B^-1 to the
+GLS Gram.  :func:`_predict` then serves all targets with one
+multi-right-hand-side Cholesky solve.  The public predictors are thin
+wrappers over it; ``sk_mean_subtraction``, ``ordinary_krige_direct`` and
+``sk_with_plugin_mean`` are independent oracle routes kept for ``verify``
+and the tests.
+
+Rows, not columns: every per-target reduction in the engine runs along a
+contiguous row of an (m, k) array that holds one target per row.  Matrix
+products and column reductions round differently depending on how many
+targets share the call; row reductions and the columns of a
+multi-right-hand-side Cholesky solve do not.  A target's numbers are
+therefore bit-identical whether it is predicted alone or in a batch.
 
 The classical definitions of OK/UK are noise-free; a dataset with
 ``noise_variance > 0`` is accepted for every variant by using
@@ -25,30 +40,26 @@ never inflated), which reduces to the noise-free equations at sigma^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
+from .exceptions import InputError, NumericalError, SingularityError
 from .kernels import (
     BASIS,
     CONSTANT_UNKNOWN,
     Dataset,
     KernelSpec,
     MeanSpec,
+    _as_locations,
     basis_at,
     basis_matrix,
     build_gram,
     cross_cov,
     eval_mean,
+    kernel_matrix,
 )
-from .linalg import (
-    SpdFactor,
-    _factor_constraint_gram,
-    _solve_saddle_factored,
-    solve_spd,
-    spd_factor,
-)
+from .linalg import SpdFactor, _factor_constraint_gram, solve_spd, spd_factor
 
 _VARIANCE_TOL = 1e-9
 _COMPACT_TOL = 1e-9
@@ -85,13 +96,15 @@ class Prediction:
     jitter_warning: bool = False
 
 
-def _clamped(value: float, scale: float) -> float:
+def _clamped(value, scale: float):
+    """Clamp round-off negatives of an error variance (scalar or array) to zero."""
     tol = _VARIANCE_TOL * max(1.0, abs(scale))
-    if value < -tol:
+    value = np.asarray(value, dtype=float)
+    if np.any(value < -tol):
         raise NumericalError(
-            f"error variance {value:.6e} is negative beyond tolerance {tol:.1e}"
+            f"error variance {value.min():.6e} is negative beyond tolerance {tol:.1e}"
         )
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)
 
 
 def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
@@ -108,32 +121,181 @@ def _mean_vector(mean: MeanSpec, x) -> np.ndarray:
     return np.array([eval_mean(mean, xi) for xi in x])
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b`` (or with ``b``).
+
+    Each row is reduced on its own, so the result for one row does not
+    depend on how many rows share the call.
+    """
+    return np.einsum("ji,ji->j", a, np.broadcast_to(b, a.shape))
+
+
+# ---------------------------------------------------------------------------
+# The engine
+# ---------------------------------------------------------------------------
+
+
+def _variant_mean(variant: str, mean: MeanSpec | None) -> MeanSpec:
+    """The mean assumption the engine fits for a prediction variant.
+
+    sk/blup/gpr condition on a fully known mean; ok on an unknown constant,
+    whatever ``mean`` says; uk on the basis of ``mean`` with coefficients and
+    prior stripped; gpr-basis keeps the coefficient prior but not the
+    coefficients.
+    """
+    if variant == "ok":
+        return MeanSpec.constant_unknown()
+    if variant in ("sk", "blup", "gpr"):
+        if mean is None or not mean.is_identified:
+            raise InputError(f"variant {variant!r} requires a fully known mean")
+        return mean
+    if variant in ("uk", "gpr-basis"):
+        if mean is None or mean.kind not in (BASIS, CONSTANT_UNKNOWN):
+            raise InputError(
+                f"variant {variant!r} requires a basis or constant-unknown mean"
+            )
+        if variant == "uk":
+            return replace(mean, coefficients=None, prior_mean=None, prior_cov=None)
+        return replace(mean, coefficients=None)
+    raise InputError(f"unknown variant {variant!r}")
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """Target-independent pieces of the BLUP under one mean assumption.
+
+    ``offset`` is the known mean m(X), zero for a basis with unknown
+    coefficients; with M the n x p basis (p = 0 for a known mean), ``w`` is
+    S^-1 M, ``gram_factor`` factors G = M^T S^-1 M (+ B^-1 under a
+    coefficient prior; None when p = 0), ``beta`` holds the GLS (or
+    posterior) coefficients and ``residual`` is y - offset - M beta.
+    """
+
+    kernel: KernelSpec
+    mean: MeanSpec
+    x: np.ndarray
+    factor: SpdFactor
+    offset: np.ndarray
+    w: np.ndarray
+    gram_factor: SpdFactor | None
+    beta: np.ndarray
+    residual: np.ndarray
+
+
+def _fit(data: Dataset, kernel: KernelSpec, mean: MeanSpec, factor: SpdFactor) -> _Fit:
+    if mean.is_identified:
+        offset = _mean_vector(mean, data.x)
+        m_mat = np.empty((data.n, 0))
+    else:
+        offset = np.zeros(data.n)
+        m_mat = basis_matrix(mean, data.x)
+        if m_mat.shape[1] > data.n:
+            raise InputError(
+                f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
+            )
+    w = solve_spd(factor, m_mat)
+    centered = data.y - offset
+    gram, rhs = m_mat.T @ w, w.T @ centered
+    if not m_mat.shape[1]:
+        gram_factor = None
+    elif mean.prior_cov is None:
+        gram_factor = _factor_constraint_gram(gram)
+    else:
+        try:
+            prior_factor = spd_factor(mean.prior_cov)
+        except SingularityError as err:
+            raise InputError("prior covariance must be positive definite") from err
+        precision = solve_spd(prior_factor, np.eye(mean.p))
+        b = mean.prior_mean if mean.prior_mean is not None else np.zeros(mean.p)
+        # the posterior coefficient mean shrinks the GLS estimate toward b
+        gram_factor = spd_factor(gram + precision)
+        rhs = rhs + precision @ b
+    beta = solve_spd(gram_factor, rhs) if gram_factor is not None else np.empty(0)
+    return _Fit(kernel, mean, data.x, factor, offset, w, gram_factor, beta,
+                centered - m_mat @ beta)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Engine output for m targets, one target per row.
+
+    ``kt`` = K*^T and ``at`` = (S^-1 K*)^T are m x n; ``f`` = f(X*),
+    ``gamma`` = f(X*) - K*^T W and ``h`` = Gamma G^-1 (the rows are the
+    multipliers mu_tilde) are m x p; ``offset`` is the known mean m(X*).
+    """
+
+    fit: _Fit
+    mean: np.ndarray
+    variance: np.ndarray
+    kt: np.ndarray
+    at: np.ndarray
+    f: np.ndarray
+    gamma: np.ndarray
+    h: np.ndarray
+    offset: np.ndarray
+
+
+def _predict(fit: _Fit, xs: np.ndarray) -> _Batch:
+    """Predict at every row of ``xs`` with one multi-right-hand-side solve.
+
+    mean:      m(x*) + f(x*)^T beta + k*^T S^-1 residual
+    variance:  sigma*^2 - k*^T S^-1 k* + Gamma^T G^-1 Gamma, clamped
+    """
+    m = xs.shape[0]
+    kt = kernel_matrix(fit.kernel, xs, fit.x)
+    at = solve_spd(fit.factor, kt.T).T
+    if fit.gram_factor is None:
+        offset, f = _mean_vector(fit.mean, xs), np.empty((m, 0))
+    else:
+        offset, f = np.zeros(m), basis_matrix(fit.mean, xs)
+    gamma = f - np.einsum("ji,li->jl", kt, fit.w.T)
+    h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
+    mean = offset + _rowdot(f, fit.beta) + _rowdot(at, fit.residual)
+    raw = fit.kernel.variance - _rowdot(kt, at) + _rowdot(gamma, h)
+    return _Batch(fit, mean, _clamped(raw, fit.kernel.variance), kt, at, f, gamma, h,
+                  offset)
+
+
+def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
+    """Per-target :class:`Prediction` records with their Kriging weights."""
+    fit = batch.fit
+    # lam = S^-1 (k* + M mu_tilde); lam^T S lam then needs no extra solve
+    lam = batch.at + batch.h @ fit.w.T
+    lam_kstar = _rowdot(lam, batch.kt)
+    estimator_var = lam_kstar + _rowdot(batch.f, batch.h)
+    lam0 = batch.offset - _rowdot(lam, fit.offset)
+    if variant == "ok":
+        # classic compact form, written with the block-system multiplier
+        compact = fit.kernel.variance - lam_kstar + batch.h[:, 0]
+        gap = np.abs(batch.variance - compact)
+        if np.any(gap > _COMPACT_TOL * np.maximum(1.0, batch.variance)):
+            j = int(np.argmax(gap))
+            raise NumericalError(
+                "expanded and compact OK variance forms disagree: "
+                f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
+            )
+    jitter = fit.factor.jitter_used > 0.0
+    return [
+        Prediction(
+            mean=float(batch.mean[j]),
+            error_variance=float(batch.variance[j]),
+            estimator_variance=float(estimator_var[j]),
+            weights=KrigingWeights(lam=lam[j], lam0=float(lam0[j]),
+                                   mu_tilde=batch.h[j], variant=variant),
+            jitter_warning=jitter,
+        )
+        for j in range(lam.shape[0])
+    ]
+
+
+def _predict_one(data, kernel, mean, xstar, variant, max_jitter) -> Prediction:
+    xs = np.reshape(np.asarray(xstar, dtype=float), (1, -1))
+    return predict_points(data, kernel, xs, variant, mean, max_jitter)[0]
+
+
 # ---------------------------------------------------------------------------
 # Known-mean predictors
 # ---------------------------------------------------------------------------
-
-
-def _blup_point(data, kernel, mean, factor, xstar, variant) -> Prediction:
-    kstar = cross_cov(kernel, data.x, xstar)
-    s = solve_spd(factor, kstar)
-    m_vec = _mean_vector(mean, data.x)
-    m_star = eval_mean(mean, xstar)
-    sigma_star2 = kernel.variance
-    estimator_var = float(kstar @ s)
-    error_var = _clamped(sigma_star2 - estimator_var, sigma_star2)
-    weights = KrigingWeights(
-        lam=s,
-        lam0=float(m_star - s @ m_vec),
-        mu_tilde=np.empty(0),
-        variant=variant,
-    )
-    return Prediction(
-        mean=float(m_star + s @ (data.y - m_vec)),
-        error_variance=error_var,
-        estimator_variance=estimator_var,
-        weights=weights,
-        jitter_warning=factor.jitter_used > 0.0,
-    )
 
 
 def blup_general(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -144,10 +306,7 @@ def blup_general(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
     sigma*^2 - k*^T (Sigma + sigma^2 I)^-1 k*.  The error variance depends
     only on covariances, never on the observed values.
     """
-    if not mean.is_identified:
-        raise InputError("blup_general requires a fully known mean")
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _blup_point(data, kernel, mean, factor, xstar, "blup")
+    return _predict_one(data, kernel, mean, xstar, "blup", max_jitter)
 
 
 def simple_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -156,10 +315,7 @@ def simple_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
 
     Interpolates the data exactly when the dataset is noise-free.
     """
-    if not mean.is_identified:
-        raise InputError("simple_krige requires a fully known mean")
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _blup_point(data, kernel, mean, factor, xstar, "sk")
+    return _predict_one(data, kernel, mean, xstar, "sk", max_jitter)
 
 
 def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -174,10 +330,9 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     factor = _factor_observation_cov(data, kernel, max_jitter)
     m_vec = _mean_vector(mean, data.x)
     m_star = eval_mean(mean, xstar)
-    residual_data = Dataset(data.x, data.y - m_vec, data.noise_variance)
-    zero_mean = MeanSpec.known_constant(0.0)
-    base = _blup_point(residual_data, kernel, zero_mean, factor, xstar, "sk")
-    lam = base.weights.lam
+    kstar = cross_cov(kernel, data.x, xstar)
+    lam = solve_spd(factor, kstar)
+    estimator_var = float(kstar @ lam)
     weights = KrigingWeights(
         lam=lam,
         lam0=float(m_star - lam @ m_vec),
@@ -185,11 +340,11 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
         variant="sk",
     )
     return Prediction(
-        mean=float(m_star + base.mean),
-        error_variance=base.error_variance,
-        estimator_variance=base.estimator_variance,
+        mean=float(m_star + lam @ (data.y - m_vec)),
+        error_variance=_clamped(kernel.variance - estimator_var, kernel.variance),
+        estimator_variance=estimator_var,
         weights=weights,
-        jitter_warning=base.jitter_warning,
+        jitter_warning=factor.jitter_used > 0.0,
     )
 
 
@@ -198,62 +353,18 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
 # ---------------------------------------------------------------------------
 
 
-def _constrained_point(data, kernel, mean, factor, xstar, variant,
-                       check_compact=False) -> Prediction:
-    m_mat = basis_matrix(mean, data.x)
-    if m_mat.shape[1] > data.n:
-        raise InputError(
-            f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
-        )
-    fstar = basis_at(mean, xstar)
-    kstar = cross_cov(kernel, data.x, xstar)
-    lam, mu_raw = _solve_saddle_factored(factor, m_mat, kstar, fstar)
-    mu_tilde = -mu_raw
-
-    s = solve_spd(factor, kstar)
-    sigma_star2 = kernel.variance
-    sk_part = sigma_star2 - float(kstar @ s)
-    gamma = fstar - m_mat.T @ s
-    inflation = float(gamma @ mu_tilde)  # gamma^T (M^T Sigma^-1 M)^-1 gamma
-    raw_error_var = sk_part + inflation
-
-    if check_compact:
-        # Classic compact form, written with the block-system multiplier.
-        compact = sigma_star2 - float(lam @ kstar) - float(mu_raw[0])
-        if abs(raw_error_var - compact) > _COMPACT_TOL * max(1.0, abs(raw_error_var)):
-            raise NumericalError(
-                "expanded and compact OK variance forms disagree: "
-                f"{raw_error_var:.17g} vs {compact:.17g}"
-            )
-
-    # Sigma lam = k* + M mu_tilde, so lam^T Sigma lam needs no extra solve.
-    estimator_var = float(lam @ kstar) + float(fstar @ mu_tilde)
-    weights = KrigingWeights(lam=lam, lam0=0.0, mu_tilde=mu_tilde, variant=variant)
-    return Prediction(
-        mean=float(lam @ data.y),
-        error_variance=_clamped(raw_error_var, sigma_star2),
-        estimator_variance=estimator_var,
-        weights=weights,
-        jitter_warning=factor.jitter_used > 0.0,
-    )
-
-
 def ordinary_krige(data: Dataset, kernel: KernelSpec, xstar,
                    max_jitter: float = 0.0) -> Prediction:
     """Ordinary Kriging: unknown constant mean, weights summing to one.
 
-    Solves the Kriging system through the saddle-point machinery and checks
-    the expanded variance
+    Solves the Kriging system through the engine's constraint Gram and
+    checks the expanded variance
 
         sigma*^2 - k*^T Sigma^-1 k* + (1 - 1^T Sigma^-1 k*)^2 / (1^T Sigma^-1 1)
 
     against the compact form sigma*^2 - lam^T k* - mu on every call.
     """
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _constrained_point(
-        data, kernel, MeanSpec.constant_unknown(), factor, xstar,
-        variant="ok", check_compact=True,
-    )
+    return _predict_one(data, kernel, None, xstar, "ok", max_jitter)
 
 
 def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
@@ -298,12 +409,7 @@ def universal_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
     gamma^T (M^T Sigma^-1 M)^-1 gamma with gamma = f(x*) - M^T Sigma^-1 k*.
     With the single basis function f == 1 this reduces to Ordinary Kriging.
     """
-    if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-        raise InputError("universal_krige requires a basis or constant-unknown mean")
-    if mean.p > data.n:
-        raise InputError(f"{mean.p} basis functions exceed {data.n} observations")
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _constrained_point(data, kernel, mean, factor, xstar, variant="uk")
+    return _predict_one(data, kernel, mean, xstar, "uk", max_jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +424,13 @@ def gls_constant(data: Dataset, kernel: KernelSpec, max_jitter: float = 0.0) -> 
     return float(w @ data.y) / float(np.sum(w))
 
 
-def _gls_pieces(data, kernel, mean, factor):
-    """Shared GLS computation: returns (M, W=S^-1 M, G-factor, beta-hat)."""
-    m_mat = basis_matrix(mean, data.x)
-    if m_mat.shape[1] > data.n:
-        raise InputError(
-            f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
-        )
-    w = solve_spd(factor, m_mat)
-    gram_factor = _factor_constraint_gram(m_mat.T @ w)
-    beta = solve_spd(gram_factor, w.T @ data.y)
-    return m_mat, w, gram_factor, beta
-
-
 def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
              max_jitter: float = 0.0) -> np.ndarray:
     """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y."""
     if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
         raise InputError("gls_beta requires a basis or constant-unknown mean")
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    _, _, _, beta = _gls_pieces(data, kernel, mean, factor)
-    return beta
+    return _fit(data, kernel, _variant_mean("uk", mean), factor).beta
 
 
 def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -353,7 +445,14 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
         raise InputError("sk_with_plugin_mean requires a basis or constant-unknown mean")
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    m_mat, w, gram_factor, beta = _gls_pieces(data, kernel, mean, factor)
+    m_mat = basis_matrix(mean, data.x)
+    if m_mat.shape[1] > data.n:
+        raise InputError(
+            f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
+        )
+    w = solve_spd(factor, m_mat)
+    gram_factor = _factor_constraint_gram(m_mat.T @ w)
+    beta = solve_spd(gram_factor, w.T @ data.y)
     fstar = basis_at(mean, xstar)
     kstar = cross_cov(kernel, data.x, xstar)
     s = solve_spd(factor, kstar)
@@ -402,38 +501,14 @@ VARIANTS = ("sk", "blup", "ok", "uk")
 def predict_points(data: Dataset, kernel: KernelSpec, xs, variant: str = "ok",
                    mean: MeanSpec | None = None,
                    max_jitter: float = 0.0) -> list[Prediction]:
-    """Predict at many points, factoring the observation covariance once.
+    """Predict at many points with one fit and one batched engine call.
 
     ``mean`` is required for "sk"/"blup" (a known mean) and "uk" (a basis);
     it is ignored for "ok".
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None] if data.dim == 1 else xs[None, :]
-    if xs.ndim != 2 or xs.shape[1] != data.dim:
-        raise InputError(f"prediction points must be (m, {data.dim}), got {xs.shape}")
-    if variant in ("sk", "blup"):
-        if mean is None or not mean.is_identified:
-            raise InputError(f"variant {variant!r} requires a fully known mean")
-    elif variant == "uk":
-        if mean is None or mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-            raise InputError("variant 'uk' requires a basis mean")
-        if mean.p > data.n:
-            raise InputError(f"{mean.p} basis functions exceed {data.n} observations")
-
+    xs = _as_locations(xs, data.dim, "prediction points")
+    spec = _variant_mean(variant, mean)
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    out = []
-    for point in xs:
-        if variant in ("sk", "blup"):
-            out.append(_blup_point(data, kernel, mean, factor, point, variant))
-        elif variant == "ok":
-            out.append(_constrained_point(
-                data, kernel, MeanSpec.constant_unknown(), factor, point,
-                variant="ok", check_compact=True,
-            ))
-        else:
-            out.append(_constrained_point(data, kernel, mean, factor, point,
-                                          variant="uk"))
-    return out
+    return _predictions(_predict(_fit(data, kernel, spec, factor), xs), variant)

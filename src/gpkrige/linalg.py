@@ -157,7 +157,11 @@ def solve_saddle(sigma, m, r_top, r_bot, max_jitter: float = 0.0):
     r_bot = np.asarray(r_bot, dtype=float).reshape(-1)
     if r_top.shape[0] != factor.n or r_bot.shape[0] != m.shape[1]:
         raise InputError("right-hand side does not match the block shapes")
-    return _solve_saddle_factored(factor, m, r_top, r_bot)
+    w = solve_spd(factor, m)
+    gram_factor = _factor_constraint_gram(m.T @ w)
+    t = solve_spd(factor, r_top)
+    mu = solve_spd(gram_factor, m.T @ t - r_bot)
+    return t - w @ mu, mu
 
 
 _RANK_RTOL = 1e-12
@@ -182,12 +186,3 @@ def _factor_constraint_gram(gram) -> SpdFactor:
             "basis functions linearly dependent at the design points",
             pivot=err.pivot,
         ) from err
-
-
-def _solve_saddle_factored(factor: SpdFactor, m, r_top, r_bot):
-    w = solve_spd(factor, m)
-    gram_factor = _factor_constraint_gram(m.T @ w)
-    t = solve_spd(factor, r_top)
-    mu = solve_spd(gram_factor, m.T @ t - r_bot)
-    lam = t - w @ mu
-    return lam, mu

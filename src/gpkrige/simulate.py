@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .exceptions import InputError, SingularityError, StudyError
-from .gpr import gpr_predict
+from .exceptions import GpKrigeError, InputError, SingularityError, StudyError
 from .kernels import (
     Dataset,
     KernelSpec,
@@ -32,7 +31,7 @@ from .kernels import (
     _mean_from_json,
     _mean_to_json,
 )
-from .kriging import ls_predict, predict_points
+from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean, ls_predict
 
 PREDICTORS = ("ls", "sk", "ok", "uk", "gpr")
 
@@ -169,35 +168,29 @@ def _draw_locations(rng, domain, count):
     return lows + rng.random((count, len(domain))) * (highs - lows)
 
 
-def _run_predictor(name, cfg, data, x_test, z_test, uk_mean, ls_mean):
+def _run_predictor(name, cfg, data, factor, x_test, z_test, uk_mean, ls_mean):
     """Returns (squared errors, error variances or None, coverage pair or None)."""
     if name == "ls":
         pred = np.full(x_test.shape[0], ls_predict(data, ls_mean, x_test[0]))
         # constant basis: one fitted value serves every test point
         return (pred - z_test) ** 2, None, None
-    if name == "gpr":
-        posterior = gpr_predict(data, cfg.kernel, cfg.true_mean, x_test)
-        halfwidth = _Z95 * np.sqrt(posterior.variance)
-        covered = np.abs(z_test - posterior.mean) <= halfwidth
-        sq = (posterior.mean - z_test) ** 2
-        return sq, posterior.variance, (int(covered.sum()), covered.size)
-    if name == "sk":
-        preds = predict_points(data, cfg.kernel, x_test, "sk", mean=cfg.true_mean)
-    elif name == "ok":
-        preds = predict_points(data, cfg.kernel, x_test, "ok")
-    else:
-        preds = predict_points(data, cfg.kernel, x_test, "uk", mean=uk_mean)
-    means = np.array([p.mean for p in preds])
-    variances = np.array([p.error_variance for p in preds])
-    return (means - z_test) ** 2, variances, None
+    spec = _variant_mean(name, uk_mean if name == "uk" else cfg.true_mean)
+    batch = _predict(_fit(data, cfg.kernel, spec, factor), x_test)
+    sq = (batch.mean - z_test) ** 2
+    if name != "gpr":
+        return sq, batch.variance, None
+    covered = np.abs(z_test - batch.mean) <= _Z95 * np.sqrt(batch.variance)
+    return sq, batch.variance, (int(covered.sum()), covered.size)
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the replicated comparison study described by ``cfg``.
 
-    A predictor that fails inside a replicate is recorded and skipped for
-    that replicate; the study itself fails only when no replicate yields
-    any usable result.
+    The observation covariance is factored once per replicate and shared
+    by every Kriging and GP predictor.  A predictor that fails inside a
+    replicate with a :class:`GpKrigeError` is recorded and skipped for that
+    replicate; any other exception is a bug and propagates.  The study
+    itself fails only when no replicate yields any usable result.
     """
     uk_mean = MeanSpec.polynomial(cfg.kernel.dim, 1)
     ls_mean = MeanSpec.constant_unknown()
@@ -222,13 +215,16 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         z_test = z_all[cfg.n_train:]
         data = Dataset(x_train, y_train, cfg.noise_variance)
 
+        factor = None
         replicate_ok = False
         for name in cfg.predictors:
             try:
+                if name != "ls" and factor is None:
+                    factor = _factor_observation_cov(data, cfg.kernel, 0.0)
                 sq, err_vars, cover = _run_predictor(
-                    name, cfg, data, x_test, z_test, uk_mean, ls_mean
+                    name, cfg, data, factor, x_test, z_test, uk_mean, ls_mean
                 )
-            except Exception:
+            except GpKrigeError:
                 failures[name] += 1
                 continue
             mse[name].append(float(np.mean(sq)))

@@ -1,5 +1,6 @@
 """CLI commands: predict, variogram, study, verify, and their exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
+from gpkrige import cli
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -227,6 +229,20 @@ class TestPredict:
         assert float(rows[0][1]) == pytest.approx(sk.mean, abs=1e-12)
         assert float(rows[0][2]) == pytest.approx(sk.error_variance, abs=1e-12)
 
+    @pytest.mark.parametrize("variant, mean", [
+        ("gpr", {"type": "known", "constant": 0.0}),
+        ("gpr-basis", {"type": "constant_unknown"}),
+    ])
+    def test_gpr_jitter_warns(self, tmp_path, capsys, variant, mean):
+        data = tmp_path / "dup.csv"
+        config = tmp_path / "c.json"
+        write_csv(data, [0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
+        write_config(config, {**SE_CONFIG, "variant": variant, "mean": mean,
+                              "max_jitter": 1e-6})
+        assert main(["predict", "--data", str(data), "--config", str(config),
+                     "--grid", "0:1:3"]) == 0
+        assert "jitter" in capsys.readouterr().err
+
 
 class TestVariogram:
     def test_constant_data_gives_zero(self, tmp_path):
@@ -377,3 +393,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "skipped (noisy)" in out
+
+    def test_perturbed_engine_fails_its_rows(self, tmp_path, capsys, monkeypatch):
+        # every row compares the engine against a route that does not use it,
+        # so a 1e-6 shift of the engine's mean must show in all of them
+        engine = cli._predict
+
+        def perturbed(fit, xs):
+            batch = engine(fit, xs)
+            return dataclasses.replace(batch, mean=batch.mean + 1e-6)
+
+        monkeypatch.setattr(cli, "_predict", perturbed)
+        data, config = self.make_dataset(tmp_path)
+        code = main(["verify", "--data", data, "--config", config,
+                     "--grid", "0.05:0.95:7"])
+        status = {line.split()[0]: line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert code == 5
+        assert status == {name: "fail" for name in (
+            "ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
+            "gpr_vs_sk", "gpr_basis_vs_uk", "interpolation")}

@@ -225,6 +225,41 @@ class TestEmpiricalSemivariogram:
         _, counts, _ = empirical_semivariogram([[0.0], [5.0]], [0.0, 1.0], 2, 1.0)
         assert counts.sum() == 0
 
+    def test_lags_on_bin_edges(self):
+        # edges 0, 1, 2, 3: lags of exactly 1 and 2 open their bins, a lag of
+        # exactly max_lag = 3 closes the last one, and 3.5 and 4.5 drop out
+        x = [[0.0], [1.0], [2.0], [3.0], [4.5]]
+        y = [0.0, 1.0, 3.0, 6.0, 10.0]
+        _, counts, gamma = empirical_semivariogram(x, y, 3, 3.0)
+        assert counts.tolist() == [0, 4, 4]
+        assert np.isnan(gamma[0])
+        assert gamma[1] == (1.0 + 4.0 + 9.0 + 16.0) / 8.0
+        assert gamma[2] == (9.0 + 25.0 + 36.0 + 49.0) / 8.0
+
+    @pytest.mark.parametrize("bins, max_lag", [(8, 1.0), (10, 2.0)])
+    def test_matches_per_pair_loop(self, bins, max_lag):
+        rng = np.random.default_rng(63)
+        x = rng.uniform(0.0, 1.0, (60, 2))
+        y = rng.normal(size=60)
+        inner_edges = np.linspace(0.0, max_lag, bins + 1)[1:-1].tolist()
+        counts = [0] * bins
+        sums = [0.0] * bins
+        for i in range(60):
+            for j in range(i + 1, 60):
+                lag = math.dist(x[i], x[j])
+                if lag <= max_lag:
+                    b = sum(lag >= edge for edge in inner_edges)
+                    counts[b] += 1
+                    sums[b] += (y[i] - y[j]) ** 2
+        _, got_counts, got_gamma = empirical_semivariogram(x, y, bins, max_lag)
+        assert got_counts.tolist() == counts
+        for b in range(bins):
+            if counts[b] == 0:
+                assert np.isnan(got_gamma[b])
+            else:
+                expected = sums[b] / (2.0 * counts[b])
+                assert abs(got_gamma[b] - expected) <= 1e-12 * abs(expected)
+
 
 class TestMeanSpec:
     def test_known_zero(self):

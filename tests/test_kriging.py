@@ -517,13 +517,21 @@ class TestJitter:
 
 
 class TestPredictPoints:
-    def test_matches_pointwise_calls(self):
+    @pytest.mark.parametrize("variant", ["ok", "sk", "uk"])
+    def test_matches_pointwise_calls(self, variant):
         rng = np.random.default_rng(37)
         data, kernel, _ = random_instance(rng, n=8, dim=1)
         xs = rng.uniform(0, 5, (4, 1))
-        batch = predict_points(data, kernel, xs, "ok")
+        mean = {"ok": None, "sk": MeanSpec.known(lambda x: 2.0 - 0.3 * x[0]),
+                "uk": MeanSpec.polynomial(1, 1)}[variant]
+        batch = predict_points(data, kernel, xs, variant, mean=mean)
         for row, pred in zip(xs, batch):
-            single = ordinary_krige(data, kernel, row)
+            if variant == "ok":
+                single = ordinary_krige(data, kernel, row)
+            elif variant == "sk":
+                single = simple_krige(data, kernel, mean, row)
+            else:
+                single = universal_krige(data, kernel, mean, row)
             assert pred.mean == single.mean
             assert pred.error_variance == single.error_variance
 

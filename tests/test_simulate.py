@@ -206,6 +206,15 @@ class TestRunStudy:
         assert math.isnan(report.predictors["sk"].mse_mean)
         assert report.predictors["ls"].failures == 0
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only library errors count as replicate failures; a bug must surface
+        def broken(fit, xs):
+            raise TypeError("broken predictor")
+
+        monkeypatch.setattr("gpkrige.simulate._predict", broken)
+        with pytest.raises(TypeError, match="broken predictor"):
+            run_study(make_config(predictors=("ls", "ok")))
+
     def test_total_failure_raises(self):
         cfg = make_config(
             kernel=KernelSpec("squared_exponential", 0.0, (1.0,)),
