@@ -280,9 +280,12 @@ class MeanSpec:
       ``prior_cov`` optionally place a Gaussian prior on the coefficients.
 
     Basis functions take a 1-D location array of length d and return a float.
-    ``descriptor`` is a serialization hint (e.g. ``("polynomial", 1)``) for
-    means constructed from a named family; hand-built callables cannot be
-    written back to JSON.
+    A polynomial basis also records its p x d matrix of monomial
+    ``exponents``; :func:`basis_matrix` evaluates it in one vectorised
+    product, and it is what lets the basis be written back to JSON.
+    ``descriptor`` is the serialization hint of a known constant mean.
+    Hand-built callables cannot be written back to JSON.  Neither field
+    takes part in equality.
     """
 
     kind: str
@@ -292,12 +295,18 @@ class MeanSpec:
     prior_mean: np.ndarray | None = None
     prior_cov: np.ndarray | None = None
     descriptor: tuple | None = field(default=None, compare=False)
+    exponents: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KNOWN, CONSTANT_UNKNOWN, BASIS):
             raise InputError(f"unknown mean kind {self.kind!r}")
         if self.kind == KNOWN and self.function is None:
             raise InputError("known mean requires a function")
+        if self.exponents is not None:
+            e = np.asarray(self.exponents, dtype=float)
+            if self.kind != BASIS or e.ndim != 2 or e.shape[0] != len(self.functions):
+                raise InputError("exponents need one row per basis function")
+            object.__setattr__(self, "exponents", e)
         if self.kind == BASIS:
             if len(self.functions) < 1:
                 raise InputError("basis mean requires at least one function")
@@ -333,18 +342,18 @@ class MeanSpec:
         return cls(kind=CONSTANT_UNKNOWN)
 
     @classmethod
-    def basis(cls, functions, coefficients=None, prior_mean=None, prior_cov=None,
-              descriptor=None) -> "MeanSpec":
+    def basis(cls, functions, coefficients=None, prior_mean=None,
+              prior_cov=None) -> "MeanSpec":
         return cls(kind=BASIS, functions=tuple(functions), coefficients=coefficients,
-                   prior_mean=prior_mean, prior_cov=prior_cov, descriptor=descriptor)
+                   prior_mean=prior_mean, prior_cov=prior_cov)
 
     @classmethod
     def polynomial(cls, dim: int, degree: int, coefficients=None, prior_mean=None,
                    prior_cov=None) -> "MeanSpec":
         """Basis of all monomials of total degree <= ``degree`` in d variables."""
-        return cls.basis(polynomial_basis(dim, degree), coefficients=coefficients,
-                         prior_mean=prior_mean, prior_cov=prior_cov,
-                         descriptor=("polynomial", int(degree)))
+        exponents = _monomial_exponents(dim, degree)
+        return cls(kind=BASIS, functions=_monomials(exponents), coefficients=coefficients,
+                   prior_mean=prior_mean, prior_cov=prior_cov, exponents=exponents)
 
     # -- queries ------------------------------------------------------------
 
@@ -363,8 +372,8 @@ class MeanSpec:
         return self.kind == KNOWN or (self.kind == BASIS and self.coefficients is not None)
 
 
-def polynomial_basis(dim: int, degree: int) -> tuple[Callable, ...]:
-    """Monomial basis functions of total degree <= degree, constant first."""
+def _monomial_exponents(dim: int, degree: int) -> np.ndarray:
+    """Exponents of the monomials of total degree <= degree, one per row, constant first."""
     dim = int(dim)
     degree = int(degree)
     if dim < 1 or degree < 0:
@@ -375,14 +384,24 @@ def polynomial_basis(dim: int, degree: int) -> tuple[Callable, ...]:
             e = [0] * dim
             for i in combo:
                 e[i] += 1
-            exponents.append(tuple(e))
+            exponents.append(e)
+    exponents = np.array(exponents, dtype=float)
+    exponents.setflags(write=False)
+    return exponents
 
+
+def _monomials(exponents: np.ndarray) -> tuple[Callable, ...]:
     def make(expo):
-        def monomial(x, _e=np.array(expo, dtype=float)):
+        def monomial(x, _e=expo):
             return float(np.prod(np.asarray(x, dtype=float) ** _e))
         return monomial
 
     return tuple(make(e) for e in exponents)
+
+
+def polynomial_basis(dim: int, degree: int) -> tuple[Callable, ...]:
+    """Monomial basis functions of total degree <= degree, constant first."""
+    return _monomials(_monomial_exponents(dim, degree))
 
 
 def eval_mean(mean: MeanSpec, x) -> float:
@@ -403,8 +422,15 @@ def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
     """Design matrix M with M[i, j] = f_j(X_i).
 
     The unknown-constant variant is treated as the single basis function
-    f == 1 and yields the all-ones column.
+    f == 1 and yields the all-ones column.  A polynomial basis is evaluated
+    from its exponents in one product, with ``x`` read as points of the
+    basis dimension (a 1-D ``x`` is one point unless d == 1); other bases
+    call their functions row by row.
     """
+    if mean.exponents is not None:
+        e = mean.exponents
+        x = _as_locations(x, e.shape[1], "basis locations")
+        return np.prod(x[:, None, :] ** e, axis=2)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -503,8 +529,9 @@ def _mean_to_json(mean: MeanSpec) -> dict:
         if mean.descriptor and mean.descriptor[0] == "constant":
             return {"type": "known", "constant": mean.descriptor[1]}
         raise InputError("only constant known means are JSON-representable")
-    if mean.descriptor and mean.descriptor[0] == "polynomial":
-        doc = {"type": "basis", "basis": "polynomial", "degree": mean.descriptor[1]}
+    if mean.exponents is not None:
+        degree = int(mean.exponents.sum(axis=1).max())
+        doc = {"type": "basis", "basis": "polynomial", "degree": degree}
         if mean.coefficients is not None:
             doc["coefficients"] = list(map(float, mean.coefficients))
         if mean.prior_mean is not None:

@@ -23,14 +23,18 @@ GLS Gram.  :func:`_predict` then serves all targets with one
 multi-right-hand-side Cholesky solve.  The public predictors are thin
 wrappers over it; ``sk_mean_subtraction``, ``ordinary_krige_direct`` and
 ``sk_with_plugin_mean`` are independent oracle routes kept for ``verify``
-and the tests.
+and the tests.  Each oracle works on a block of targets: it factors its
+own Gram once per call (never the engine's, nor another route's) and
+serves every target with one multi-right-hand-side solve; the public
+one-point functions call that block form with a single row.
 
-Rows, not columns: every per-target reduction in the engine runs along a
-contiguous row of an (m, k) array that holds one target per row.  Matrix
-products and column reductions round differently depending on how many
-targets share the call; row reductions and the columns of a
-multi-right-hand-side Cholesky solve do not.  A target's numbers are
-therefore bit-identical whether it is predicted alone or in a batch.
+Rows, not columns: every per-target reduction in the engine and in the
+oracles runs along a contiguous row of an (m, k) array that holds one
+target per row.  Matrix products and column reductions round differently
+depending on how many targets share the call; row reductions and the
+columns of a multi-right-hand-side Cholesky solve do not.  A target's
+numbers are therefore bit-identical whether it is predicted alone or in a
+batch.
 
 The classical definitions of OK/UK are noise-free; a dataset with
 ``noise_variance > 0`` is accepted for every variant by using
@@ -55,7 +59,6 @@ from .kernels import (
     basis_at,
     basis_matrix,
     build_gram,
-    cross_cov,
     eval_mean,
     kernel_matrix,
 )
@@ -256,8 +259,40 @@ def _predict(fit: _Fit, xs: np.ndarray) -> _Batch:
                   offset)
 
 
+@dataclass(frozen=True)
+class _Route:
+    """Predictions of one route at m targets, one target per row.
+
+    ``lam`` is m x n and ``mu_tilde`` m x p (p = 0 for a known mean); the
+    other arrays hold one value per target.
+    """
+
+    variant: str
+    mean: np.ndarray
+    variance: np.ndarray
+    estimator_variance: np.ndarray
+    lam: np.ndarray
+    lam0: np.ndarray
+    mu_tilde: np.ndarray
+    jitter: bool
+
+    def records(self) -> list[Prediction]:
+        """Per-target :class:`Prediction` records with their Kriging weights."""
+        return [
+            Prediction(
+                mean=float(self.mean[j]),
+                error_variance=float(self.variance[j]),
+                estimator_variance=float(self.estimator_variance[j]),
+                weights=KrigingWeights(lam=self.lam[j], lam0=float(self.lam0[j]),
+                                       mu_tilde=self.mu_tilde[j], variant=self.variant),
+                jitter_warning=self.jitter,
+            )
+            for j in range(self.mean.shape[0])
+        ]
+
+
 def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
-    """Per-target :class:`Prediction` records with their Kriging weights."""
+    """The engine's per-target records with their Kriging weights."""
     fit = batch.fit
     # lam = S^-1 (k* + M mu_tilde); lam^T S lam then needs no extra solve
     lam = batch.at + batch.h @ fit.w.T
@@ -274,23 +309,16 @@ def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
                 "expanded and compact OK variance forms disagree: "
                 f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
             )
-    jitter = fit.factor.jitter_used > 0.0
-    return [
-        Prediction(
-            mean=float(batch.mean[j]),
-            error_variance=float(batch.variance[j]),
-            estimator_variance=float(estimator_var[j]),
-            weights=KrigingWeights(lam=lam[j], lam0=float(lam0[j]),
-                                   mu_tilde=batch.h[j], variant=variant),
-            jitter_warning=jitter,
-        )
-        for j in range(lam.shape[0])
-    ]
+    return _Route(variant, batch.mean, batch.variance, estimator_var, lam, lam0,
+                  batch.h, fit.factor.jitter_used > 0.0).records()
+
+
+def _one_row(xstar) -> np.ndarray:
+    return np.reshape(np.asarray(xstar, dtype=float), (1, -1))
 
 
 def _predict_one(data, kernel, mean, xstar, variant, max_jitter) -> Prediction:
-    xs = np.reshape(np.asarray(xstar, dtype=float), (1, -1))
-    return predict_points(data, kernel, xs, variant, mean, max_jitter)[0]
+    return predict_points(data, kernel, _one_row(xstar), variant, mean, max_jitter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +353,28 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     Runs zero-mean SK on the residuals Y - m and adds m(x*) back; provably
     identical to :func:`simple_krige`, kept as an independent code path.
     """
+    return _subtraction_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
+
+
+def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
+                       max_jitter: float) -> _Route:
+    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor."""
     if not mean.is_identified:
         raise InputError("sk_mean_subtraction requires a fully known mean")
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    m_vec = _mean_vector(mean, data.x)
-    m_star = eval_mean(mean, xstar)
-    kstar = cross_cov(kernel, data.x, xstar)
-    lam = solve_spd(factor, kstar)
-    estimator_var = float(kstar @ lam)
-    weights = KrigingWeights(
-        lam=lam,
-        lam0=float(m_star - lam @ m_vec),
-        mu_tilde=np.empty(0),
-        variant="sk",
-    )
-    return Prediction(
-        mean=float(m_star + lam @ (data.y - m_vec)),
-        error_variance=_clamped(kernel.variance - estimator_var, kernel.variance),
+    kt = kernel_matrix(kernel, xs, data.x)
+    m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
+    lam = solve_spd(factor, kt.T).T
+    estimator_var = _rowdot(kt, lam)
+    return _Route(
+        "sk",
+        mean=m_star + _rowdot(lam, data.y - m_vec),
+        variance=_clamped(kernel.variance - estimator_var, kernel.variance),
         estimator_variance=estimator_var,
-        weights=weights,
-        jitter_warning=factor.jitter_used > 0.0,
+        lam=lam,
+        lam0=m_star - _rowdot(lam, m_vec),
+        mu_tilde=np.empty((lam.shape[0], 0)),
+        jitter=factor.jitter_used > 0.0,
     )
 
 
@@ -375,29 +405,34 @@ def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
     the resulting scalar equation for the multiplier.  Must agree with
     :func:`ordinary_krige` to full working precision.
     """
+    return _direct_route(data, kernel, _one_row(xstar), max_jitter).records()[0]
+
+
+def _direct_route(data: Dataset, kernel: KernelSpec, xs, max_jitter: float) -> _Route:
+    """:func:`ordinary_krige_direct` at every row of ``xs``, on its own factor."""
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    kstar = cross_cov(kernel, data.x, xstar)
+    kt = kernel_matrix(kernel, xs, data.x)
     ones = np.ones(data.n)
-    s = solve_spd(factor, kstar)
+    s = solve_spd(factor, kt.T).T
     w = solve_spd(factor, ones)
     denom = float(ones @ w)
-    mu_contracted = (float(ones @ s) - 1.0) / denom
-    lam = s - mu_contracted * w
+    s_sum = _rowdot(s, ones)
+    mu_contracted = (s_sum - 1.0) / denom
+    lam = s - mu_contracted[:, None] * w
     mu_tilde = -mu_contracted
 
     sigma_star2 = kernel.variance
-    sk_part = sigma_star2 - float(kstar @ s)
-    inflation = (1.0 - float(ones @ s)) ** 2 / denom
-    estimator_var = float(lam @ kstar) + mu_tilde
-    weights = KrigingWeights(
-        lam=lam, lam0=0.0, mu_tilde=np.array([mu_tilde]), variant="ok",
-    )
-    return Prediction(
-        mean=float(lam @ data.y),
-        error_variance=_clamped(sk_part + inflation, sigma_star2),
-        estimator_variance=estimator_var,
-        weights=weights,
-        jitter_warning=factor.jitter_used > 0.0,
+    sk_part = sigma_star2 - _rowdot(kt, s)
+    inflation = (1.0 - s_sum) ** 2 / denom
+    return _Route(
+        "ok",
+        mean=_rowdot(lam, data.y),
+        variance=_clamped(sk_part + inflation, sigma_star2),
+        estimator_variance=_rowdot(lam, kt) + mu_tilde,
+        lam=lam,
+        lam0=np.zeros(lam.shape[0]),
+        mu_tilde=mu_tilde[:, None],
+        jitter=factor.jitter_used > 0.0,
     )
 
 
@@ -442,6 +477,12 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     reported error variance is the one of that equivalent estimator, since
     the plug-in predictor is not conditioning on a truly known mean.
     """
+    return _plugin_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
+
+
+def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
+                  max_jitter: float) -> _Route:
+    """:func:`sk_with_plugin_mean` at every row of ``xs``, on its own factor."""
     if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
         raise InputError("sk_with_plugin_mean requires a basis or constant-unknown mean")
     factor = _factor_observation_cov(data, kernel, max_jitter)
@@ -453,26 +494,26 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     w = solve_spd(factor, m_mat)
     gram_factor = _factor_constraint_gram(m_mat.T @ w)
     beta = solve_spd(gram_factor, w.T @ data.y)
-    fstar = basis_at(mean, xstar)
-    kstar = cross_cov(kernel, data.x, xstar)
-    s = solve_spd(factor, kstar)
+    kt = kernel_matrix(kernel, xs, data.x)
+    f = basis_matrix(mean, xs)
+    s = solve_spd(factor, kt.T).T
 
-    mean_value = float(fstar @ beta) + float(s @ (data.y - m_mat @ beta))
+    mean_value = _rowdot(f, beta) + _rowdot(s, data.y - m_mat @ beta)
 
     sigma_star2 = kernel.variance
-    gamma = fstar - m_mat.T @ s
-    h = solve_spd(gram_factor, gamma)
-    sk_part = sigma_star2 - float(kstar @ s)
-    lam = s + w @ h
-    estimator_var = float(lam @ kstar) + float(fstar @ h)
-    variant = "ok" if mean.kind == CONSTANT_UNKNOWN else "uk"
-    weights = KrigingWeights(lam=lam, lam0=0.0, mu_tilde=h, variant=variant)
-    return Prediction(
+    gamma = f - np.einsum("ji,li->jl", s, np.ascontiguousarray(m_mat.T))
+    h = solve_spd(gram_factor, gamma.T).T
+    sk_part = sigma_star2 - _rowdot(kt, s)
+    lam = s + np.einsum("jl,il->ji", h, w)
+    return _Route(
+        "ok" if mean.kind == CONSTANT_UNKNOWN else "uk",
         mean=mean_value,
-        error_variance=_clamped(sk_part + float(gamma @ h), sigma_star2),
-        estimator_variance=estimator_var,
-        weights=weights,
-        jitter_warning=factor.jitter_used > 0.0,
+        variance=_clamped(sk_part + _rowdot(gamma, h), sigma_star2),
+        estimator_variance=_rowdot(lam, kt) + _rowdot(f, h),
+        lam=lam,
+        lam0=np.zeros(lam.shape[0]),
+        mu_tilde=h,
+        jitter=factor.jitter_used > 0.0,
     )
 
 

@@ -143,7 +143,10 @@ def solve_saddle(sigma, m, r_top, r_bot, max_jitter: float = 0.0):
         mu     = (M^T Sigma^-1 M)^-1 (M^T Sigma^-1 r_top - r_bot)
         lambda = Sigma^-1 (r_top - M mu).
 
-    Returns ``(lambda, mu)`` with ``mu`` in the block-system sign convention
+    The right-hand side is one vector pair (``r_top`` of length n, ``r_bot``
+    of length p) or a block of k pairs (n x k and p x k), solved with one
+    factorization; the solution has the same shape.  Returns
+    ``(lambda, mu)`` with ``mu`` in the block-system sign convention
     (Sigma lambda + M mu = r_top).
     """
     factor = spd_factor(sigma, max_jitter)
@@ -153,9 +156,12 @@ def solve_saddle(sigma, m, r_top, r_bot, max_jitter: float = 0.0):
         raise InputError(f"M has {m.shape[0]} rows, expected {factor.n}")
     if m.shape[1] > factor.n:
         raise InputError("more constraint columns than observations")
-    r_top = np.asarray(r_top, dtype=float).reshape(-1)
-    r_bot = np.asarray(r_bot, dtype=float).reshape(-1)
-    if r_top.shape[0] != factor.n or r_bot.shape[0] != m.shape[1]:
+    r_top = np.asarray(r_top, dtype=float)
+    r_bot = np.asarray(r_bot, dtype=float)
+    if r_top.ndim < 2:
+        r_top, r_bot = r_top.reshape(-1), r_bot.reshape(-1)
+    if (r_top.ndim > 2 or r_top.shape[0] != factor.n
+            or r_bot.shape != (m.shape[1],) + r_top.shape[1:]):
         raise InputError("right-hand side does not match the block shapes")
     w = solve_spd(factor, m)
     gram_factor = _factor_constraint_gram(m.T @ w)

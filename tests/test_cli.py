@@ -15,7 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
-from gpkrige import cli
+from gpkrige import cli, linalg
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -413,3 +413,24 @@ class TestVerify:
         assert status == {name: "fail" for name in (
             "ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
             "gpr_vs_sk", "gpr_basis_vs_uk", "interpolation")}
+
+    def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
+        # the engine and each of the five routes factor the n x n Gram once,
+        # however many targets share the call
+        data, config = self.make_dataset(tmp_path)
+        n = 20
+        orders = []
+        cholesky = linalg._try_cholesky
+
+        def counted(a):
+            orders.append(a.shape[0])
+            return cholesky(a)
+
+        monkeypatch.setattr(linalg, "_try_cholesky", counted)
+        full = {}
+        for count in (3, 9):
+            orders.clear()
+            assert main(["verify", "--data", data, "--config", config,
+                         "--grid", f"0.05:0.95:{count}"]) == 0
+            full[count] = orders.count(n)
+        assert full == {3: 6, 9: 6}

@@ -312,6 +312,24 @@ class TestMeanSpec:
         values = [f(x) for f in fns]
         assert values == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_polynomial_matrix_equals_functions(self, dim, degree):
+        # the vectorised exponent product reproduces the monomials bit for bit
+        mean = MeanSpec.polynomial(dim, degree)
+        rng = np.random.default_rng(10 * dim + degree)
+        x = rng.normal(size=(200, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
+        rows = [[f(xi) for f in mean.functions] for xi in x]
+        np.testing.assert_array_equal(basis_matrix(mean, x), rows)
+
+    def test_polynomial_matrix_reads_1d_input_as_one_point(self):
+        mean = MeanSpec.polynomial(2, 1)
+        np.testing.assert_array_equal(basis_matrix(mean, [2.0, 3.0]), [[1.0, 2.0, 3.0]])
+
+    def test_polynomial_matrix_rejects_wrong_dimension(self):
+        with pytest.raises(InputError):
+            basis_matrix(MeanSpec.polynomial(2, 1), np.ones((2, 3)))
+
     def test_basis_at(self):
         mean = MeanSpec.polynomial(1, 1)
         np.testing.assert_allclose(basis_at(mean, [4.0]), [1.0, 4.0])
@@ -372,6 +390,14 @@ class TestModelJson:
         doc = model_to_json(KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2), mean, 0.0)
         _, m2, _ = model_from_json(doc)
         assert eval_mean(m2, [1.0, 1.0]) == 6.0
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_polynomial_degree_from_exponents(self, degree):
+        kernel = KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2)
+        doc = model_to_json(kernel, MeanSpec.polynomial(2, degree), 0.0)
+        assert doc["mean"] == {"type": "basis", "basis": "polynomial", "degree": degree}
+        _, m2, _ = model_from_json(doc)
+        assert m2.p == MeanSpec.polynomial(2, degree).p
 
     def test_isotropic_broadcast_from_data_dim(self):
         doc = {

@@ -25,6 +25,7 @@ from gpkrige import (
     sk_with_plugin_mean,
     universal_krige,
 )
+from gpkrige.kriging import _direct_route, _plugin_route, _subtraction_route
 from helpers import random_instance
 
 SE1 = KernelSpec("squared_exponential", 1.0, (1.0,))
@@ -309,6 +310,40 @@ class TestPluginRoute:
             b = sk_with_plugin_mean(data, kernel, mean, xstar)
             assert abs(a.mean - b.mean) <= 1e-10 * max(1.0, abs(a.mean))
             assert abs(a.error_variance - b.error_variance) <= 1e-10
+
+
+TREND = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
+
+
+class TestOracleBlocks:
+    """Each oracle's block form, row by row, is its public one-point function."""
+
+    # route -> (block form, one-point function, mean for the data or None)
+    ROUTES = {
+        "ok_direct": (_direct_route, ordinary_krige_direct, None),
+        "plugin_constant": (_plugin_route, sk_with_plugin_mean,
+                            lambda data: MeanSpec.constant_unknown()),
+        "plugin_basis": (_plugin_route, sk_with_plugin_mean,
+                         lambda data: MeanSpec.polynomial(data.dim, 1)),
+        "mean_subtraction": (_subtraction_route, sk_mean_subtraction, lambda data: TREND),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_rows_match_one_point_calls(self, route):
+        block, single, mean_for = self.ROUTES[route]
+        rng = np.random.default_rng(39)
+        for i in range(6):
+            data, kernel, _ = random_instance(rng, n=9, noise=0.2 * (i % 2))
+            spec = () if mean_for is None else (mean_for(data),)
+            xs = rng.uniform(0.0, 6.0, (7, data.dim))
+            for row, rec in zip(xs, block(data, kernel, *spec, xs, 0.0).records()):
+                one = single(data, kernel, *spec, row)
+                assert rec.mean == one.mean
+                assert rec.error_variance == one.error_variance
+                assert rec.estimator_variance == one.estimator_variance
+                assert rec.weights.lam0 == one.weights.lam0
+                np.testing.assert_array_equal(rec.weights.lam, one.weights.lam)
+                np.testing.assert_array_equal(rec.weights.mu_tilde, one.weights.mu_tilde)
 
 
 class TestUniversalKrige:

@@ -167,6 +167,28 @@ class TestSolveSaddle:
             scale = np.linalg.norm(oracle)
             assert np.linalg.norm(np.concatenate([lam, mu]) - oracle) <= 1e-8 * scale
 
+    def test_block_right_hand_sides_match_columns(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            p = int(rng.integers(1, min(n, 4)))
+            k = int(rng.integers(1, 6))
+            sigma = random_spd(rng, n)
+            m = rng.normal(size=(n, p))
+            r_top = rng.normal(size=(n, k))
+            r_bot = rng.normal(size=(p, k))
+            lam, mu = solve_saddle(sigma, m, r_top, r_bot)
+            assert lam.shape == (n, k) and mu.shape == (p, k)
+            for j in range(k):
+                lam_j, mu_j = solve_saddle(sigma, m, r_top[:, j], r_bot[:, j])
+                assert lam_j.shape == (n,) and mu_j.shape == (p,)
+                np.testing.assert_allclose(lam[:, j], lam_j, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(mu[:, j], mu_j, rtol=1e-12, atol=1e-12)
+
+    def test_block_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            solve_saddle(np.eye(3), np.ones((3, 1)), np.zeros((3, 2)), np.zeros((1, 3)))
+
     def test_block_residuals(self):
         rng = np.random.default_rng(11)
         sigma = random_spd(rng, 5)

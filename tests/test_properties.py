@@ -1,0 +1,75 @@
+"""Property-based checks of the identities between the engine and the oracles.
+
+Points are drawn on distinct cells of a unit lattice with an offset below
+one half, so no two lie closer than 0.5.  Draws whose observation
+covariance or trend design is ill-conditioned are skipped with ``assume``;
+the data are never shrunk to hide them.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from gpkrige import (
+    Dataset,
+    KernelSpec,
+    MeanSpec,
+    build_gram,
+    gpr_predict_basis,
+    predict_points,
+)
+from gpkrige.kriging import _plugin_route
+from helpers import FAMILIES
+
+TOL = 1e-8
+SIDE = 12
+MAX_COND = 1e8
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def instances(draw, min_n=2):
+    """A well-separated noise-free or noisy dataset, its kernel and targets."""
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(min_n, 10))
+    cells = draw(st.permutations(range(SIDE ** dim)))[:n]
+    offsets = draw(arrays(float, (n, dim), elements=st.floats(0.0, 0.49)))
+    x = np.column_stack(np.unravel_index(cells, (SIDE,) * dim)) + offsets
+    y = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    kernel = KernelSpec(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.5, 2.0)),
+                        (draw(st.floats(0.3, 2.0)),), dim=dim)
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    m = draw(st.integers(1, 6))
+    xs = draw(arrays(float, (m, dim), elements=st.floats(0.0, float(SIDE))))
+    assume(np.linalg.cond(build_gram(kernel, x, noise)) < MAX_COND)
+    return Dataset(x, y, noise), kernel, xs
+
+
+def rel(a, b):
+    return np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a)))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_ok_equals_sk_plus_gls(instance):
+    data, kernel, xs = instance
+    ok = predict_points(data, kernel, xs, "ok")
+    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs, 0.0)
+    assert rel(np.array([p.mean for p in ok]), oracle.mean) <= TOL
+    assert rel(np.array([p.error_variance for p in ok]), oracle.variance) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(instances(min_n=4))
+def test_gpr_basis_equals_uk(instance):
+    data, kernel, xs = instance
+    basis = MeanSpec.polynomial(data.dim, 1)
+    design = np.hstack([np.ones((data.n, 1)), data.x])
+    assume(np.linalg.cond(design) < MAX_COND)
+    post = gpr_predict_basis(data, kernel, basis, xs)
+    oracle = _plugin_route(data, kernel, basis, xs, 0.0)
+    assert rel(post.mean, oracle.mean) <= TOL
+    assert rel(post.variance, oracle.variance) <= TOL
