@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram, kernel_matrix
-from .kriging import _factor_observation_cov, _fit, _mean_vector, _predict, _variant_mean
+from .kernels import (Dataset, KernelSpec, MeanSpec, _as_locations, _mean_vector,
+                      build_gram, kernel_matrix)
+from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
 
 _DIAG_TOL = 1e-9
 
@@ -61,8 +62,6 @@ def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
 
     Observation noise enters the training block only.
     """
-    if not mean.is_identified:
-        raise InputError("joint_prior requires a fully known mean")
     xs = _as_locations(xs, data.dim, "test points")
     if kernel.dim != data.dim:
         raise InputError(

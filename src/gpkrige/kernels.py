@@ -7,8 +7,8 @@ noise of variance ``noise_variance``.  This module owns the three building
 blocks every predictor needs:
 
 * :class:`KernelSpec` and the Gram/cross-covariance assembly,
-* :class:`MeanSpec` (known function, unknown constant, or a linear basis
-  expansion) together with basis-matrix evaluation,
+* :class:`MeanSpec` (known function or constant, unknown constant, or a
+  linear basis expansion) together with mean and basis-matrix evaluation,
 * the semivariogram identity ``gamma(tau) = variance - C(tau)`` and the
   binned empirical semivariogram estimator.
 
@@ -279,29 +279,36 @@ class MeanSpec:
       ``coefficients`` is set the mean is fully identified; ``prior_mean`` /
       ``prior_cov`` optionally place a Gaussian prior on the coefficients.
 
+    A known mean is either a ``function`` of one 1-D location, called row
+    by row, or a ``constant``, evaluated as a broadcast; only a constant
+    compares equal by value and can be written to JSON.
+
     Basis functions take a 1-D location array of length d and return a float.
     A polynomial basis also records its p x d matrix of monomial
     ``exponents``; :func:`basis_matrix` evaluates it in one vectorised
     product, and it is what lets the basis be written back to JSON.
-    ``descriptor`` is the serialization hint of a known constant mean.
-    Hand-built callables cannot be written back to JSON.  Neither field
-    takes part in equality.
+    Hand-built basis callables cannot be written back to JSON.  The
+    exponents take no part in equality.
     """
 
     kind: str
     function: Callable | None = None
+    constant: float | None = None
     functions: tuple[Callable, ...] = ()
     coefficients: np.ndarray | None = None
     prior_mean: np.ndarray | None = None
     prior_cov: np.ndarray | None = None
-    descriptor: tuple | None = field(default=None, compare=False)
     exponents: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KNOWN, CONSTANT_UNKNOWN, BASIS):
             raise InputError(f"unknown mean kind {self.kind!r}")
-        if self.kind == KNOWN and self.function is None:
-            raise InputError("known mean requires a function")
+        if self.constant is not None:
+            if self.kind != KNOWN:
+                raise InputError("only a known mean takes a constant")
+            object.__setattr__(self, "constant", float(self.constant))
+        if self.kind == KNOWN and (self.function is None) == (self.constant is None):
+            raise InputError("known mean requires exactly one of a function and a constant")
         if self.exponents is not None:
             e = np.asarray(self.exponents, dtype=float)
             if self.kind != BASIS or e.ndim != 2 or e.shape[0] != len(self.functions):
@@ -334,8 +341,7 @@ class MeanSpec:
 
     @classmethod
     def known_constant(cls, value: float) -> "MeanSpec":
-        value = float(value)
-        return cls(kind=KNOWN, function=lambda _x: value, descriptor=("constant", value))
+        return cls(kind=KNOWN, constant=value)
 
     @classmethod
     def constant_unknown(cls) -> "MeanSpec":
@@ -404,18 +410,38 @@ def polynomial_basis(dim: int, degree: int) -> tuple[Callable, ...]:
     return _monomials(_monomial_exponents(dim, degree))
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b`` (or with ``b``).
+
+    Each row is reduced on its own, so the result for one row does not
+    depend on how many rows share the call.
+    """
+    return np.einsum("ji,ji->j", a, np.broadcast_to(b, a.shape))
+
+
+def _mean_vector(mean: MeanSpec, x: np.ndarray) -> np.ndarray:
+    """Evaluate an identified mean at every row of a 2-D ``x``.
+
+    A known constant is a broadcast, a known function is called row by row,
+    and a basis with coefficients is its basis matrix reduced row by row
+    against them, so a row's value does not depend on the batch it is in.
+    """
+    if mean.constant is not None:
+        return np.full(x.shape[0], mean.constant)
+    if mean.kind == KNOWN:
+        return np.array([float(mean.function(xi)) for xi in x])
+    if mean.kind == BASIS and mean.coefficients is not None:
+        return _rowdot(basis_matrix(mean, x), mean.coefficients)
+    raise InputError("mean not identified: coefficients unknown, estimate them first")
+
+
 def eval_mean(mean: MeanSpec, x) -> float:
     """Evaluate the mean function at one location.
 
     Raises an input error for means whose coefficients are not identified
     (the caller must run GLS first).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if mean.kind == KNOWN:
-        return float(mean.function(x))
-    if mean.kind == BASIS and mean.coefficients is not None:
-        return float(sum(f(x) * b for f, b in zip(mean.functions, mean.coefficients)))
-    raise InputError("mean not identified: coefficients unknown, estimate them first")
+    return float(_mean_vector(mean, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
 
 def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
@@ -510,24 +536,27 @@ def model_to_json(kernel: KernelSpec, mean: MeanSpec, noise_variance: float) -> 
     Only means constructed from a named family (known constant, polynomial
     basis) are representable.
     """
-    doc = {
-        "kernel": {
-            "family": kernel.family,
-            "variance": kernel.variance,
-            "lengthscales": list(kernel.lengthscales),
-        },
+    return {
+        "kernel": _kernel_to_json(kernel),
         "mean": _mean_to_json(mean),
         "noise_variance": float(noise_variance),
     }
-    return doc
+
+
+def _kernel_to_json(kernel: KernelSpec) -> dict:
+    return {
+        "family": kernel.family,
+        "variance": kernel.variance,
+        "lengthscales": list(kernel.lengthscales),
+    }
 
 
 def _mean_to_json(mean: MeanSpec) -> dict:
     if mean.kind == CONSTANT_UNKNOWN:
         return {"type": "constant_unknown"}
     if mean.kind == KNOWN:
-        if mean.descriptor and mean.descriptor[0] == "constant":
-            return {"type": "known", "constant": mean.descriptor[1]}
+        if mean.constant is not None:
+            return {"type": "known", "constant": mean.constant}
         raise InputError("only constant known means are JSON-representable")
     if mean.exponents is not None:
         degree = int(mean.exponents.sum(axis=1).max())
@@ -556,8 +585,15 @@ def model_from_json(doc: dict, dim: int | None = None):
         noise = float(doc["noise_variance"])
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad model document: {err}") from err
-    if not isinstance(kdoc, dict) or not isinstance(mdoc, dict):
-        raise InputError("'kernel' and 'mean' must be JSON objects")
+    kernel = _kernel_from_json(kdoc, dim)
+    mean = _mean_from_json(mdoc, kernel.dim)
+    if noise < 0.0:
+        raise InputError(f"noise_variance must be nonnegative, got {noise}")
+    return kernel, mean, noise
+
+
+def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
+    """Parse a kernel document; ``dim`` broadcasts an isotropic lengthscale."""
     try:
         family = kdoc["family"]
         variance = float(kdoc["variance"])
@@ -565,14 +601,12 @@ def model_from_json(doc: dict, dim: int | None = None):
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad kernel document: {err}") from err
     kdim = int(kdoc.get("dimension", dim or len(lengthscales)))
-    kernel = KernelSpec(family, variance, tuple(lengthscales), dim=kdim)
-    mean = _mean_from_json(mdoc, kernel.dim)
-    if noise < 0.0:
-        raise InputError(f"noise_variance must be nonnegative, got {noise}")
-    return kernel, mean, noise
+    return KernelSpec(family, variance, tuple(lengthscales), dim=kdim)
 
 
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
+    if not isinstance(doc, dict):
+        raise InputError("a mean document must be a JSON object")
     mtype = doc.get("type")
     if mtype == "constant_unknown":
         return MeanSpec.constant_unknown()

@@ -56,10 +56,11 @@ from .kernels import (
     KernelSpec,
     MeanSpec,
     _as_locations,
+    _mean_vector,
+    _rowdot,
     basis_at,
     basis_matrix,
     build_gram,
-    eval_mean,
     kernel_matrix,
 )
 from .linalg import SpdFactor, _factor_constraint_gram, solve_spd, spd_factor
@@ -120,17 +121,12 @@ def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
     return spd_factor(gram, max_jitter)
 
 
-def _mean_vector(mean: MeanSpec, x) -> np.ndarray:
-    return np.array([eval_mean(mean, xi) for xi in x])
-
-
-def _rowdot(a, b) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b`` (or with ``b``).
-
-    Each row is reduced on its own, so the result for one row does not
-    depend on how many rows share the call.
-    """
-    return np.einsum("ji,ji->j", a, np.broadcast_to(b, a.shape))
+def _data_basis(mean: MeanSpec, data: Dataset) -> np.ndarray:
+    """The n x p basis matrix at the design points; p must not exceed n."""
+    m_mat = basis_matrix(mean, data.x)
+    if m_mat.shape[1] > data.n:
+        raise InputError(f"{m_mat.shape[1]} basis functions exceed {data.n} observations")
+    return m_mat
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +187,7 @@ def _fit(data: Dataset, kernel: KernelSpec, mean: MeanSpec, factor: SpdFactor) -
         m_mat = np.empty((data.n, 0))
     else:
         offset = np.zeros(data.n)
-        m_mat = basis_matrix(mean, data.x)
-        if m_mat.shape[1] > data.n:
-            raise InputError(
-                f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
-            )
+        m_mat = _data_basis(mean, data)
     w = solve_spd(factor, m_mat)
     centered = data.y - offset
     gram, rhs = m_mat.T @ w, w.T @ centered
@@ -295,7 +287,7 @@ def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
     """The engine's per-target records with their Kriging weights."""
     fit = batch.fit
     # lam = S^-1 (k* + M mu_tilde); lam^T S lam then needs no extra solve
-    lam = batch.at + batch.h @ fit.w.T
+    lam = batch.at + np.einsum("jl,il->ji", batch.h, fit.w)
     lam_kstar = _rowdot(lam, batch.kt)
     estimator_var = lam_kstar + _rowdot(batch.f, batch.h)
     lam0 = batch.offset - _rowdot(lam, fit.offset)
@@ -359,11 +351,9 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
 def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
                        max_jitter: float) -> _Route:
     """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor."""
-    if not mean.is_identified:
-        raise InputError("sk_mean_subtraction requires a fully known mean")
+    m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
     factor = _factor_observation_cov(data, kernel, max_jitter)
     kt = kernel_matrix(kernel, xs, data.x)
-    m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
     lam = solve_spd(factor, kt.T).T
     estimator_var = _rowdot(kt, lam)
     return _Route(
@@ -462,10 +452,9 @@ def gls_constant(data: Dataset, kernel: KernelSpec, max_jitter: float = 0.0) -> 
 def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
              max_jitter: float = 0.0) -> np.ndarray:
     """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y."""
-    if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-        raise InputError("gls_beta requires a basis or constant-unknown mean")
+    spec = _variant_mean("uk", mean)
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _fit(data, kernel, _variant_mean("uk", mean), factor).beta
+    return _fit(data, kernel, spec, factor).beta
 
 
 def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -483,14 +472,8 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
 def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
                   max_jitter: float) -> _Route:
     """:func:`sk_with_plugin_mean` at every row of ``xs``, on its own factor."""
-    if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-        raise InputError("sk_with_plugin_mean requires a basis or constant-unknown mean")
+    m_mat = _data_basis(mean, data)
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    m_mat = basis_matrix(mean, data.x)
-    if m_mat.shape[1] > data.n:
-        raise InputError(
-            f"{m_mat.shape[1]} basis functions exceed {data.n} observations"
-        )
     w = solve_spd(factor, m_mat)
     gram_factor = _factor_constraint_gram(m_mat.T @ w)
     beta = solve_spd(gram_factor, w.T @ data.y)
@@ -522,11 +505,7 @@ def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
 
     beta-LS = (M^T M)^-1 M^T Y; returns f(x*)^T beta-LS.
     """
-    if mean.kind not in (BASIS, CONSTANT_UNKNOWN):
-        raise InputError("ls_predict requires a basis or constant-unknown mean")
-    m_mat = basis_matrix(mean, data.x)
-    if m_mat.shape[1] > data.n:
-        raise InputError(f"{m_mat.shape[1]} basis functions exceed {data.n} observations")
+    m_mat = _data_basis(mean, data)
     gram_factor = _factor_constraint_gram(m_mat.T @ m_mat)
     beta = solve_spd(gram_factor, m_mat.T @ data.y)
     return float(basis_at(mean, xstar) @ beta)

@@ -32,9 +32,6 @@ class SpdFactor:
     jitter_used: float
     n: int
 
-    def solve(self, b):
-        return solve_spd(self, b)
-
 
 def _check_symmetric(a):
     a = np.asarray(a, dtype=float)

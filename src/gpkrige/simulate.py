@@ -25,11 +25,13 @@ from .kernels import (
     Dataset,
     KernelSpec,
     MeanSpec,
-    build_gram,
-    eval_mean,
-    model_from_json,
+    _as_locations,
+    _kernel_from_json,
+    _kernel_to_json,
     _mean_from_json,
     _mean_to_json,
+    _mean_vector,
+    build_gram,
 )
 from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean, ls_predict
 
@@ -140,15 +142,10 @@ def sample_field(kernel: KernelSpec, mean: MeanSpec, x, noise_variance: float,
     (degenerate fields sample as their mean).  ``seed`` may be anything
     ``numpy.random.default_rng`` accepts, including a Generator.
     """
-    if not mean.is_identified:
-        raise InputError("sample_field requires a mean with fixed parameters")
+    x = _as_locations(x, kernel.dim)
+    mean_vec = _mean_vector(mean, x)
     cov = build_gram(kernel, x, noise_variance)
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    mean_vec = np.array([eval_mean(mean, xi) for xi in x])
-    return mean_vec + _sample_zero_mean(cov, rng)
+    return mean_vec + _sample_zero_mean(cov, np.random.default_rng(seed))
 
 
 def _sample_zero_mean(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -273,11 +270,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
 def study_config_to_json(cfg: StudyConfig) -> dict:
     return {
-        "kernel": {
-            "family": cfg.kernel.family,
-            "variance": cfg.kernel.variance,
-            "lengthscales": list(cfg.kernel.lengthscales),
-        },
+        "kernel": _kernel_to_json(cfg.kernel),
         "true_mean": _mean_to_json(cfg.true_mean),
         "noise_variance": cfg.noise_variance,
         "n_train": cfg.n_train,
@@ -294,16 +287,11 @@ def study_config_from_json(doc: dict) -> StudyConfig:
         raise InputError("study config must be a JSON object")
     try:
         domain = doc["domain"]
-        kernel, _, noise = model_from_json(
-            {"kernel": doc["kernel"], "mean": {"type": "constant_unknown"},
-             "noise_variance": doc["noise_variance"]},
-            dim=len(domain),
-        )
-        true_mean = _mean_from_json(doc["true_mean"], kernel.dim)
+        kernel = _kernel_from_json(doc["kernel"], dim=len(domain))
         return StudyConfig(
             kernel=kernel,
-            true_mean=true_mean,
-            noise_variance=noise,
+            true_mean=_mean_from_json(doc["true_mean"], kernel.dim),
+            noise_variance=doc["noise_variance"],
             n_train=doc["n_train"],
             n_test=doc["n_test"],
             domain=tuple((float(lo), float(hi)) for lo, hi in domain),

@@ -274,6 +274,12 @@ class TestMeanSpec:
         mean = MeanSpec.basis([lambda x: 1.0, lambda x: x[0]], coefficients=[1.0, 2.0])
         assert eval_mean(mean, [3.0]) == 7.0
 
+    def test_known_mean_takes_function_or_constant_not_both(self):
+        with pytest.raises(InputError):
+            MeanSpec(kind="known", function=lambda x: 10.0 * x[0], constant=1.0)
+        with pytest.raises(InputError):
+            MeanSpec(kind="known")
+
     def test_unidentified_mean_rejected(self):
         with pytest.raises(InputError, match="not identified"):
             eval_mean(MeanSpec.constant_unknown(), [0.0])

@@ -16,10 +16,12 @@ from gpkrige import (
     cross_cov,
     gls_beta,
     gls_constant,
+    joint_prior,
     ls_predict,
     ordinary_krige,
     ordinary_krige_direct,
     predict_points,
+    sample_field,
     simple_krige,
     sk_mean_subtraction,
     sk_with_plugin_mean,
@@ -281,6 +283,23 @@ class TestGls:
         dup = MeanSpec.basis([lambda x: 1.0, lambda x: 1.0])
         with pytest.raises(SingularityError, match="linearly dependent"):
             gls_beta(data, SE1, dup)
+
+
+@pytest.mark.parametrize("call", [
+    lambda data, known, unknown: sk_with_plugin_mean(data, SE1, known, [0.5]),
+    lambda data, known, unknown: gls_beta(data, SE1, known),
+    lambda data, known, unknown: ls_predict(data, known, [0.5]),
+    lambda data, known, unknown: sk_mean_subtraction(data, SE1, unknown, [0.5]),
+    lambda data, known, unknown: joint_prior(data, SE1, unknown, [[0.5]]),
+    lambda data, known, unknown: sample_field(SE1, unknown, data.x, 0.0, 1),
+], ids=["sk_with_plugin_mean", "gls_beta", "ls_predict", "sk_mean_subtraction",
+        "joint_prior", "sample_field"])
+def test_bad_mean_rejected_before_factoring(call):
+    # the Gram of two identical noise-free points is singular, so only a
+    # mean check that runs before any factorization can raise InputError
+    data = Dataset([[0.0], [0.0]], [1.0, 1.0])
+    with pytest.raises(InputError):
+        call(data, MeanSpec.known_constant(1.0), MeanSpec.constant_unknown())
 
 
 class TestPluginRoute:
@@ -552,13 +571,17 @@ class TestJitter:
 
 
 class TestPredictPoints:
-    @pytest.mark.parametrize("variant", ["ok", "sk", "uk"])
-    def test_matches_pointwise_calls(self, variant):
+    @pytest.mark.parametrize("case", ["ok", "sk", "uk", "uk-2d", "sk-poly"])
+    def test_matches_pointwise_calls(self, case):
+        # "sk-poly" is a known mean given as a 2-D basis with coefficients
+        variant = case.partition("-")[0]
+        dim = 1 if case in ("ok", "sk", "uk") else 2
         rng = np.random.default_rng(37)
-        data, kernel, _ = random_instance(rng, n=8, dim=1)
-        xs = rng.uniform(0, 5, (4, 1))
+        data, kernel, _ = random_instance(rng, n=8, dim=dim)
+        xs = rng.uniform(0, 5, (4, dim))
         mean = {"ok": None, "sk": MeanSpec.known(lambda x: 2.0 - 0.3 * x[0]),
-                "uk": MeanSpec.polynomial(1, 1)}[variant]
+                "uk": MeanSpec.polynomial(1, 1), "uk-2d": MeanSpec.polynomial(2, 1),
+                "sk-poly": MeanSpec.polynomial(2, 1, coefficients=[2.0, -0.3, 0.7])}[case]
         batch = predict_points(data, kernel, xs, variant, mean=mean)
         for row, pred in zip(xs, batch):
             if variant == "ok":
@@ -569,6 +592,10 @@ class TestPredictPoints:
                 single = universal_krige(data, kernel, mean, row)
             assert pred.mean == single.mean
             assert pred.error_variance == single.error_variance
+            assert pred.estimator_variance == single.estimator_variance
+            assert np.array_equal(pred.weights.lam, single.weights.lam)
+            assert pred.weights.lam0 == single.weights.lam0
+            assert np.array_equal(pred.weights.mu_tilde, single.weights.mu_tilde)
 
     def test_variant_validation(self):
         data = Dataset([[0.0], [1.0]], [1.0, 2.0])

@@ -50,6 +50,13 @@ class TestSampleField:
         b = sample_field(SE_SHORT, CONST5, x, 0.1, 99)
         np.testing.assert_array_equal(a, b)
 
+    def test_one_2d_point_given_as_a_list(self):
+        kernel = KernelSpec("squared_exponential", 1.0, (0.3,), dim=2)
+        mean = MeanSpec.polynomial(2, 1, coefficients=[1.0, 2.0, 3.0])
+        z = sample_field(kernel, mean, [0.5, 0.5], 0.0, 5)
+        assert z.shape == (1,)
+        np.testing.assert_array_equal(z, sample_field(kernel, mean, [[0.5, 0.5]], 0.0, 5))
+
     def test_different_seeds_differ(self):
         x = np.linspace(0, 1, 5)[:, None]
         a = sample_field(SE_SHORT, CONST5, x, 0.0, 1)
@@ -109,7 +116,7 @@ class TestStudyConfig:
         cfg = make_config(predictors=("ls", "ok", "gpr"))
         doc = study_config_to_json(cfg)
         back = study_config_from_json(doc)
-        # mean specs hold callables, so compare through the document form
+        assert back == cfg
         assert study_config_to_json(back) == doc
         assert back.kernel == cfg.kernel
         assert back.predictors == cfg.predictors
@@ -118,6 +125,8 @@ class TestStudyConfig:
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):
             study_config_from_json({"kernel": {}})
+        with pytest.raises(InputError):
+            study_config_from_json(dict(study_config_to_json(make_config()), true_mean=5.0))
 
 
 class TestRunStudy:
