@@ -2,8 +2,10 @@
 
 The library implements the three classical Kriging variants (Simple,
 Ordinary, Universal), the general noisy BLUP they descend from, and the
-Gaussian-process predictive distributions that reproduce them, each through
-independently computed code paths that are verified against one another.
+Gaussian-process predictive distributions that reproduce them, all through
+one batched engine.  The independently computed routes that the engine is
+verified against live in :mod:`gpkrige.oracle`, which this package does not
+import.
 """
 
 from .exceptions import (
@@ -20,38 +22,28 @@ from .kernels import (
     basis_matrix,
     build_gram,
     cov_from_semivariogram,
-    cross_cov,
     empirical_semivariogram,
-    eval_kernel,
-    eval_mean,
     kernel_matrix,
     model_from_json,
     model_to_json,
-    polynomial_basis,
     semivariogram_of,
 )
-from .linalg import SpdFactor, block_inverse, solve_saddle, solve_spd, spd_factor
+from .linalg import SpdFactor, solve_saddle, solve_spd, spd_factor
 from .kriging import (
     KrigingWeights,
     Prediction,
     blup_general,
     gls_beta,
-    gls_constant,
     ls_predict,
     ordinary_krige,
-    ordinary_krige_direct,
     predict_points,
     simple_krige,
-    sk_mean_subtraction,
-    sk_with_plugin_mean,
     universal_krige,
 )
 from .gpr import (
     GaussianPredictive,
     gpr_predict,
     gpr_predict_basis,
-    joint_prior,
-    map_predict,
 )
 from .simulate import (
     StudyConfig,
@@ -76,17 +68,12 @@ __all__ = [
     "basis_matrix",
     "build_gram",
     "cov_from_semivariogram",
-    "cross_cov",
     "empirical_semivariogram",
-    "eval_kernel",
-    "eval_mean",
     "kernel_matrix",
     "model_from_json",
     "model_to_json",
-    "polynomial_basis",
     "semivariogram_of",
     "SpdFactor",
-    "block_inverse",
     "solve_saddle",
     "solve_spd",
     "spd_factor",
@@ -94,20 +81,14 @@ __all__ = [
     "Prediction",
     "blup_general",
     "gls_beta",
-    "gls_constant",
     "ls_predict",
     "ordinary_krige",
-    "ordinary_krige_direct",
     "predict_points",
     "simple_krige",
-    "sk_mean_subtraction",
-    "sk_with_plugin_mean",
     "universal_krige",
     "GaussianPredictive",
     "gpr_predict",
     "gpr_predict_basis",
-    "joint_prior",
-    "map_predict",
     "StudyConfig",
     "StudyReport",
     "run_study",

@@ -25,6 +25,7 @@ from .exceptions import InputError, NumericalError, SingularityError, StudyError
 from .kernels import (
     Dataset,
     MeanSpec,
+    _nonnegative,
     basis_matrix,
     build_gram,
     empirical_semivariogram,
@@ -32,16 +33,9 @@ from .kernels import (
     model_from_json,
     semivariogram_of,
 )
-from .kriging import (
-    _direct_route,
-    _factor_observation_cov,
-    _fit,
-    _plugin_route,
-    _predict,
-    _subtraction_route,
-    _variant_mean,
-)
+from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
 from .linalg import solve_saddle
+from .oracle import _direct_route, _plugin_route, _subtraction_route
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -171,17 +165,20 @@ def _open_out(args):
 
 def _model_from_config(config: dict, dim: int):
     kernel, mean, noise = model_from_json(config, dim=dim)
-    max_jitter = float(config.get("max_jitter", 0.0))
-    return kernel, mean, noise, max_jitter
+    try:
+        max_jitter = float(config.get("max_jitter", 0.0))
+    except (TypeError, ValueError) as err:
+        raise InputError(f"bad max_jitter: {err}") from err
+    return kernel, mean, noise, _nonnegative(max_jitter, "max_jitter")
 
 
 def cmd_predict(args) -> int:
     x, y = read_point_table(args.data)
     config = _load_json(args.config)
+    kernel, mean, noise, max_jitter = _model_from_config(config, x.shape[1])
     variant = config.get("variant")
     if variant not in VARIANTS:
         raise InputError(f"config variant must be one of {VARIANTS}, got {variant!r}")
-    kernel, mean, noise, max_jitter = _model_from_config(config, x.shape[1])
     data = Dataset(x, y, noise)
     targets = _resolve_targets(args, data.dim)
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .kernels import (Dataset, KernelSpec, MeanSpec, _as_locations, _mean_vector,
-                      build_gram, kernel_matrix)
+from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram
 from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
 
 _DIAG_TOL = 1e-9
@@ -55,24 +54,6 @@ class GaussianPredictive:
     @property
     def variance(self) -> np.ndarray:
         return np.maximum(np.diag(self.covariance), 0.0)
-
-
-def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
-    """Joint prior over (Y, Z(X*)): mean vector and (n+m) x (n+m) covariance.
-
-    Observation noise enters the training block only.
-    """
-    xs = _as_locations(xs, data.dim, "test points")
-    if kernel.dim != data.dim:
-        raise InputError(
-            f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
-        )
-    mean_vec = np.concatenate([_mean_vector(mean, data.x), _mean_vector(mean, xs)])
-    train = build_gram(kernel, data.x, data.noise_variance)
-    cross = kernel_matrix(kernel, data.x, xs)
-    test = build_gram(kernel, xs, 0.0)
-    cov = np.block([[train, cross], [cross.T, test]])
-    return mean_vec, cov
 
 
 def gpr_predict(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
@@ -129,7 +110,3 @@ def _posterior(data, kernel, variant, mean, xs, observe_noise, max_jitter):
         post_cov = post_cov + data.noise_variance * np.eye(xs.shape[0])
     return GaussianPredictive(mean=batch.mean, covariance=post_cov)
 
-
-def map_predict(predictive: GaussianPredictive) -> np.ndarray:
-    """Maximum-a-posteriori point prediction: the mean of a Gaussian."""
-    return np.array(predictive.mean, copy=True)

@@ -17,7 +17,7 @@ All functions are pure; nothing here caches state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -62,6 +62,14 @@ KERNEL_FAMILIES: dict[str, Callable] = {
 }
 
 
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float, rejected unless it is finite and nonnegative."""
+    value = float(value)
+    if not 0.0 <= value < np.inf:
+        raise InputError(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A stationary covariance kernel.
@@ -91,9 +99,7 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; "
                 f"expected one of {sorted(KERNEL_FAMILIES)}"
             )
-        variance = float(self.variance)
-        if not variance >= 0.0:
-            raise InputError(f"process variance must be nonnegative, got {variance}")
+        variance = _nonnegative(self.variance, "process variance")
         ls = self.lengthscales
         if np.isscalar(ls):
             ls = (float(ls),)
@@ -108,8 +114,8 @@ class KernelSpec:
             raise InputError(
                 f"got {len(ls)} lengthscales for dimension {dim}"
             )
-        if not all(v > 0.0 for v in ls):
-            raise InputError(f"lengthscales must be positive, got {ls}")
+        if not all(0.0 < v < np.inf for v in ls):
+            raise InputError(f"lengthscales must be positive and finite, got {ls}")
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "dim", dim)
@@ -122,13 +128,6 @@ class KernelSpec:
         return KERNEL_FAMILIES[self.family]
 
 
-def _as_point(x, dim, name="x"):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != dim:
-        raise InputError(f"{name} has dimension {x.shape[0]}, expected {dim}")
-    return x
-
-
 def _as_locations(x, dim, name="X"):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -138,16 +137,12 @@ def _as_locations(x, dim, name="X"):
     return x
 
 
-def eval_kernel(spec: KernelSpec, x, xp) -> float:
-    """Evaluate k(x, x') = variance * profile(||(x - x') / ell||)."""
-    x = _as_point(x, spec.dim, "x")
-    xp = _as_point(xp, spec.dim, "x'")
-    u = np.linalg.norm((x - xp) / spec.lengthscales)
-    return float(spec.variance * spec._profile()(u))
-
-
 def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
-    """Rectangular covariance matrix k(xa_i, xb_j), no noise term."""
+    """Rectangular covariance matrix k(xa_i, xb_j), no noise term.
+
+    Observation noise never enters: it is independent of the latent field,
+    so Cov(Y_i, Z(x*)) = k(x_i, x*) even at a design point.
+    """
     xa = _as_locations(xa, spec.dim, "xa")
     xb = _as_locations(xb, spec.dim, "xb")
     ls = np.asarray(spec.lengthscales)
@@ -161,23 +156,11 @@ def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     The noise sits on the diagonal only; off-diagonal entries are the pure
     kernel values, so duplicated locations remain perfectly correlated.
     """
-    noise_variance = float(noise_variance)
-    if not noise_variance >= 0.0:
-        raise InputError(f"noise variance must be nonnegative, got {noise_variance}")
+    noise_variance = _nonnegative(noise_variance, "noise variance")
     k = kernel_matrix(spec, x, x)
     k = 0.5 * (k + k.T)
     np.fill_diagonal(k, spec.variance + noise_variance)
     return k
-
-
-def cross_cov(spec: KernelSpec, x, xstar) -> np.ndarray:
-    """Covariances between the design points and one prediction point.
-
-    Never includes the observation-noise term: the noise is independent of
-    the latent field, so Cov(Y_i, Z(x*)) = k(x_i, x*).
-    """
-    xstar = _as_point(xstar, spec.dim, "x*")
-    return kernel_matrix(spec, x, xstar[None, :])[:, 0]
 
 
 def semivariogram_of(spec: KernelSpec, tau):
@@ -281,24 +264,25 @@ class MeanSpec:
 
     A known mean is either a ``function`` of one 1-D location, called row
     by row, or a ``constant``, evaluated as a broadcast; only a constant
-    compares equal by value and can be written to JSON.
+    can be written to JSON.
 
-    Basis functions take a 1-D location array of length d and return a float.
-    A polynomial basis also records its p x d matrix of monomial
-    ``exponents``; :func:`basis_matrix` evaluates it in one vectorised
-    product, and it is what lets the basis be written back to JSON.
-    Hand-built basis callables cannot be written back to JSON.  The
-    exponents take no part in equality.
+    A basis is either hand-built ``functions``, each taking a 1-D location
+    array of length d and returning a float, or a polynomial given by its
+    p x d matrix of monomial ``exponents`` alone; :func:`basis_matrix`
+    evaluates the exponents in one vectorised product, and they are what
+    lets the basis be written back to JSON.  Every number is stored as a
+    tuple of floats, so specs compare equal and hash by value (a function
+    by identity), and a spec never shares an array with its caller.
     """
 
     kind: str
     function: Callable | None = None
     constant: float | None = None
     functions: tuple[Callable, ...] = ()
-    coefficients: np.ndarray | None = None
-    prior_mean: np.ndarray | None = None
-    prior_cov: np.ndarray | None = None
-    exponents: np.ndarray | None = field(default=None, compare=False)
+    coefficients: tuple[float, ...] | None = None
+    prior_mean: tuple[float, ...] | None = None
+    prior_cov: tuple[tuple[float, ...], ...] | None = None
+    exponents: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in (KNOWN, CONSTANT_UNKNOWN, BASIS):
@@ -306,32 +290,35 @@ class MeanSpec:
         if self.constant is not None:
             if self.kind != KNOWN:
                 raise InputError("only a known mean takes a constant")
-            object.__setattr__(self, "constant", float(self.constant))
+            object.__setattr__(self, "constant", float(_finite(self.constant, "constant")))
         if self.kind == KNOWN and (self.function is None) == (self.constant is None):
             raise InputError("known mean requires exactly one of a function and a constant")
         if self.exponents is not None:
             e = np.asarray(self.exponents, dtype=float)
-            if self.kind != BASIS or e.ndim != 2 or e.shape[0] != len(self.functions):
-                raise InputError("exponents need one row per basis function")
-            object.__setattr__(self, "exponents", e)
-        if self.kind == BASIS:
-            if len(self.functions) < 1:
-                raise InputError("basis mean requires at least one function")
-            p = len(self.functions)
-            for name in ("coefficients", "prior_mean"):
-                v = getattr(self, name)
-                if v is not None:
-                    v = np.asarray(v, dtype=float).reshape(-1)
-                    if v.shape[0] != p:
-                        raise InputError(f"{name} must have length {p}")
-                    object.__setattr__(self, name, v)
-            if self.prior_cov is not None:
-                b = np.asarray(self.prior_cov, dtype=float)
-                if b.shape != (p, p):
-                    raise InputError(f"prior_cov must be {p}x{p}, got {b.shape}")
-                if np.abs(b - b.T).max() > 1e-10 * max(1.0, np.abs(b).max()):
+            if self.kind != BASIS or self.functions or e.ndim != 2:
+                raise InputError("a polynomial basis takes exponents and no functions")
+            object.__setattr__(self, "exponents", _frozen(e))
+        if self.kind == KNOWN:
+            if any(v is not None for v in (self.coefficients, self.prior_mean, self.prior_cov)):
+                raise InputError("a known mean takes no coefficients or prior")
+            return
+        p = self.p
+        if p < 1:
+            raise InputError("basis mean requires at least one function")
+        for name, shape in (("coefficients", (p,)), ("prior_mean", (p,)),
+                            ("prior_cov", (p, p))):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            v = _finite(v, name)
+            v = v.reshape(-1) if len(shape) == 1 else v
+            if v.shape != shape:
+                raise InputError(f"{name} must have shape {shape}, got {v.shape}")
+            if name == "prior_cov":
+                if np.abs(v - v.T).max() > 1e-10 * max(1.0, np.abs(v).max()):
                     raise InputError("prior_cov must be symmetric")
-                object.__setattr__(self, "prior_cov", 0.5 * (b + b.T))
+                v = 0.5 * (v + v.T)
+            object.__setattr__(self, name, _frozen(v))
 
     # -- constructors -------------------------------------------------------
 
@@ -357,9 +344,8 @@ class MeanSpec:
     def polynomial(cls, dim: int, degree: int, coefficients=None, prior_mean=None,
                    prior_cov=None) -> "MeanSpec":
         """Basis of all monomials of total degree <= ``degree`` in d variables."""
-        exponents = _monomial_exponents(dim, degree)
-        return cls(kind=BASIS, functions=_monomials(exponents), coefficients=coefficients,
-                   prior_mean=prior_mean, prior_cov=prior_cov, exponents=exponents)
+        return cls(kind=BASIS, exponents=_monomial_exponents(dim, degree),
+                   coefficients=coefficients, prior_mean=prior_mean, prior_cov=prior_cov)
 
     # -- queries ------------------------------------------------------------
 
@@ -367,7 +353,7 @@ class MeanSpec:
     def p(self) -> int:
         """Number of basis functions (1 for the unknown-constant variant)."""
         if self.kind == BASIS:
-            return len(self.functions)
+            return len(self.functions if self.exponents is None else self.exponents)
         if self.kind == CONSTANT_UNKNOWN:
             return 1
         raise InputError("a known mean has no basis dimension")
@@ -378,7 +364,20 @@ class MeanSpec:
         return self.kind == KNOWN or (self.kind == BASIS and self.coefficients is not None)
 
 
-def _monomial_exponents(dim: int, degree: int) -> np.ndarray:
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejected unless every entry is finite."""
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    return a
+
+
+def _frozen(a: np.ndarray) -> tuple:
+    """A 1-D or 2-D float array as (nested) tuples of Python floats."""
+    return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
+
+
+def _monomial_exponents(dim: int, degree: int) -> list[list[int]]:
     """Exponents of the monomials of total degree <= degree, one per row, constant first."""
     dim = int(dim)
     degree = int(degree)
@@ -391,23 +390,7 @@ def _monomial_exponents(dim: int, degree: int) -> np.ndarray:
             for i in combo:
                 e[i] += 1
             exponents.append(e)
-    exponents = np.array(exponents, dtype=float)
-    exponents.setflags(write=False)
     return exponents
-
-
-def _monomials(exponents: np.ndarray) -> tuple[Callable, ...]:
-    def make(expo):
-        def monomial(x, _e=expo):
-            return float(np.prod(np.asarray(x, dtype=float) ** _e))
-        return monomial
-
-    return tuple(make(e) for e in exponents)
-
-
-def polynomial_basis(dim: int, degree: int) -> tuple[Callable, ...]:
-    """Monomial basis functions of total degree <= degree, constant first."""
-    return _monomials(_monomial_exponents(dim, degree))
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -425,23 +408,16 @@ def _mean_vector(mean: MeanSpec, x: np.ndarray) -> np.ndarray:
     A known constant is a broadcast, a known function is called row by row,
     and a basis with coefficients is its basis matrix reduced row by row
     against them, so a row's value does not depend on the batch it is in.
+    Raises an input error for means whose coefficients are not identified
+    (the caller must run GLS first).
     """
     if mean.constant is not None:
         return np.full(x.shape[0], mean.constant)
     if mean.kind == KNOWN:
         return np.array([float(mean.function(xi)) for xi in x])
     if mean.kind == BASIS and mean.coefficients is not None:
-        return _rowdot(basis_matrix(mean, x), mean.coefficients)
+        return _rowdot(basis_matrix(mean, x), np.asarray(mean.coefficients))
     raise InputError("mean not identified: coefficients unknown, estimate them first")
-
-
-def eval_mean(mean: MeanSpec, x) -> float:
-    """Evaluate the mean function at one location.
-
-    Raises an input error for means whose coefficients are not identified
-    (the caller must run GLS first).
-    """
-    return float(_mean_vector(mean, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
 
 def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
@@ -454,7 +430,7 @@ def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
     call their functions row by row.
     """
     if mean.exponents is not None:
-        e = mean.exponents
+        e = np.asarray(mean.exponents)
         x = _as_locations(x, e.shape[1], "basis locations")
         return np.prod(x[:, None, :] ** e, axis=2)
     x = np.asarray(x, dtype=float)
@@ -470,12 +446,6 @@ def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
         for i in range(n):
             m[i, j] = f(x[i])
     return m
-
-
-def basis_at(mean: MeanSpec, xstar) -> np.ndarray:
-    """The vector f(x*) of basis functions at one prediction point."""
-    xstar = np.asarray(xstar, dtype=float).reshape(-1)
-    return basis_matrix(mean, xstar[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +468,19 @@ class Dataset:
 
     def __post_init__(self):
         # contiguous copies keep solves bit-reproducible regardless of how
-        # the caller sliced the inputs (BLAS rounding depends on strides)
-        x = np.ascontiguousarray(self.x, dtype=float)
+        # the caller sliced the inputs (BLAS rounding depends on strides),
+        # and keep the caller's later writes out of a validated dataset
+        x = np.array(self.x, dtype=float, order="C", ndmin=1)
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1:
             raise InputError(f"x must be a nonempty (n, d) array, got shape {x.shape}")
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float).reshape(-1))
+        y = np.array(self.y, dtype=float, order="C").reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise InputError(f"{x.shape[0]} locations but {y.shape[0]} responses")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InputError("locations and responses must be finite")
-        noise = float(self.noise_variance)
-        if not noise >= 0.0:
-            raise InputError(f"noise variance must be nonnegative, got {noise}")
+        noise = _nonnegative(self.noise_variance, "noise variance")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "noise_variance", noise)
@@ -559,14 +528,14 @@ def _mean_to_json(mean: MeanSpec) -> dict:
             return {"type": "known", "constant": mean.constant}
         raise InputError("only constant known means are JSON-representable")
     if mean.exponents is not None:
-        degree = int(mean.exponents.sum(axis=1).max())
+        degree = int(max(map(sum, mean.exponents)))
         doc = {"type": "basis", "basis": "polynomial", "degree": degree}
         if mean.coefficients is not None:
-            doc["coefficients"] = list(map(float, mean.coefficients))
+            doc["coefficients"] = list(mean.coefficients)
         if mean.prior_mean is not None:
-            doc["prior_mean"] = list(map(float, mean.prior_mean))
+            doc["prior_mean"] = list(mean.prior_mean)
         if mean.prior_cov is not None:
-            doc["prior_cov"] = [list(map(float, row)) for row in mean.prior_cov]
+            doc["prior_cov"] = [list(row) for row in mean.prior_cov]
         return doc
     raise InputError("basis means built from raw callables are not JSON-representable")
 
@@ -587,9 +556,7 @@ def model_from_json(doc: dict, dim: int | None = None):
         raise InputError(f"bad model document: {err}") from err
     kernel = _kernel_from_json(kdoc, dim)
     mean = _mean_from_json(mdoc, kernel.dim)
-    if noise < 0.0:
-        raise InputError(f"noise_variance must be nonnegative, got {noise}")
-    return kernel, mean, noise
+    return kernel, mean, _nonnegative(noise, "noise_variance")
 
 
 def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
@@ -598,9 +565,9 @@ def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
         family = kdoc["family"]
         variance = float(kdoc["variance"])
         lengthscales = [float(v) for v in kdoc["lengthscales"]]
+        kdim = int(kdoc.get("dimension", dim or len(lengthscales)))
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad kernel document: {err}") from err
-    kdim = int(kdoc.get("dimension", dim or len(lengthscales)))
     return KernelSpec(family, variance, tuple(lengthscales), dim=kdim)
 
 
@@ -608,20 +575,24 @@ def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
     if not isinstance(doc, dict):
         raise InputError("a mean document must be a JSON object")
     mtype = doc.get("type")
-    if mtype == "constant_unknown":
-        return MeanSpec.constant_unknown()
-    if mtype == "known":
-        if "constant" not in doc:
-            raise InputError("known mean document requires a 'constant' value")
-        return MeanSpec.known_constant(float(doc["constant"]))
-    if mtype == "basis":
-        if doc.get("basis", "polynomial") != "polynomial":
-            raise InputError(f"unsupported basis family {doc.get('basis')!r}")
-        degree = int(doc.get("degree", 1))
-        return MeanSpec.polynomial(
-            dim, degree,
-            coefficients=doc.get("coefficients"),
-            prior_mean=doc.get("prior_mean"),
-            prior_cov=doc.get("prior_cov"),
-        )
+    try:
+        if mtype == "constant_unknown":
+            return MeanSpec.constant_unknown()
+        if mtype == "known":
+            if "constant" not in doc:
+                raise InputError("known mean document requires a 'constant' value")
+            return MeanSpec.known_constant(float(doc["constant"]))
+        if mtype == "basis":
+            if doc.get("basis", "polynomial") != "polynomial":
+                raise InputError(f"unsupported basis family {doc.get('basis')!r}")
+            return MeanSpec.polynomial(
+                dim, int(doc.get("degree", 1)),
+                coefficients=doc.get("coefficients"),
+                prior_mean=doc.get("prior_mean"),
+                prior_cov=doc.get("prior_cov"),
+            )
+    except InputError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise InputError(f"bad mean document: {err}") from err
     raise InputError(f"unknown mean type {mtype!r}")

@@ -21,15 +21,12 @@ target-independent pieces once for a mean assumption: a known mean is a
 basis with zero columns, and a Gaussian coefficient prior adds B^-1 to the
 GLS Gram.  :func:`_predict` then serves all targets with one
 multi-right-hand-side Cholesky solve.  The public predictors are thin
-wrappers over it; ``sk_mean_subtraction``, ``ordinary_krige_direct`` and
-``sk_with_plugin_mean`` are independent oracle routes kept for ``verify``
-and the tests.  Each oracle works on a block of targets: it factors its
-own Gram once per call (never the engine's, nor another route's) and
-serves every target with one multi-right-hand-side solve; the public
-one-point functions call that block form with a single row.
+wrappers over it.  The independent routes that ``verify`` and the tests
+check it against live in :mod:`gpkrige.oracle`; this module never imports
+them.
 
 Rows, not columns: every per-target reduction in the engine and in the
-oracles runs along a contiguous row of an (m, k) array that holds one
+oracle routes runs along a contiguous row of an (m, k) array that holds one
 target per row.  Matrix products and column reductions round differently
 depending on how many targets share the call; row reductions and the
 columns of a multi-right-hand-side Cholesky solve do not.  A target's
@@ -58,7 +55,6 @@ from .kernels import (
     _as_locations,
     _mean_vector,
     _rowdot,
-    basis_at,
     basis_matrix,
     build_gram,
     kernel_matrix,
@@ -201,7 +197,7 @@ def _fit(data: Dataset, kernel: KernelSpec, mean: MeanSpec, factor: SpdFactor) -
         except SingularityError as err:
             raise InputError("prior covariance must be positive definite") from err
         precision = solve_spd(prior_factor, np.eye(mean.p))
-        b = mean.prior_mean if mean.prior_mean is not None else np.zeros(mean.p)
+        b = np.zeros(mean.p) if mean.prior_mean is None else np.asarray(mean.prior_mean)
         # the posterior coefficient mean shrinks the GLS estimate toward b
         gram_factor = spd_factor(gram + precision)
         rhs = rhs + precision @ b
@@ -338,36 +334,6 @@ def simple_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
     return _predict_one(data, kernel, mean, xstar, "sk", max_jitter)
 
 
-def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
-                        max_jitter: float = 0.0) -> Prediction:
-    """Simple Kriging via the subtract-the-mean-first route.
-
-    Runs zero-mean SK on the residuals Y - m and adds m(x*) back; provably
-    identical to :func:`simple_krige`, kept as an independent code path.
-    """
-    return _subtraction_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
-
-
-def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                       max_jitter: float) -> _Route:
-    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor."""
-    m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    kt = kernel_matrix(kernel, xs, data.x)
-    lam = solve_spd(factor, kt.T).T
-    estimator_var = _rowdot(kt, lam)
-    return _Route(
-        "sk",
-        mean=m_star + _rowdot(lam, data.y - m_vec),
-        variance=_clamped(kernel.variance - estimator_var, kernel.variance),
-        estimator_variance=estimator_var,
-        lam=lam,
-        lam0=m_star - _rowdot(lam, m_vec),
-        mu_tilde=np.empty((lam.shape[0], 0)),
-        jitter=factor.jitter_used > 0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Constrained (unknown-mean) predictors
 # ---------------------------------------------------------------------------
@@ -387,45 +353,6 @@ def ordinary_krige(data: Dataset, kernel: KernelSpec, xstar,
     return _predict_one(data, kernel, None, xstar, "ok", max_jitter)
 
 
-def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
-                          max_jitter: float = 0.0) -> Prediction:
-    """Ordinary Kriging without the block machinery.
-
-    Isolates lambda in the first block row, contracts with 1^T, and solves
-    the resulting scalar equation for the multiplier.  Must agree with
-    :func:`ordinary_krige` to full working precision.
-    """
-    return _direct_route(data, kernel, _one_row(xstar), max_jitter).records()[0]
-
-
-def _direct_route(data: Dataset, kernel: KernelSpec, xs, max_jitter: float) -> _Route:
-    """:func:`ordinary_krige_direct` at every row of ``xs``, on its own factor."""
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    kt = kernel_matrix(kernel, xs, data.x)
-    ones = np.ones(data.n)
-    s = solve_spd(factor, kt.T).T
-    w = solve_spd(factor, ones)
-    denom = float(ones @ w)
-    s_sum = _rowdot(s, ones)
-    mu_contracted = (s_sum - 1.0) / denom
-    lam = s - mu_contracted[:, None] * w
-    mu_tilde = -mu_contracted
-
-    sigma_star2 = kernel.variance
-    sk_part = sigma_star2 - _rowdot(kt, s)
-    inflation = (1.0 - s_sum) ** 2 / denom
-    return _Route(
-        "ok",
-        mean=_rowdot(lam, data.y),
-        variance=_clamped(sk_part + inflation, sigma_star2),
-        estimator_variance=_rowdot(lam, kt) + mu_tilde,
-        lam=lam,
-        lam0=np.zeros(lam.shape[0]),
-        mu_tilde=mu_tilde[:, None],
-        jitter=factor.jitter_used > 0.0,
-    )
-
-
 def universal_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
                     max_jitter: float = 0.0) -> Prediction:
     """Universal Kriging: basis mean, constraint M^T lambda = f(x*).
@@ -438,15 +365,8 @@ def universal_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
 
 
 # ---------------------------------------------------------------------------
-# Generalized least squares and the plug-in route
+# GLS coefficients and the least-squares trend
 # ---------------------------------------------------------------------------
-
-
-def gls_constant(data: Dataset, kernel: KernelSpec, max_jitter: float = 0.0) -> float:
-    """GLS estimate of an unknown constant mean: (1^T S^-1 Y) / (1^T S^-1 1)."""
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    w = solve_spd(factor, np.ones(data.n))
-    return float(w @ data.y) / float(np.sum(w))
 
 
 def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
@@ -457,49 +377,6 @@ def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
     return _fit(data, kernel, spec, factor).beta
 
 
-def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
-                        max_jitter: float = 0.0) -> Prediction:
-    """Two-step route: estimate the mean by GLS, then Simple-Krige around it.
-
-    T(Y) = f(x*)^T beta-hat + k*^T S^-1 (Y - M beta-hat).  Provably equal to
-    Ordinary Kriging (constant mean) or Universal Kriging (basis mean); the
-    reported error variance is the one of that equivalent estimator, since
-    the plug-in predictor is not conditioning on a truly known mean.
-    """
-    return _plugin_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
-
-
-def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                  max_jitter: float) -> _Route:
-    """:func:`sk_with_plugin_mean` at every row of ``xs``, on its own factor."""
-    m_mat = _data_basis(mean, data)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    w = solve_spd(factor, m_mat)
-    gram_factor = _factor_constraint_gram(m_mat.T @ w)
-    beta = solve_spd(gram_factor, w.T @ data.y)
-    kt = kernel_matrix(kernel, xs, data.x)
-    f = basis_matrix(mean, xs)
-    s = solve_spd(factor, kt.T).T
-
-    mean_value = _rowdot(f, beta) + _rowdot(s, data.y - m_mat @ beta)
-
-    sigma_star2 = kernel.variance
-    gamma = f - np.einsum("ji,li->jl", s, np.ascontiguousarray(m_mat.T))
-    h = solve_spd(gram_factor, gamma.T).T
-    sk_part = sigma_star2 - _rowdot(kt, s)
-    lam = s + np.einsum("jl,il->ji", h, w)
-    return _Route(
-        "ok" if mean.kind == CONSTANT_UNKNOWN else "uk",
-        mean=mean_value,
-        variance=_clamped(sk_part + _rowdot(gamma, h), sigma_star2),
-        estimator_variance=_rowdot(lam, kt) + _rowdot(f, h),
-        lam=lam,
-        lam0=np.zeros(lam.shape[0]),
-        mu_tilde=h,
-        jitter=factor.jitter_used > 0.0,
-    )
-
-
 def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
     """Ordinary least squares trend prediction, ignoring all correlation.
 
@@ -508,7 +385,7 @@ def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
     m_mat = _data_basis(mean, data)
     gram_factor = _factor_constraint_gram(m_mat.T @ m_mat)
     beta = solve_spd(gram_factor, m_mat.T @ data.y)
-    return float(basis_at(mean, xstar) @ beta)
+    return float(basis_matrix(mean, _one_row(xstar))[0] @ beta)
 
 
 # ---------------------------------------------------------------------------

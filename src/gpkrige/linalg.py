@@ -4,8 +4,8 @@ Every Kriging variant reduces to solving against an SPD observation
 covariance, optionally coupled to unbiasedness constraints through a
 ``[[Sigma, M], [M^T, 0]]`` saddle-point system.  This module factors Sigma
 once (Cholesky via LAPACK) and solves the saddle system through its Schur
-complement; the explicit partitioned-inverse formula is also provided as an
-independently testable path.  Sigma^-1 is never formed.
+complement.  Sigma^-1 is never formed; the explicit partitioned-inverse
+formula, which does form it, lives in :mod:`gpkrige.oracle`.
 """
 
 from __future__ import annotations
@@ -90,46 +90,6 @@ def solve_spd(factor: SpdFactor, b) -> np.ndarray:
     if b.shape[0] != factor.n:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.n}")
     return cho_solve((factor.chol, True), b)
-
-
-def block_inverse(a, b, c, d) -> np.ndarray:
-    """Invert [[A, B], [C, D]] via the Schur complement of A.
-
-    Implements the partitioned-inverse identity
-
-        [[A^-1 + A^-1 B W C A^-1,  -A^-1 B W],
-         [-W C A^-1,                W]],   W = (D - C A^-1 B)^-1.
-
-    A must be invertible and so must the Schur complement; the error says
-    which one failed.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    b = b[:, None] if b.ndim == 1 else b
-    c = c[None, :] if c.ndim == 1 else c
-    d = np.atleast_2d(d)
-    n, p = b.shape
-    if a.shape != (n, n) or c.shape != (p, n) or d.shape != (p, p):
-        raise InputError(
-            f"inconsistent block shapes: A{a.shape} B{b.shape} C{c.shape} D{d.shape}"
-        )
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError("block A is singular") from err
-    schur = d - c @ a_inv @ b
-    try:
-        w = np.linalg.inv(schur)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError("Schur complement D - C A^-1 B is singular") from err
-    ab = a_inv @ b
-    ca = c @ a_inv
-    return np.block([
-        [a_inv + ab @ w @ ca, -ab @ w],
-        [-w @ ca, w],
-    ])
 
 
 def solve_saddle(sigma, m, r_top, r_bot, max_jitter: float = 0.0):

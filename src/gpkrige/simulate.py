@@ -31,6 +31,7 @@ from .kernels import (
     _mean_from_json,
     _mean_to_json,
     _mean_vector,
+    _nonnegative,
     build_gram,
 )
 from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean, ls_predict
@@ -84,10 +85,8 @@ class StudyConfig:
                 raise InputError(f"{name} must be positive, got {v}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "seed", int(self.seed))
-        noise = float(self.noise_variance)
-        if noise < 0.0:
-            raise InputError(f"noise_variance must be nonnegative, got {noise}")
-        object.__setattr__(self, "noise_variance", noise)
+        object.__setattr__(self, "noise_variance",
+                           _nonnegative(self.noise_variance, "noise_variance"))
         if "uk" in preds and self.n_train < 1 + self.kernel.dim:
             raise InputError(
                 f"uk needs n_train >= {1 + self.kernel.dim} for the linear trend basis"

@@ -1,0 +1,60 @@
+"""The public API: the names ``gpkrige`` exports, what importing it loads, and
+the README examples that use it."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gpkrige
+
+PUBLIC_NAMES = {
+    "GpKrigeError", "InputError", "NumericalError", "SingularityError", "StudyError",
+    "Dataset", "KernelSpec", "MeanSpec", "basis_matrix", "build_gram",
+    "cov_from_semivariogram", "empirical_semivariogram", "kernel_matrix",
+    "model_from_json", "model_to_json", "semivariogram_of",
+    "SpdFactor", "solve_saddle", "solve_spd", "spd_factor",
+    "KrigingWeights", "Prediction", "blup_general", "gls_beta", "ls_predict",
+    "ordinary_krige", "predict_points", "simple_krige", "universal_krige",
+    "GaussianPredictive", "gpr_predict", "gpr_predict_basis",
+    "StudyConfig", "StudyReport", "run_study", "sample_field",
+    "study_config_from_json", "study_config_to_json",
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports this checkout's gpkrige."""
+    src = str(Path(gpkrige.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def test_public_names_are_pinned():
+    assert len(gpkrige.__all__) == len(PUBLIC_NAMES) == 38
+    assert set(gpkrige.__all__) == PUBLIC_NAMES
+    for name in gpkrige.__all__:
+        assert getattr(gpkrige, name) is not None
+
+
+def test_import_does_not_load_the_oracles():
+    out = run_python(["-c", "import sys, gpkrige; print('gpkrige.oracle' in sys.modules)"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS)
+def test_readme_example_runs(block):
+    out = run_python(["-W", "error", "-c", block])
+    assert out.returncode == 0, out.stderr

@@ -26,6 +26,31 @@ SE_CONFIG = {
 }
 
 
+POLY_MEAN = {"type": "basis", "basis": "polynomial", "degree": 1}
+MALFORMED_CONFIGS = {
+    "constant-string": {**SE_CONFIG, "variant": "sk",
+                        "mean": {"type": "known", "constant": "abc"}},
+    "constant-null": {**SE_CONFIG, "variant": "sk",
+                      "mean": {"type": "known", "constant": None}},
+    "constant-nan": {**SE_CONFIG, "variant": "sk",
+                     "mean": {"type": "known", "constant": float("nan")}},
+    "degree-string": {**SE_CONFIG, "variant": "uk", "mean": {**POLY_MEAN, "degree": "one"}},
+    "coefficients-string": {**SE_CONFIG, "variant": "sk",
+                            "mean": {**POLY_MEAN, "coefficients": ["a", 1]}},
+    "coefficients-nan": {**SE_CONFIG, "variant": "sk",
+                         "mean": {**POLY_MEAN, "coefficients": [float("nan"), 1]}},
+    "prior-cov-string": {**SE_CONFIG, "variant": "gpr-basis",
+                         "mean": {**POLY_MEAN, "prior_cov": [[1.0, "x"], [0.0, 1.0]]}},
+    "dimension-string": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "dimension": "two"}},
+    "variance-inf": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "variance": float("inf")}},
+    "lengthscales-inf": {**SE_CONFIG,
+                         "kernel": {**SE_CONFIG["kernel"], "lengthscales": [float("inf")]}},
+    "noise-inf": {**SE_CONFIG, "noise_variance": float("inf")},
+    "max-jitter-string": {**SE_CONFIG, "max_jitter": "abc"},
+    "config-array": [SE_CONFIG],
+}
+
+
 def write_csv(path, x, y):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -117,6 +142,17 @@ class TestPredict:
         write_config(bad, {**SE_CONFIG, "variant": "cokriging"})
         assert main(["predict", "--data", data, "--config", str(bad),
                      "--grid", "0:1:2"]) == 2
+
+    @pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_or_nonfinite_config_exits_2(self, demo, capsys, doc):
+        tmp, data, _ = demo
+        bad = tmp / "bad.json"
+        write_config(bad, doc)
+        assert main(["predict", "--data", data, "--config", str(bad),
+                     "--grid", "0:1:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_invalid_json_exits_2(self, demo, capsys):
         tmp, data, _ = demo

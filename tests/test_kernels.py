@@ -13,16 +13,13 @@ from gpkrige import (
     basis_matrix,
     build_gram,
     cov_from_semivariogram,
-    cross_cov,
     empirical_semivariogram,
-    eval_kernel,
-    eval_mean,
+    kernel_matrix,
     model_from_json,
     model_to_json,
-    polynomial_basis,
     semivariogram_of,
 )
-from gpkrige.kernels import KERNEL_FAMILIES, basis_at
+from gpkrige.kernels import KERNEL_FAMILIES, _mean_vector
 
 ALL_FAMILIES = sorted(KERNEL_FAMILIES)
 DECAYING = ["squared_exponential", "exponential", "matern32", "matern52"]
@@ -31,15 +28,16 @@ DECAYING = ["squared_exponential", "exponential", "matern32", "matern52"]
 class TestEvalKernel:
     def test_zero_lag_equals_variance(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        assert eval_kernel(spec, [0.0], [0.0]) == 1.0
+        assert kernel_matrix(spec, [[0.0]], [[0.0]])[0, 0] == 1.0
 
     def test_se_unit_lag(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        assert eval_kernel(spec, [0.0], [1.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        value = kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0]
+        assert value == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_matern32_zero_lag_scaled(self):
         spec = KernelSpec("matern32", 2.0, (1.0,))
-        assert eval_kernel(spec, [0.0], [0.0]) == 2.0
+        assert kernel_matrix(spec, [[0.0]], [[0.0]])[0, 0] == 2.0
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_symmetry(self, family):
@@ -47,8 +45,8 @@ class TestEvalKernel:
         spec = KernelSpec(family, 1.3, (0.7, 1.4), dim=2)
         for _ in range(50):
             a, b = rng.normal(size=2), rng.normal(size=2)
-            assert eval_kernel(spec, a, b) == pytest.approx(
-                eval_kernel(spec, b, a), abs=1e-15
+            assert kernel_matrix(spec, [a], [b])[0, 0] == pytest.approx(
+                kernel_matrix(spec, [b], [a])[0, 0], abs=1e-15
             )
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -56,19 +54,19 @@ class TestEvalKernel:
         rng = np.random.default_rng(2)
         spec = KernelSpec(family, 2.0, (1.0,))
         for _ in range(50):
-            v = eval_kernel(spec, rng.normal(size=1), rng.normal(size=1))
+            v = kernel_matrix(spec, [rng.normal(size=1)], [rng.normal(size=1)])[0, 0]
             assert 0.0 <= v <= 2.0
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,), dim=2)
         with pytest.raises(InputError):
-            eval_kernel(spec, [0.0], [0.0, 1.0])
+            kernel_matrix(spec, [[0.0]], [[0.0, 1.0]])
 
     def test_anisotropic_lengthscales(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0, 2.0), dim=2)
         # lag 2 along the second axis scales like lag 1 along the first
-        v1 = eval_kernel(spec, [0.0, 0.0], [1.0, 0.0])
-        v2 = eval_kernel(spec, [0.0, 0.0], [0.0, 2.0])
+        v1 = kernel_matrix(spec, [[0.0, 0.0]], [[1.0, 0.0]])[0, 0]
+        v2 = kernel_matrix(spec, [[0.0, 0.0]], [[0.0, 2.0]])[0, 0]
         assert v1 == pytest.approx(v2, abs=1e-15)
 
 
@@ -124,29 +122,29 @@ class TestBuildGram:
         # with noise the lag-0 covariance exceeds the tau -> 0+ kernel limit
         spec = KernelSpec("exponential", 1.0, (1.0,))
         g = build_gram(spec, [[0.0], [1.0]], 0.25)
-        continuous_limit = eval_kernel(spec, [0.0], [1e-12])
+        continuous_limit = kernel_matrix(spec, [[0.0]], [[1e-12]])[0, 0]
         assert g[0, 0] > continuous_limit + 0.2
 
 
 class TestCrossCov:
     def test_at_design_point(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        k = cross_cov(spec, [[0.0], [1.0]], [1.0])
+        k = kernel_matrix(spec, [[0.0], [1.0]], [[1.0]])[:, 0]
         assert k[1] == 1.0
 
     def test_far_away_decays(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        k = cross_cov(spec, [[0.0], [1.0]], [1e6])
+        k = kernel_matrix(spec, [[0.0], [1.0]], [[1e6]])[:, 0]
         assert np.all(np.abs(k) < 1e-12)
 
     def test_symmetric_lags(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        k = cross_cov(spec, [[0.0], [1.0]], [0.5])
+        k = kernel_matrix(spec, [[0.0], [1.0]], [[0.5]])[:, 0]
         np.testing.assert_allclose(k, math.exp(-0.125), atol=1e-15)
 
     def test_never_contains_noise(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,))
-        k = cross_cov(spec, [[0.0]], [0.0])
+        k = kernel_matrix(spec, [[0.0]], [[0.0]])[:, 0]
         # even at an exact design point the cross-covariance is the kernel value
         assert k[0] == 1.0
 
@@ -169,7 +167,7 @@ class TestSemivariogram:
         spec = KernelSpec(family, 1.7, (0.8,))
         taus = np.linspace(0.0, 12.0, 60)
         for tau in taus:
-            c = eval_kernel(spec, [0.0], [tau])
+            c = kernel_matrix(spec, [[0.0]], [[tau]])[0, 0]
             assert semivariogram_of(spec, tau) + c == pytest.approx(1.7, abs=1e-12)
 
     @pytest.mark.parametrize("family", DECAYING)
@@ -188,7 +186,7 @@ class TestSemivariogram:
         for tau in (0.0, 0.3, 1.0, 4.0):
             gam = semivariogram_of(spec, tau)
             c = cov_from_semivariogram(2.0, gam)
-            assert abs(c - eval_kernel(spec, [0.0], [tau])) <= 1e-15
+            assert abs(c - kernel_matrix(spec, [[0.0]], [[tau]])[0, 0]) <= 1e-15
 
     def test_cov_from_semivariogram_values(self):
         assert cov_from_semivariogram(1.0, 0.0) == 1.0
@@ -264,15 +262,15 @@ class TestEmpiricalSemivariogram:
 class TestMeanSpec:
     def test_known_zero(self):
         mean = MeanSpec.known(lambda x: 0.0)
-        assert eval_mean(mean, [3.0]) == 0.0
+        assert _mean_vector(mean, np.array([[3.0]]))[0] == 0.0
 
     def test_constant_basis(self):
         mean = MeanSpec.basis([lambda x: 1.0], coefficients=[5.0])
-        assert eval_mean(mean, [0.0]) == 5.0
+        assert _mean_vector(mean, np.array([[0.0]]))[0] == 5.0
 
     def test_affine_basis(self):
         mean = MeanSpec.basis([lambda x: 1.0, lambda x: x[0]], coefficients=[1.0, 2.0])
-        assert eval_mean(mean, [3.0]) == 7.0
+        assert _mean_vector(mean, np.array([[3.0]]))[0] == 7.0
 
     def test_known_mean_takes_function_or_constant_not_both(self):
         with pytest.raises(InputError):
@@ -280,11 +278,25 @@ class TestMeanSpec:
         with pytest.raises(InputError):
             MeanSpec(kind="known")
 
+    def test_compares_and_hashes_by_value(self):
+        fns = [lambda x: 1.0, lambda x: x[0]]
+        a = MeanSpec.basis(fns, coefficients=np.array([1.0, 2.0]))
+        b = MeanSpec.basis(fns, coefficients=[1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert MeanSpec.polynomial(2, 1) == MeanSpec.polynomial(2, 1)
+        assert hash(MeanSpec.polynomial(2, 1)) == hash(MeanSpec.polynomial(2, 1))
+        assert MeanSpec.polynomial(2, 1) != MeanSpec.polynomial(2, 2)
+        c = np.array([1.0, 2.0, 3.0])
+        spec = MeanSpec.polynomial(2, 1, coefficients=c)
+        c[0] = 100.0
+        assert spec == MeanSpec.polynomial(2, 1, coefficients=[1.0, 2.0, 3.0])
+        assert spec.coefficients == (1.0, 2.0, 3.0)
+
     def test_unidentified_mean_rejected(self):
         with pytest.raises(InputError, match="not identified"):
-            eval_mean(MeanSpec.constant_unknown(), [0.0])
+            _mean_vector(MeanSpec.constant_unknown(), np.array([[0.0]]))
         with pytest.raises(InputError, match="not identified"):
-            eval_mean(MeanSpec.basis([lambda x: 1.0]), [0.0])
+            _mean_vector(MeanSpec.basis([lambda x: 1.0]), np.array([[0.0]]))
 
     def test_basis_matrix_ones(self):
         m = basis_matrix(MeanSpec.basis([lambda x: 1.0]), np.zeros((3, 1)))
@@ -312,11 +324,10 @@ class TestMeanSpec:
         np.testing.assert_array_equal(a, b)
 
     def test_polynomial_basis_two_dims(self):
-        fns = polynomial_basis(2, 2)
-        assert len(fns) == 6
-        x = np.array([2.0, 3.0])
-        values = [f(x) for f in fns]
-        assert values == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+        mean = MeanSpec.polynomial(2, 2)
+        assert mean.p == 6 and mean.functions == ()
+        values = basis_matrix(mean, [[2.0, 3.0]])[0]
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -325,7 +336,8 @@ class TestMeanSpec:
         mean = MeanSpec.polynomial(dim, degree)
         rng = np.random.default_rng(10 * dim + degree)
         x = rng.normal(size=(200, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
-        rows = [[f(xi) for f in mean.functions] for xi in x]
+        exponents = np.asarray(mean.exponents)
+        rows = [[np.prod(xi ** e) for e in exponents] for xi in x]
         np.testing.assert_array_equal(basis_matrix(mean, x), rows)
 
     def test_polynomial_matrix_reads_1d_input_as_one_point(self):
@@ -338,7 +350,7 @@ class TestMeanSpec:
 
     def test_basis_at(self):
         mean = MeanSpec.polynomial(1, 1)
-        np.testing.assert_allclose(basis_at(mean, [4.0]), [1.0, 4.0])
+        np.testing.assert_allclose(basis_matrix(mean, [[4.0]])[0], [1.0, 4.0])
 
     def test_prior_shape_validation(self):
         with pytest.raises(InputError):
@@ -362,6 +374,15 @@ class TestDataset:
     def test_negative_noise_rejected(self):
         with pytest.raises(InputError):
             Dataset([[0.0]], [1.0], -0.1)
+
+    def test_keeps_no_reference_to_caller_arrays(self):
+        x = np.array([[0.0], [1.0]])
+        y = np.array([1.0, 2.0])
+        data = Dataset(x, y)
+        x[0, 0] = np.nan
+        y[1] = np.nan
+        assert data.x.tolist() == [[0.0], [1.0]]
+        assert data.y.tolist() == [1.0, 2.0]
 
 
 class TestModelJson:
@@ -388,14 +409,14 @@ class TestModelJson:
                             MeanSpec.known_constant(5.0), 0.1)
         k2, m2, noise = model_from_json(doc)
         assert m2.kind == "known"
-        assert eval_mean(m2, [0.0]) == 5.0
+        assert _mean_vector(m2, np.array([[0.0]]))[0] == 5.0
         assert noise == 0.1
 
     def test_polynomial_basis_roundtrip(self):
         mean = MeanSpec.polynomial(2, 1, coefficients=[1.0, 2.0, 3.0])
         doc = model_to_json(KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2), mean, 0.0)
         _, m2, _ = model_from_json(doc)
-        assert eval_mean(m2, [1.0, 1.0]) == 6.0
+        assert _mean_vector(m2, np.array([[1.0, 1.0]]))[0] == 6.0
 
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_polynomial_degree_from_exponents(self, degree):

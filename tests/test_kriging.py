@@ -13,21 +13,25 @@ from gpkrige import (
     SingularityError,
     blup_general,
     build_gram,
-    cross_cov,
     gls_beta,
-    gls_constant,
-    joint_prior,
+    kernel_matrix,
     ls_predict,
     ordinary_krige,
-    ordinary_krige_direct,
     predict_points,
     sample_field,
     simple_krige,
-    sk_mean_subtraction,
-    sk_with_plugin_mean,
     universal_krige,
 )
-from gpkrige.kriging import _direct_route, _plugin_route, _subtraction_route
+from gpkrige.oracle import (
+    _direct_route,
+    _plugin_route,
+    _subtraction_route,
+    gls_constant,
+    joint_prior,
+    ordinary_krige_direct,
+    sk_mean_subtraction,
+    sk_with_plugin_mean,
+)
 from helpers import random_instance
 
 SE1 = KernelSpec("squared_exponential", 1.0, (1.0,))
@@ -38,7 +42,7 @@ ZERO_MEAN = MeanSpec.known_constant(0.0)
 def dense_blup_oracle(data, kernel, mean_values, mean_star, xstar):
     """Evaluate the known-mean BLUP formulas with a plain dense solve."""
     gram = build_gram(kernel, data.x, data.noise_variance)
-    kstar = cross_cov(kernel, data.x, xstar)
+    kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
     s = np.linalg.solve(gram, kstar)
     mean = mean_star + s @ (data.y - mean_values)
     estimator_var = kstar @ s
@@ -196,7 +200,7 @@ class TestOrdinaryKrige:
         for _ in range(10):
             data, kernel, xstar = random_instance(rng, n=9)
             gram = build_gram(kernel, data.x, 0.0)
-            kstar = cross_cov(kernel, data.x, xstar)
+            kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
             s = np.linalg.solve(gram, kstar)
             w = np.linalg.solve(gram, np.ones(data.n))
             expected = (kernel.variance - kstar @ s
@@ -210,7 +214,7 @@ class TestOrdinaryKrige:
         for _ in range(10):
             data, kernel, xstar = random_instance(rng, n=8)
             p = ordinary_krige(data, kernel, xstar)
-            kstar = cross_cov(kernel, data.x, xstar)
+            kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
             compact = (kernel.variance - p.weights.lam @ kstar
                        + p.weights.mu_tilde[0])
             assert abs(compact - p.error_variance) <= 1e-9
@@ -455,7 +459,7 @@ class TestBlupOptimality:
             data, kernel, xstar = random_instance(rng, n=4)
             p = blup_general(data, kernel, ZERO_MEAN, xstar)
             gram = build_gram(kernel, data.x, 0.0)
-            kstar = cross_cov(kernel, data.x, xstar)
+            kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
             cand = rng.normal(size=(500, data.n), scale=2.0)
             values = self.objective(cand, gram, kstar, kernel.variance)
             assert values.min() >= p.error_variance - 1e-9
@@ -466,7 +470,7 @@ class TestBlupOptimality:
             data, kernel, xstar = random_instance(rng, n=4)
             p = ordinary_krige(data, kernel, xstar)
             gram = build_gram(kernel, data.x, 0.0)
-            kstar = cross_cov(kernel, data.x, xstar)
+            kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
             cand = rng.normal(size=(500, data.n), scale=2.0)
             cand += (1.0 - cand.sum(axis=1))[:, None] / data.n
             values = self.objective(cand, gram, kstar, kernel.variance)
@@ -510,7 +514,7 @@ class TestVarianceAgainstObjective:
     @staticmethod
     def dense_check(pred, data, kernel, xstar):
         gram = build_gram(kernel, data.x, data.noise_variance)
-        kstar = cross_cov(kernel, data.x, xstar)
+        kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
         lam = pred.weights.lam
         quad = lam @ gram @ lam
         objective = quad + kernel.variance - 2.0 * lam @ kstar

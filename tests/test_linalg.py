@@ -8,11 +8,11 @@ import pytest
 from gpkrige import (
     InputError,
     SingularityError,
-    block_inverse,
     solve_saddle,
     solve_spd,
     spd_factor,
 )
+from gpkrige.oracle import block_inverse
 from helpers import random_spd
 
 

@@ -19,7 +19,7 @@ from gpkrige import (
     gpr_predict_basis,
     predict_points,
 )
-from gpkrige.kriging import _plugin_route
+from gpkrige.oracle import _plugin_route
 from helpers import FAMILIES
 
 TOL = 1e-8

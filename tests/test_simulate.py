@@ -112,8 +112,12 @@ class TestStudyConfig:
         with pytest.raises(InputError):
             make_config(domain=((0.0, 1.0), (0.0, 1.0)))
 
-    def test_json_roundtrip(self):
-        cfg = make_config(predictors=("ls", "ok", "gpr"))
+    @pytest.mark.parametrize("true_mean", [
+        CONST5,
+        MeanSpec.polynomial(1, 1, coefficients=np.array([5.0, -0.5])),
+    ], ids=["known-constant", "polynomial"])
+    def test_json_roundtrip(self, true_mean):
+        cfg = make_config(predictors=("ls", "ok", "gpr"), true_mean=true_mean)
         doc = study_config_to_json(cfg)
         back = study_config_from_json(doc)
         assert back == cfg
