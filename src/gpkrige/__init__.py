@@ -1,7 +1,7 @@
 """Kriging and Gaussian-process regression with cross-checked solution paths.
 
-The library implements the three classical Kriging variants (Simple,
-Ordinary, Universal), the general noisy BLUP they descend from, and the
+The library implements the three classical Kriging variants (Simple, the
+general noisy BLUP with a known mean; Ordinary; Universal) and the
 Gaussian-process predictive distributions that reproduce them, all through
 one batched engine.  The independently computed routes that the engine is
 verified against live in :mod:`gpkrige.oracle`, which this package does not
@@ -28,11 +28,9 @@ from .kernels import (
     model_to_json,
     semivariogram_of,
 )
-from .linalg import SpdFactor, solve_saddle, solve_spd, spd_factor
 from .kriging import (
     KrigingWeights,
     Prediction,
-    blup_general,
     gls_beta,
     ls_predict,
     ordinary_krige,
@@ -73,13 +71,8 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "semivariogram_of",
-    "SpdFactor",
-    "solve_saddle",
-    "solve_spd",
-    "spd_factor",
     "KrigingWeights",
     "Prediction",
-    "blup_general",
     "gls_beta",
     "ls_predict",
     "ordinary_krige",

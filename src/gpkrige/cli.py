@@ -16,6 +16,7 @@ failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -34,8 +35,7 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
-from .linalg import solve_saddle
-from .oracle import _direct_route, _plugin_route, _subtraction_route
+from .oracle import _direct_route, _plugin_route, _subtraction_route, bordered_solve
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -243,10 +243,9 @@ def cmd_variogram(args) -> int:
 
 
 def cmd_study(args) -> int:
-    doc = _load_json(args.config)
+    cfg = study_config_from_json(_load_json(args.config))
     if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = study_config_from_json(doc)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_study(cfg)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -277,10 +276,7 @@ def cmd_verify(args) -> int:
     targets = _resolve_targets(args, data.dim)
 
     constant = MeanSpec.constant_unknown()
-    if mean.kind == "basis":
-        basis = _variant_mean("uk", mean)
-    else:
-        basis = MeanSpec.polynomial(data.dim, 1)
+    basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 
     results: list[tuple[str, float | None, str]] = []
@@ -307,10 +303,11 @@ def cmd_verify(args) -> int:
     compare("gpr_vs_sk", engine("gpr", known),
             _subtraction_route(data, kernel, known, targets, max_jitter))
 
-    # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target
+    # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target, by
+    # one dense LU of the matrix the engine factored, its jitter included
     kstar, fstar = kernel_matrix(kernel, data.x, targets), basis_matrix(basis, targets).T
-    lam, nu = solve_saddle(build_gram(kernel, data.x, data.noise_variance),
-                           basis_matrix(basis, data.x), kstar, fstar, max_jitter)
+    sigma = build_gram(kernel, data.x, data.noise_variance) + factor.jitter_used * np.eye(data.n)
+    lam, nu = bordered_solve(sigma, basis_matrix(basis, data.x), kstar, fstar)
     gpr_basis = engine("gpr-basis", basis)
     record("gpr_basis_vs_uk", _deviation(
         gpr_basis.mean, gpr_basis.variance, data.y @ lam,

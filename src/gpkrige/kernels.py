@@ -70,6 +70,16 @@ def _nonnegative(value, name: str) -> float:
     return value
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, rejected unless it is an integral number (2.0, not 2.5)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A stationary covariance kernel.
@@ -105,7 +115,7 @@ class KernelSpec:
             ls = (float(ls),)
         else:
             ls = tuple(float(v) for v in ls)
-        dim = int(self.dim) if self.dim else len(ls)
+        dim = _integer(self.dim, "dimension") if self.dim else len(ls)
         if dim < 1:
             raise InputError(f"dimension must be positive, got {dim}")
         if len(ls) == 1 and dim > 1:
@@ -212,8 +222,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     max_lag = float(max_lag)
     if bins < 1:
         raise InputError(f"bins must be positive, got {bins}")
-    if not max_lag > 0.0:
-        raise InputError(f"max_lag must be positive, got {max_lag}")
+    if not 0.0 < max_lag < np.inf:
+        raise InputError(f"max_lag must be positive and finite, got {max_lag}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -379,8 +389,8 @@ def _frozen(a: np.ndarray) -> tuple:
 
 def _monomial_exponents(dim: int, degree: int) -> list[list[int]]:
     """Exponents of the monomials of total degree <= degree, one per row, constant first."""
-    dim = int(dim)
-    degree = int(degree)
+    dim = _integer(dim, "dimension")
+    degree = _integer(degree, "degree")
     if dim < 1 or degree < 0:
         raise InputError("polynomial basis needs dim >= 1 and degree >= 0")
     exponents = []
@@ -565,7 +575,7 @@ def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
         family = kdoc["family"]
         variance = float(kdoc["variance"])
         lengthscales = [float(v) for v in kdoc["lengthscales"]]
-        kdim = int(kdoc.get("dimension", dim or len(lengthscales)))
+        kdim = _integer(kdoc.get("dimension", dim or len(lengthscales)), "dimension")
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad kernel document: {err}") from err
     return KernelSpec(family, variance, tuple(lengthscales), dim=kdim)
@@ -586,7 +596,7 @@ def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
             if doc.get("basis", "polynomial") != "polynomial":
                 raise InputError(f"unsupported basis family {doc.get('basis')!r}")
             return MeanSpec.polynomial(
-                dim, int(doc.get("degree", 1)),
+                dim, doc.get("degree", 1),
                 coefficients=doc.get("coefficients"),
                 prior_mean=doc.get("prior_mean"),
                 prior_cov=doc.get("prior_cov"),

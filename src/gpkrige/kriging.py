@@ -3,8 +3,8 @@
 All predictors are linear statistics T(Y) = lambda^T Y + lambda_0 chosen to
 minimize the error variance V[T(Y) - Z(x*)] subject to unbiasedness:
 
-* known mean (general BLUP / Simple Kriging): lambda_0 absorbs the mean and
-  lambda = (Sigma + sigma^2 I)^-1 k*;
+* known mean (Simple Kriging, the general noisy BLUP): lambda_0 absorbs the
+  mean and lambda = (Sigma + sigma^2 I)^-1 k*;
 * unknown constant mean (Ordinary Kriging): lambda_0 = 0 and the constraint
   1^T lambda = 1 enters through a Lagrange multiplier, giving the classic
   Kriging system [[Sigma, 1], [1^T, 0]];
@@ -133,14 +133,14 @@ def _data_basis(mean: MeanSpec, data: Dataset) -> np.ndarray:
 def _variant_mean(variant: str, mean: MeanSpec | None) -> MeanSpec:
     """The mean assumption the engine fits for a prediction variant.
 
-    sk/blup/gpr condition on a fully known mean; ok on an unknown constant,
+    sk/gpr condition on a fully known mean; ok on an unknown constant,
     whatever ``mean`` says; uk on the basis of ``mean`` with coefficients and
     prior stripped; gpr-basis keeps the coefficient prior but not the
     coefficients.
     """
     if variant == "ok":
         return MeanSpec.constant_unknown()
-    if variant in ("sk", "blup", "gpr"):
+    if variant in ("sk", "gpr"):
         if mean is None or not mean.is_identified:
             raise InputError(f"variant {variant!r} requires a fully known mean")
         return mean
@@ -314,22 +314,14 @@ def _predict_one(data, kernel, mean, xstar, variant, max_jitter) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def blup_general(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
+def simple_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
                  max_jitter: float = 0.0) -> Prediction:
-    """General noisy BLUP with a fully known mean function.
+    """Simple Kriging: the general noisy BLUP with a fully known mean.
 
     T(Y) = m(x*) + k*^T (Sigma + sigma^2 I)^-1 (Y - m), with error variance
     sigma*^2 - k*^T (Sigma + sigma^2 I)^-1 k*.  The error variance depends
-    only on covariances, never on the observed values.
-    """
-    return _predict_one(data, kernel, mean, xstar, "blup", max_jitter)
-
-
-def simple_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
-                 max_jitter: float = 0.0) -> Prediction:
-    """Simple Kriging: the known-mean BLUP (classically with sigma^2 = 0).
-
-    Interpolates the data exactly when the dataset is noise-free.
+    only on covariances, never on the observed values.  Classically
+    sigma^2 = 0, and then the data are interpolated exactly.
     """
     return _predict_one(data, kernel, mean, xstar, "sk", max_jitter)
 
@@ -392,7 +384,7 @@ def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
 # Batch prediction
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("sk", "blup", "ok", "uk")
+VARIANTS = ("sk", "ok", "uk")
 
 
 def predict_points(data: Dataset, kernel: KernelSpec, xs, variant: str = "ok",
@@ -400,7 +392,7 @@ def predict_points(data: Dataset, kernel: KernelSpec, xs, variant: str = "ok",
                    max_jitter: float = 0.0) -> list[Prediction]:
     """Predict at many points with one fit and one batched engine call.
 
-    ``mean`` is required for "sk"/"blup" (a known mean) and "uk" (a basis);
+    ``mean`` is required for "sk" (a known mean) and "uk" (a basis);
     it is ignored for "ok".
     """
     if variant not in VARIANTS:

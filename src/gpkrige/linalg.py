@@ -1,11 +1,12 @@
-"""Positive-definite factorizations and the block saddle-point solve.
+"""Positive-definite factorizations: the engine's only solver.
 
 Every Kriging variant reduces to solving against an SPD observation
-covariance, optionally coupled to unbiasedness constraints through a
-``[[Sigma, M], [M^T, 0]]`` saddle-point system.  This module factors Sigma
-once (Cholesky via LAPACK) and solves the saddle system through its Schur
-complement.  Sigma^-1 is never formed; the explicit partitioned-inverse
-formula, which does form it, lives in :mod:`gpkrige.oracle`.
+covariance, optionally coupled to unbiasedness constraints through the
+p x p constraint Gram M^T Sigma^-1 M.  This module Cholesky-factors both
+(LAPACK ``potrf``, with an optional diagonal jitter) and solves against
+the factors; Sigma^-1 is never formed.  Routes that avoid these factors
+(a dense LU of the bordered system, the partitioned inverse) live in
+:mod:`gpkrige.oracle`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     n = a.shape[0]
     chol, pivot = _try_cholesky(a)
     if chol is not None:
-        return SpdFactor(chol=np.tril(chol), jitter_used=0.0, n=n)
+        return SpdFactor(chol=chol, jitter_used=0.0, n=n)
     max_jitter = float(max_jitter)
     if max_jitter > 0.0:
         delta = 1e-12 * np.trace(a) / n
@@ -76,7 +77,7 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
         while delta <= max_jitter:
             chol, pivot = _try_cholesky(a + delta * np.eye(n))
             if chol is not None:
-                return SpdFactor(chol=np.tril(chol), jitter_used=delta, n=n)
+                return SpdFactor(chol=chol, jitter_used=delta, n=n)
             delta *= 10.0
     raise SingularityError(
         f"matrix is not positive definite (Cholesky failed at pivot {pivot})",
@@ -90,41 +91,6 @@ def solve_spd(factor: SpdFactor, b) -> np.ndarray:
     if b.shape[0] != factor.n:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.n}")
     return cho_solve((factor.chol, True), b)
-
-
-def solve_saddle(sigma, m, r_top, r_bot, max_jitter: float = 0.0):
-    """Solve [[Sigma, M], [M^T, 0]] (lambda; mu) = (r_top; r_bot).
-
-    Schur path: factor Sigma once, then
-
-        mu     = (M^T Sigma^-1 M)^-1 (M^T Sigma^-1 r_top - r_bot)
-        lambda = Sigma^-1 (r_top - M mu).
-
-    The right-hand side is one vector pair (``r_top`` of length n, ``r_bot``
-    of length p) or a block of k pairs (n x k and p x k), solved with one
-    factorization; the solution has the same shape.  Returns
-    ``(lambda, mu)`` with ``mu`` in the block-system sign convention
-    (Sigma lambda + M mu = r_top).
-    """
-    factor = spd_factor(sigma, max_jitter)
-    m = np.asarray(m, dtype=float)
-    m = m[:, None] if m.ndim == 1 else m
-    if m.shape[0] != factor.n:
-        raise InputError(f"M has {m.shape[0]} rows, expected {factor.n}")
-    if m.shape[1] > factor.n:
-        raise InputError("more constraint columns than observations")
-    r_top = np.asarray(r_top, dtype=float)
-    r_bot = np.asarray(r_bot, dtype=float)
-    if r_top.ndim < 2:
-        r_top, r_bot = r_top.reshape(-1), r_bot.reshape(-1)
-    if (r_top.ndim > 2 or r_top.shape[0] != factor.n
-            or r_bot.shape != (m.shape[1],) + r_top.shape[1:]):
-        raise InputError("right-hand side does not match the block shapes")
-    w = solve_spd(factor, m)
-    gram_factor = _factor_constraint_gram(m.T @ w)
-    t = solve_spd(factor, r_top)
-    mu = solve_spd(gram_factor, m.T @ t - r_bot)
-    return t - w @ mu, mu
 
 
 _RANK_RTOL = 1e-12

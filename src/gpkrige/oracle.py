@@ -4,19 +4,25 @@ Each function here computes a quantity the engine in :mod:`gpkrige.kriging`
 also computes, along a different route: Simple Kriging by subtracting the
 mean first, Ordinary Kriging by contracting the first block row instead of
 factoring the constraint Gram, SK around a GLS plug-in mean, the GLS
-constant in closed form, the joint prior over (Y, Z(X*)), and the
-partitioned inverse of a block matrix.  ``gpkrige verify`` and the tests
-compare the engine against these routes; no production path calls them.
+constant in closed form, the bordered Kriging system by one dense LU, the
+joint prior over (Y, Z(X*)), and the partitioned inverse of a block matrix.
+``gpkrige verify`` and the tests compare the engine against these routes;
+no production path calls them.
 
 Each block route (``_subtraction_route``, ``_direct_route``,
 ``_plugin_route``) factors its own Gram once per call, never the engine's
 nor another route's, and serves every target with one multi-right-hand-side
 solve; the one-point functions call that block form with a single row.
+:func:`bordered_solve` shares no algorithm with the engine: one pivoted LU
+of the whole bordered matrix replaces its Cholesky factors.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .exceptions import InputError, SingularityError
 from .kernels import (
@@ -159,6 +165,40 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
         mu_tilde=h,
         jitter=factor.jitter_used > 0.0,
     )
+
+
+def bordered_solve(sigma, m, r_top, r_bot):
+    """Solve [[Sigma, M], [M^T, 0]] (lambda; mu) = (r_top; r_bot) by one dense LU.
+
+    The right-hand side is one vector pair (``r_top`` of length n, ``r_bot``
+    of length p) or a block of k pairs (n x k and p x k), solved against
+    one factorization; the solution has the same shape.  Returns
+    ``(lambda, mu)`` with ``mu`` in the block-system sign convention
+    (Sigma lambda + M mu = r_top).  Rank deficiency of M is checked on M
+    itself, so it is found without solving against Sigma.
+    """
+    sigma, m = np.asarray(sigma, dtype=float), np.asarray(m, dtype=float)
+    if m.ndim != 2 or sigma.shape != (m.shape[0], m.shape[0]):
+        raise InputError(f"Sigma{sigma.shape} and M{m.shape} do not border each other")
+    n, p = m.shape
+    if p > n:
+        raise InputError("more constraint columns than observations")
+    r_top, r_bot = np.asarray(r_top, dtype=float), np.asarray(r_bot, dtype=float)
+    if r_top.ndim < 2:
+        r_top, r_bot = r_top.reshape(-1), r_bot.reshape(-1)
+    if r_top.ndim > 2 or r_top.shape[0] != n or r_bot.shape != (p,) + r_top.shape[1:]:
+        raise InputError("right-hand side does not match the block shapes")
+    if np.linalg.matrix_rank(m) < p:
+        raise SingularityError("basis functions linearly dependent at the design points")
+    bordered = np.block([[sigma, m], [m.T, np.zeros((p, p))]])
+    with warnings.catch_warnings():
+        # an exact zero pivot only warns; it is raised as a SingularityError below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(bordered)
+    if not np.all(np.diag(lu)):
+        raise SingularityError("bordered Kriging matrix is singular")
+    solution = lu_solve((lu, piv), np.concatenate([r_top, r_bot]))
+    return solution[:n], solution[n:]
 
 
 def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):

@@ -26,6 +26,7 @@ from .kernels import (
     KernelSpec,
     MeanSpec,
     _as_locations,
+    _integer,
     _kernel_from_json,
     _kernel_to_json,
     _mean_from_json,
@@ -79,12 +80,11 @@ class StudyConfig:
         if any(hi <= lo for lo, hi in domain):
             raise InputError("each domain interval needs lo < hi")
         object.__setattr__(self, "domain", domain)
-        for name in ("n_train", "n_test", "replicates"):
-            v = int(getattr(self, name))
-            if v < 1:
-                raise InputError(f"{name} must be positive, got {v}")
+        for name, least in (("n_train", 1), ("n_test", 1), ("replicates", 1), ("seed", 0)):
+            v = _integer(getattr(self, name), name)
+            if v < least:
+                raise InputError(f"{name} must be at least {least}, got {v}")
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "noise_variance",
                            _nonnegative(self.noise_variance, "noise_variance"))
         if "uk" in preds and self.n_train < 1 + self.kernel.dim:

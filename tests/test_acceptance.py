@@ -16,7 +16,6 @@ from gpkrige import (
     KernelSpec,
     MeanSpec,
     StudyConfig,
-    blup_general,
     build_gram,
     gls_beta,
     gpr_predict,
@@ -94,7 +93,7 @@ def test_criterion_03_gpr_equals_sk():
         data, kernel, xstar = random_instance(rng, n=int(rng.integers(2, 31)),
                                               noise=noise)
         post = gpr_predict(data, kernel, ZERO_MEAN, [xstar])
-        sk = blup_general(data, kernel, ZERO_MEAN, xstar)
+        sk = simple_krige(data, kernel, ZERO_MEAN, xstar)
         worst = max(worst, abs(post.mean[0] - sk.mean),
                     abs(post.variance[0] - sk.error_variance))
     report("criterion 3 GPR equals SK (50 instances, with/without noise)",
@@ -149,7 +148,7 @@ def test_criterion_05_blup_optimality(instances):
         n = data.n
 
         cand = rng.normal(size=(1000, n), scale=2.0)
-        sk = blup_general(data, kernel, ZERO_MEAN, xstar)
+        sk = simple_krige(data, kernel, ZERO_MEAN, xstar)
         worst_gap = max(worst_gap, sk.error_variance
                         - _objective(cand, gram, kstar, kernel.variance).min())
 
@@ -215,7 +214,7 @@ def test_criterion_07_variance_structure(instances):
         w = np.linalg.solve(gram, np.ones(data.n))
         extra = (1.0 - s.sum()) ** 2 / w.sum()
 
-        sk = blup_general(data, kernel, ZERO_MEAN, xstar)
+        sk = simple_krige(data, kernel, ZERO_MEAN, xstar)
         ok = ordinary_krige(data, kernel, xstar)
         worst_identity = max(
             worst_identity, abs((ok.error_variance - sk.error_variance) - extra)

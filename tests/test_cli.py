@@ -15,7 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
-from gpkrige import cli, linalg
+from gpkrige import cli, linalg, oracle
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -281,6 +281,15 @@ class TestPredict:
 
 
 class TestVariogram:
+    @pytest.mark.parametrize("bins, max_lag", [("0", "1"), ("2", "0"), ("2", "-1"),
+                                               ("2", "nan"), ("2", "inf")])
+    def test_invalid_bins_or_max_lag_exit_2(self, tmp_path, capsys, bins, max_lag):
+        data = tmp_path / "d.csv"
+        write_csv(data, np.arange(3.0), np.arange(3.0))
+        assert main(["variogram", "--data", str(data), "--bins", bins,
+                     "--max-lag", max_lag]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_constant_data_gives_zero(self, tmp_path):
         data = tmp_path / "d.csv"
         write_csv(data, np.arange(5.0), np.full(5, 2.0))
@@ -374,6 +383,19 @@ class TestStudy:
         write_config(config, {**self.STUDY, "predictors": ["nope"]})
         assert main(["study", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("seed, override", [(-3, []), (77, ["--seed", "-3"])])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed, override):
+        config = tmp_path / "s.json"
+        write_config(config, {**self.STUDY, "seed": seed})
+        assert main(["study", "--config", str(config), *override]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+
+    def test_seed_override_of_non_object_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "s.json"
+        write_config(config, [self.STUDY])
+        assert main(["study", "--config", str(config), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_total_failure_exit_4(self, tmp_path):
         config = tmp_path / "s.json"
         write_config(config, {
@@ -451,22 +473,65 @@ class TestVerify:
             "gpr_vs_sk", "gpr_basis_vs_uk", "interpolation")}
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
-        # the engine and each of the five routes factor the n x n Gram once,
+        # the engine and four routes Cholesky-factor the n x n Gram once each,
+        # and the bordered route LU-factors the (n + p) x (n + p) system once,
         # however many targets share the call
         data, config = self.make_dataset(tmp_path)
-        n = 20
-        orders = []
-        cholesky = linalg._try_cholesky
+        n, p = 20, 2
+        orders, lu_orders = [], []
+        cholesky, lu_factor = linalg._try_cholesky, oracle.lu_factor
 
         def counted(a):
             orders.append(a.shape[0])
             return cholesky(a)
 
+        def lu_counted(a):
+            lu_orders.append(a.shape[0])
+            return lu_factor(a)
+
         monkeypatch.setattr(linalg, "_try_cholesky", counted)
+        monkeypatch.setattr(oracle, "lu_factor", lu_counted)
         full = {}
         for count in (3, 9):
             orders.clear()
+            lu_orders.clear()
             assert main(["verify", "--data", data, "--config", config,
                          "--grid", f"0.05:0.95:{count}"]) == 0
-            full[count] = orders.count(n)
-        assert full == {3: 6, 9: 6}
+            full[count] = (orders.count(n), lu_orders)
+        assert full == {3: (5, [n + p]), 9: (5, [n + p])}
+
+    def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):
+        # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answer and the dense
+        # LU of the bordered system disagree, and the row must say so
+        x = np.linspace(0.0, 1.0, 16)
+        y = np.sin(6.0 * x) + 0.1 * np.random.default_rng(0).standard_normal(16)
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, x, y)
+        write_config(config, {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"],
+                                                      "lengthscales": [0.3]}})
+        code = main(["verify", "--data", str(data), "--config", str(config),
+                     "--grid", "0:1:25"])
+        status = {line.split()[0]: line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert code == 5
+        assert status["gpr_basis_vs_uk"] == "fail"
+
+
+@pytest.mark.parametrize("field, value", [("degree", 1.5), ("dimension", 1.5),
+                                          ("n_train", 10.9), ("n_test", 5.5),
+                                          ("replicates", 1.5), ("seed", 77.5)])
+def test_non_integral_field_exits_2(tmp_path, capsys, field, value):
+    config = tmp_path / "c.json"
+    if field in TestStudy.STUDY:
+        write_config(config, {**TestStudy.STUDY, field: value})
+        argv = ["study", "--config", str(config)]
+    else:
+        model = {**SE_CONFIG, "variant": "uk", "mean": POLY_MEAN}
+        part = "mean" if field == "degree" else "kernel"
+        model[part] = {**model[part], field: value}
+        write_config(config, model)
+        data = tmp_path / "d.csv"
+        write_csv(data, np.arange(5.0), np.sin(np.arange(5.0)))
+        argv = ["predict", "--data", str(data), "--config", str(config), "--grid", "0:4:3"]
+    assert main(argv) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err

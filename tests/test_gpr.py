@@ -8,12 +8,12 @@ from gpkrige import (
     InputError,
     KernelSpec,
     MeanSpec,
-    blup_general,
     build_gram,
     gpr_predict,
     gpr_predict_basis,
     kernel_matrix,
     ordinary_krige,
+    simple_krige,
     universal_krige,
 )
 from gpkrige.oracle import joint_prior
@@ -57,7 +57,7 @@ class TestGprPredict:
     def test_equals_simple_kriging_examples(self):
         data = Dataset([[0.0], [1.0]], [1.0, 2.0])
         post = gpr_predict(data, SE1, ZERO_MEAN, [[0.5]])
-        sk = blup_general(data, SE1, ZERO_MEAN, [0.5])
+        sk = simple_krige(data, SE1, ZERO_MEAN, [0.5])
         assert post.mean[0] == pytest.approx(sk.mean, abs=1e-12)
         assert post.variance[0] == pytest.approx(sk.error_variance, abs=1e-12)
 
@@ -77,7 +77,7 @@ class TestGprPredict:
             xs = rng.uniform(0, 4, (3, data.dim))
             post = gpr_predict(data, kernel, ZERO_MEAN, xs)
             for j in range(3):
-                sk = blup_general(data, kernel, ZERO_MEAN, xs[j])
+                sk = simple_krige(data, kernel, ZERO_MEAN, xs[j])
                 assert abs(post.mean[j] - sk.mean) <= 1e-9 * max(1.0, abs(sk.mean))
                 assert abs(post.variance[j] - sk.error_variance) <= 1e-9
 

@@ -11,7 +11,6 @@ from gpkrige import (
     KernelSpec,
     MeanSpec,
     SingularityError,
-    blup_general,
     build_gram,
     gls_beta,
     kernel_matrix,
@@ -52,19 +51,19 @@ def dense_blup_oracle(data, kernel, mean_values, mean_star, xstar):
 class TestBlupGeneral:
     def test_single_point_exact(self):
         data = Dataset([[0.0]], [2.0])
-        p = blup_general(data, SE1, ZERO_MEAN, [0.0])
+        p = simple_krige(data, SE1, ZERO_MEAN, [0.0])
         assert p.mean == pytest.approx(2.0, abs=1e-12)
         assert p.error_variance == pytest.approx(0.0, abs=1e-12)
 
     def test_decorrelation_limit(self):
         data = Dataset([[0.0]], [2.0])
-        p = blup_general(data, SE1, ZERO_MEAN, [1e6])
+        p = simple_krige(data, SE1, ZERO_MEAN, [1e6])
         assert p.mean == pytest.approx(0.0, abs=1e-12)
         assert p.error_variance == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_two_points_against_dense_oracle(self):
         data = Dataset([[0.0], [1.0]], [1.0, 2.0], noise_variance=0.5)
-        p = blup_general(data, SE1, ZERO_MEAN, [0.0])
+        p = simple_krige(data, SE1, ZERO_MEAN, [0.0])
         mean, err, est = dense_blup_oracle(data, SE1, np.zeros(2), 0.0, [0.0])
         assert p.mean == pytest.approx(mean, abs=1e-12)
         assert p.error_variance == pytest.approx(err, abs=1e-12)
@@ -73,8 +72,8 @@ class TestBlupGeneral:
     def test_error_variance_independent_of_y(self):
         rng = np.random.default_rng(20)
         x = rng.uniform(0, 5, (6, 1))
-        a = blup_general(Dataset(x, rng.normal(size=6)), SE1, ZERO_MEAN, [2.0])
-        b = blup_general(Dataset(x, rng.normal(size=6) + 7.0), SE1, ZERO_MEAN, [2.0])
+        a = simple_krige(Dataset(x, rng.normal(size=6)), SE1, ZERO_MEAN, [2.0])
+        b = simple_krige(Dataset(x, rng.normal(size=6) + 7.0), SE1, ZERO_MEAN, [2.0])
         assert a.error_variance == b.error_variance
         assert a.estimator_variance == b.estimator_variance
 
@@ -83,7 +82,7 @@ class TestBlupGeneral:
         rng = np.random.default_rng(21)
         for _ in range(10):
             data, kernel, xstar = random_instance(rng, n=8)
-            p = blup_general(data, kernel, ZERO_MEAN, xstar)
+            p = simple_krige(data, kernel, ZERO_MEAN, xstar)
             assert p.error_variance == pytest.approx(
                 kernel.variance - p.estimator_variance, abs=1e-9
             )
@@ -91,14 +90,14 @@ class TestBlupGeneral:
     def test_lam0_identity(self):
         mean = MeanSpec.known(lambda x: 2.0 + 0.5 * x[0])
         data = Dataset([[0.0], [2.0]], [3.0, 1.0])
-        p = blup_general(data, SE1, mean, [1.0])
+        p = simple_krige(data, SE1, mean, [1.0])
         m_vec = np.array([2.0, 3.0])
         assert p.weights.lam0 == pytest.approx(2.5 - p.weights.lam @ m_vec, abs=1e-10)
 
     def test_unidentified_mean_rejected(self):
         data = Dataset([[0.0]], [1.0])
         with pytest.raises(InputError):
-            blup_general(data, SE1, MeanSpec.constant_unknown(), [0.0])
+            simple_krige(data, SE1, MeanSpec.constant_unknown(), [0.0])
 
 
 class TestSimpleKrige:
@@ -420,7 +419,7 @@ class TestUniversalKrige:
         for _ in range(10):
             data, kernel, xstar = random_instance(rng, dim=1)
             uk = universal_krige(data, kernel, mean, xstar)
-            sk = blup_general(data, kernel, ZERO_MEAN, xstar)
+            sk = simple_krige(data, kernel, ZERO_MEAN, xstar)
             assert uk.error_variance >= sk.error_variance - 1e-9
 
 
@@ -457,7 +456,7 @@ class TestBlupOptimality:
         rng = np.random.default_rng(33)
         for _ in range(5):
             data, kernel, xstar = random_instance(rng, n=4)
-            p = blup_general(data, kernel, ZERO_MEAN, xstar)
+            p = simple_krige(data, kernel, ZERO_MEAN, xstar)
             gram = build_gram(kernel, data.x, 0.0)
             kstar = kernel_matrix(kernel, data.x, [xstar])[:, 0]
             cand = rng.normal(size=(500, data.n), scale=2.0)
@@ -544,7 +543,7 @@ class TestVarianceAgainstObjective:
         rng = np.random.default_rng(58)
         for _ in range(10):
             data, kernel, xstar = random_instance(rng, n=7, noise=0.2)
-            self.dense_check(blup_general(data, kernel, ZERO_MEAN, xstar),
+            self.dense_check(simple_krige(data, kernel, ZERO_MEAN, xstar),
                              data, kernel, xstar)
 
 

@@ -1,18 +1,14 @@
-"""SPD factorization, the partitioned inverse, and the saddle-point solve."""
+"""SPD factorization, the partitioned inverse, and the bordered (saddle-point) solve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gpkrige import (
-    InputError,
-    SingularityError,
-    solve_saddle,
-    solve_spd,
-    spd_factor,
-)
-from gpkrige.oracle import block_inverse
+from gpkrige import InputError, SingularityError
+from gpkrige.linalg import solve_spd, spd_factor
+from gpkrige.oracle import block_inverse, bordered_solve
 from helpers import random_spd
 
 
@@ -41,6 +37,7 @@ class TestSpdFactor:
         rng = np.random.default_rng(5)
         a = random_spd(rng, 6)
         f = spd_factor(a)
+        assert not np.triu(f.chol, 1).any()
         np.testing.assert_allclose(f.chol @ f.chol.T, a, rtol=1e-12, atol=1e-12)
 
     def test_reconstruction_includes_jitter(self):
@@ -139,7 +136,7 @@ class TestSolveSaddle:
     def test_two_point_example_against_dense_oracle(self):
         sigma = np.eye(2)
         m = np.ones((2, 1))
-        lam, mu = solve_saddle(sigma, m, np.zeros(2), np.array([1.0]))
+        lam, mu = bordered_solve(sigma, m, np.zeros(2), np.array([1.0]))
         full = np.block([[sigma, m], [m.T, np.zeros((1, 1))]])
         oracle = np.linalg.solve(full, np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(lam, oracle[:2], atol=1e-14)
@@ -149,7 +146,7 @@ class TestSolveSaddle:
 
     def test_identity_gram_gives_equal_weights(self):
         n = 7
-        lam, _ = solve_saddle(np.eye(n), np.ones((n, 1)), np.zeros(n), np.array([1.0]))
+        lam, _ = bordered_solve(np.eye(n), np.ones((n, 1)), np.zeros(n), np.array([1.0]))
         np.testing.assert_allclose(lam, np.full(n, 1.0 / n), atol=1e-14)
 
     def test_random_against_dense_solve(self):
@@ -161,7 +158,7 @@ class TestSolveSaddle:
             m = rng.normal(size=(n, p))
             r_top = rng.normal(size=n)
             r_bot = rng.normal(size=p)
-            lam, mu = solve_saddle(sigma, m, r_top, r_bot)
+            lam, mu = bordered_solve(sigma, m, r_top, r_bot)
             full = np.block([[sigma, m], [m.T, np.zeros((p, p))]])
             oracle = np.linalg.solve(full, np.concatenate([r_top, r_bot]))
             scale = np.linalg.norm(oracle)
@@ -177,17 +174,17 @@ class TestSolveSaddle:
             m = rng.normal(size=(n, p))
             r_top = rng.normal(size=(n, k))
             r_bot = rng.normal(size=(p, k))
-            lam, mu = solve_saddle(sigma, m, r_top, r_bot)
+            lam, mu = bordered_solve(sigma, m, r_top, r_bot)
             assert lam.shape == (n, k) and mu.shape == (p, k)
             for j in range(k):
-                lam_j, mu_j = solve_saddle(sigma, m, r_top[:, j], r_bot[:, j])
+                lam_j, mu_j = bordered_solve(sigma, m, r_top[:, j], r_bot[:, j])
                 assert lam_j.shape == (n,) and mu_j.shape == (p,)
                 np.testing.assert_allclose(lam[:, j], lam_j, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(mu[:, j], mu_j, rtol=1e-12, atol=1e-12)
 
     def test_block_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
-            solve_saddle(np.eye(3), np.ones((3, 1)), np.zeros((3, 2)), np.zeros((1, 3)))
+            bordered_solve(np.eye(3), np.ones((3, 1)), np.zeros((3, 2)), np.zeros((1, 3)))
 
     def test_block_residuals(self):
         rng = np.random.default_rng(11)
@@ -195,7 +192,7 @@ class TestSolveSaddle:
         m = np.ones((5, 1))
         r_top = rng.normal(size=5)
         r_bot = rng.normal(size=1)
-        lam, mu = solve_saddle(sigma, m, r_top, r_bot)
+        lam, mu = bordered_solve(sigma, m, r_top, r_bot)
         bound = 1e-9 * (1.0 + np.linalg.norm(np.concatenate([r_top, r_bot])))
         assert np.linalg.norm(sigma @ lam + m @ mu - r_top) <= bound
         assert np.linalg.norm(m.T @ lam - r_bot) <= bound
@@ -205,8 +202,15 @@ class TestSolveSaddle:
         sigma = random_spd(rng, 4)
         m = np.ones((4, 2))  # two identical columns
         with pytest.raises(SingularityError, match="linearly dependent"):
-            solve_saddle(sigma, m, np.zeros(4), np.zeros(2))
+            bordered_solve(sigma, m, np.zeros(4), np.zeros(2))
 
     def test_more_constraints_than_points_rejected(self):
         with pytest.raises(InputError):
-            solve_saddle(np.eye(2), np.ones((2, 3)), np.zeros(2), np.zeros(3))
+            bordered_solve(np.eye(2), np.ones((2, 3)), np.zeros(2), np.zeros(3))
+
+    def test_singular_bordered_matrix_raises_without_warning(self):
+        # M has full rank, but the rows of [Sigma, M] repeat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="singular"):
+                bordered_solve(np.zeros((2, 2)), np.ones((2, 1)), np.zeros(2), np.ones(1))

@@ -15,11 +15,13 @@ from gpkrige import (
     Dataset,
     KernelSpec,
     MeanSpec,
+    basis_matrix,
     build_gram,
     gpr_predict_basis,
+    kernel_matrix,
     predict_points,
 )
-from gpkrige.oracle import _plugin_route
+from gpkrige.oracle import _plugin_route, bordered_solve
 from helpers import FAMILIES
 
 TOL = 1e-8
@@ -73,3 +75,30 @@ def test_gpr_basis_equals_uk(instance):
     oracle = _plugin_route(data, kernel, basis, xs, 0.0)
     assert rel(post.mean, oracle.mean) <= TOL
     assert rel(post.variance, oracle.variance) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(instances(min_n=4))
+def test_gpr_basis_equals_bordered_solve(instance):
+    data, kernel, xs = instance
+    basis = MeanSpec.polynomial(data.dim, 1)
+    design = basis_matrix(basis, data.x)
+    assume(np.linalg.cond(design) < MAX_COND)
+    post = gpr_predict_basis(data, kernel, basis, xs)
+    kstar, fstar = kernel_matrix(kernel, data.x, xs), basis_matrix(basis, xs).T
+    lam, nu = bordered_solve(build_gram(kernel, data.x, data.noise_variance), design,
+                             kstar, fstar)
+    assert rel(post.mean, data.y @ lam) <= TOL
+    variance = kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar, axis=0)
+    assert rel(post.variance, variance) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_uk_with_constant_basis_equals_ok(instance):
+    data, kernel, xs = instance
+    uk = predict_points(data, kernel, xs, "uk", MeanSpec.basis([lambda x: 1.0]))
+    ok = predict_points(data, kernel, xs, "ok")
+    assert rel(np.array([p.mean for p in uk]), np.array([p.mean for p in ok])) <= TOL
+    assert rel(np.array([p.error_variance for p in uk]),
+               np.array([p.error_variance for p in ok])) <= TOL
