@@ -34,7 +34,7 @@ from .kernels import (
     model_from_json,
     semivariogram_of,
 )
-from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
+from .kriging import _Engine, _variant_mean
 from .oracle import _direct_route, _plugin_route, _subtraction_route, bordered_solve
 from .simulate import run_study, study_config_from_json
 
@@ -43,8 +43,6 @@ EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_STUDY = 4
 EXIT_VERIFY = 5
-
-VARIANTS = ("sk", "ok", "uk", "gpr", "gpr-basis")
 
 VERIFY_TOL = 1e-8
 
@@ -176,16 +174,12 @@ def cmd_predict(args) -> int:
     x, y = read_point_table(args.data)
     config = _load_json(args.config)
     kernel, mean, noise, max_jitter = _model_from_config(config, x.shape[1])
-    variant = config.get("variant")
-    if variant not in VARIANTS:
-        raise InputError(f"config variant must be one of {VARIANTS}, got {variant!r}")
     data = Dataset(x, y, noise)
     targets = _resolve_targets(args, data.dim)
 
-    spec = _variant_mean(variant, mean)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    batch = _predict(_fit(data, kernel, spec, factor), targets)
-    if factor.jitter_used > 0.0:
+    engine = _Engine(data, kernel, targets, max_jitter)
+    batch = engine.predict(config.get("variant"), mean)
+    if engine.factor.jitter_used > 0.0:
         print("warning: diagonal jitter was added to factor the covariance",
               file=sys.stderr)
 
@@ -261,13 +255,6 @@ def cmd_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _deviation(a_mean, a_var, b_mean, b_var) -> float:
-    """Largest relative deviation of two routes' means and variances over the targets."""
-    dev_mean = np.abs(a_mean - b_mean) / np.maximum(1.0, np.abs(a_mean))
-    dev_var = np.abs(a_var - b_var) / np.maximum(1.0, np.abs(a_var))
-    return float(np.max(np.maximum(dev_mean, dev_var)))
-
-
 def cmd_verify(args) -> int:
     x, y = read_point_table(args.data)
     config = _load_json(args.config)
@@ -281,44 +268,47 @@ def cmd_verify(args) -> int:
 
     results: list[tuple[str, float | None, str]] = []
 
-    def record(name, deviation):
-        status = "pass" if deviation <= VERIFY_TOL else "fail"
-        results.append((name, deviation, status))
+    def record(name, a_mean, a_var, b_mean, b_var):
+        # the largest relative deviation of two routes' means and variances
+        dev_mean = np.abs(a_mean - b_mean) / np.maximum(1.0, np.abs(a_mean))
+        dev_var = np.abs(a_var - b_var) / np.maximum(1.0, np.abs(a_var))
+        deviation = float(np.max(np.maximum(dev_mean, dev_var)))
+        results.append((name, deviation, "pass" if deviation <= VERIFY_TOL else "fail"))
 
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-
-    def engine(variant, spec, xs=targets):
-        return _predict(_fit(data, kernel, _variant_mean(variant, spec), factor), xs)
+    # one engine target stage serves every variant below; on noise-free data
+    # the rows after the m targets are the data points, for the interpolation row
+    m, noisy = targets.shape[0], data.noise_variance > 0.0
+    engine = _Engine(data, kernel, targets if noisy else np.vstack([targets, data.x]),
+                     max_jitter)
 
     def compare(name, batch, route):
-        record(name, _deviation(batch.mean, batch.variance, route.mean, route.variance))
+        record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
     # every route below factors its own Gram once and serves all targets
-    ok = engine("ok", None)
+    ok = engine.predict("ok")
     compare("ok_vs_ok_direct", ok, _direct_route(data, kernel, targets, max_jitter))
     compare("ok_vs_sk_plus_gls", ok,
             _plugin_route(data, kernel, constant, targets, max_jitter))
-    compare("uk_vs_sk_plus_gls_beta", engine("uk", basis),
+    compare("uk_vs_sk_plus_gls_beta", engine.predict("uk", basis),
             _plugin_route(data, kernel, basis, targets, max_jitter))
-    compare("gpr_vs_sk", engine("gpr", known),
+    compare("gpr_vs_sk", engine.predict("gpr", known),
             _subtraction_route(data, kernel, known, targets, max_jitter))
 
     # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target, by
     # one dense LU of the matrix the engine factored, its jitter included
     kstar, fstar = kernel_matrix(kernel, data.x, targets), basis_matrix(basis, targets).T
-    sigma = build_gram(kernel, data.x, data.noise_variance) + factor.jitter_used * np.eye(data.n)
+    sigma = (build_gram(kernel, data.x, data.noise_variance)
+             + engine.factor.jitter_used * np.eye(data.n))
     lam, nu = bordered_solve(sigma, basis_matrix(basis, data.x), kstar, fstar)
-    gpr_basis = engine("gpr-basis", basis)
-    record("gpr_basis_vs_uk", _deviation(
-        gpr_basis.mean, gpr_basis.variance, data.y @ lam,
-        kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar, axis=0)))
+    gpr_basis = engine.predict("gpr-basis", basis)
+    record("gpr_basis_vs_uk", gpr_basis.mean[:m], gpr_basis.variance[:m], data.y @ lam,
+           kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar, axis=0))
 
-    if data.noise_variance > 0.0:
+    if noisy:
         results.append(("interpolation", None, "skipped (noisy)"))
     else:
-        fitted = engine("ok", None, data.x)
-        miss = np.abs(fitted.mean - data.y) / np.maximum(1.0, np.abs(data.y))
-        record("interpolation", float(np.max(np.maximum(miss, fitted.variance))))
+        # OK must return y at the data points (misses scaled by |y|) with variance 0
+        record("interpolation", data.y, np.zeros(data.n), ok.mean[m:], ok.variance[m:])
 
     width = max(len(name) for name, _, _ in results)
     for name, deviation, status in results:

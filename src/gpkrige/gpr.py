@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import InputError, NumericalError
 from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram
-from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean
+from .kriging import _Engine
 
 _DIAG_TOL = 1e-9
 
@@ -99,10 +99,8 @@ def _posterior(data, kernel, variant, mean, xs, observe_noise, max_jitter):
     cov = K** - K*^T S^-1 K* + Gamma^T G^-1 Gamma, with the engine's
     variances on the diagonal.
     """
-    spec = _variant_mean(variant, mean)
     xs = _as_locations(xs, data.dim, "test points")
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    batch = _predict(_fit(data, kernel, spec, factor), xs)
+    batch = _Engine(data, kernel, xs, max_jitter).predict(variant, mean)
     post_cov = (build_gram(kernel, xs, 0.0) - batch.kt @ batch.at.T
                 + batch.gamma @ batch.h.T)
     np.fill_diagonal(post_cov, batch.variance)

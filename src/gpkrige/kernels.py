@@ -101,7 +101,7 @@ class KernelSpec:
     family: str
     variance: float = 1.0
     lengthscales: tuple[float, ...] = (1.0,)
-    dim: int = 0
+    dim: int | None = None
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
@@ -115,7 +115,7 @@ class KernelSpec:
             ls = (float(ls),)
         else:
             ls = tuple(float(v) for v in ls)
-        dim = _integer(self.dim, "dimension") if self.dim else len(ls)
+        dim = len(ls) if self.dim is None else _integer(self.dim, "dimension")
         if dim < 1:
             raise InputError(f"dimension must be positive, got {dim}")
         if len(ls) == 1 and dim > 1:
@@ -218,7 +218,7 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     (centers, counts, gamma) : three arrays of length ``bins``; ``gamma`` is
     NaN on bins containing no pairs.
     """
-    bins = int(bins)
+    bins = _integer(bins, "bins")
     max_lag = float(max_lag)
     if bins < 1:
         raise InputError(f"bins must be positive, got {bins}")

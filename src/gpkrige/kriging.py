@@ -12,18 +12,20 @@ minimize the error variance V[T(Y) - Z(x*)] subject to unbiasedness:
   constraint M^T lambda = f(x*) and p multipliers.
 
 The multiplier stored on :class:`KrigingWeights` follows the closed-form
-convention lambda = Sigma^-1 (k* + M mu_tilde); the multiplier of the
-block system carries the opposite sign.  The classic compact variance expression uses the block-system sign and is
-asserted against the expanded form whenever OK weights are built.
+convention lambda = Sigma^-1 (k* + M mu_tilde); the multiplier of the block
+system carries the opposite sign.  The classic compact variance expression
+uses the block-system sign and is asserted against the expanded form
+whenever OK weights are built.
 
-Every variant runs through one engine.  :func:`_fit` computes the
-target-independent pieces once for a mean assumption: a known mean is a
-basis with zero columns, and a Gaussian coefficient prior adds B^-1 to the
-GLS Gram.  :func:`_predict` then serves all targets with one
-multi-right-hand-side Cholesky solve.  The public predictors are thin
-wrappers over it.  The independent routes that ``verify`` and the tests
-check it against live in :mod:`gpkrige.oracle`; this module never imports
-them.
+Every variant runs through one two-stage engine, :class:`_Engine`, over one
+dataset and one batch of targets.  Its target stage factors S and solves
+S^-1 K* for all targets at once; it is shared by every mean assumption.
+Its mean stage, :func:`_fit` plus the basis, Gamma and the variances, is
+all a variant adds: a known mean is a basis with zero columns, and a
+Gaussian coefficient prior adds B^-1 to the GLS Gram.  The public
+predictors are thin wrappers over it.  The independent routes that
+``verify`` and the tests check it against live in :mod:`gpkrige.oracle`;
+this module never imports them.
 
 Rows, not columns: every per-target reduction in the engine and in the
 oracle routes runs along a contiguous row of an (m, k) array that holds one
@@ -42,6 +44,7 @@ never inflated), which reduces to the noise-free equations at sigma^2 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -166,10 +169,7 @@ class _Fit:
     posterior) coefficients and ``residual`` is y - offset - M beta.
     """
 
-    kernel: KernelSpec
     mean: MeanSpec
-    x: np.ndarray
-    factor: SpdFactor
     offset: np.ndarray
     w: np.ndarray
     gram_factor: SpdFactor | None
@@ -177,7 +177,7 @@ class _Fit:
     residual: np.ndarray
 
 
-def _fit(data: Dataset, kernel: KernelSpec, mean: MeanSpec, factor: SpdFactor) -> _Fit:
+def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
     if mean.is_identified:
         offset = _mean_vector(mean, data.x)
         m_mat = np.empty((data.n, 0))
@@ -202,8 +202,7 @@ def _fit(data: Dataset, kernel: KernelSpec, mean: MeanSpec, factor: SpdFactor) -
         gram_factor = spd_factor(gram + precision)
         rhs = rhs + precision @ b
     beta = solve_spd(gram_factor, rhs) if gram_factor is not None else np.empty(0)
-    return _Fit(kernel, mean, data.x, factor, offset, w, gram_factor, beta,
-                centered - m_mat @ beta)
+    return _Fit(mean, offset, w, gram_factor, beta, centered - m_mat @ beta)
 
 
 @dataclass(frozen=True)
@@ -226,25 +225,49 @@ class _Batch:
     offset: np.ndarray
 
 
-def _predict(fit: _Fit, xs: np.ndarray) -> _Batch:
-    """Predict at every row of ``xs`` with one multi-right-hand-side solve.
+@dataclass(frozen=True)
+class _Engine:
+    """The two-stage engine over one dataset and one batch of targets ``xs``.
 
-    mean:      m(x*) + f(x*)^T beta + k*^T S^-1 residual
-    variance:  sigma*^2 - k*^T S^-1 k* + Gamma^T G^-1 Gamma, clamped
+    The target stage (the factor of S, K*^T and (S^-1 K*)^T) is computed on
+    first use and shared by every later :meth:`predict`.  Being lazy, it
+    lets a bad variant or mean be rejected before anything is factored, and
+    a failed factorization caches nothing, so the next call retries it.
     """
-    m = xs.shape[0]
-    kt = kernel_matrix(fit.kernel, xs, fit.x)
-    at = solve_spd(fit.factor, kt.T).T
-    if fit.gram_factor is None:
-        offset, f = _mean_vector(fit.mean, xs), np.empty((m, 0))
-    else:
-        offset, f = np.zeros(m), basis_matrix(fit.mean, xs)
-    gamma = f - np.einsum("ji,li->jl", kt, fit.w.T)
-    h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
-    mean = offset + _rowdot(f, fit.beta) + _rowdot(at, fit.residual)
-    raw = fit.kernel.variance - _rowdot(kt, at) + _rowdot(gamma, h)
-    return _Batch(fit, mean, _clamped(raw, fit.kernel.variance), kt, at, f, gamma, h,
-                  offset)
+
+    data: Dataset
+    kernel: KernelSpec
+    xs: np.ndarray
+    max_jitter: float = 0.0
+
+    @cached_property
+    def factor(self) -> SpdFactor:
+        return _factor_observation_cov(self.data, self.kernel, self.max_jitter)
+
+    @cached_property
+    def _targets(self) -> tuple[np.ndarray, np.ndarray]:
+        kt = kernel_matrix(self.kernel, self.xs, self.data.x)
+        return kt, solve_spd(self.factor, kt.T).T
+
+    def predict(self, variant: str, mean: MeanSpec | None = None) -> _Batch:
+        """The mean stage of ``variant`` on the shared target stage.
+
+        mean:      m(x*) + f(x*)^T beta + k*^T S^-1 residual
+        variance:  sigma*^2 - k*^T S^-1 k* + Gamma^T G^-1 Gamma, clamped
+        """
+        fit = _fit(self.data, _variant_mean(variant, mean), self.factor)
+        kt, at = self._targets
+        m = kt.shape[0]
+        if fit.gram_factor is None:
+            offset, f = _mean_vector(fit.mean, self.xs), np.empty((m, 0))
+        else:
+            offset, f = np.zeros(m), basis_matrix(fit.mean, self.xs)
+        gamma = f - np.einsum("ji,li->jl", kt, fit.w.T)
+        h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
+        mean = offset + _rowdot(f, fit.beta) + _rowdot(at, fit.residual)
+        raw = self.kernel.variance - _rowdot(kt, at) + _rowdot(gamma, h)
+        return _Batch(fit, mean, _clamped(raw, self.kernel.variance), kt, at, f, gamma, h,
+                      offset)
 
 
 @dataclass(frozen=True)
@@ -279,8 +302,9 @@ class _Route:
         ]
 
 
-def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
-    """The engine's per-target records with their Kriging weights."""
+def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[Prediction]:
+    """The engine's per-target records of ``variant`` with their Kriging weights."""
+    batch = engine.predict(variant, mean)
     fit = batch.fit
     # lam = S^-1 (k* + M mu_tilde); lam^T S lam then needs no extra solve
     lam = batch.at + np.einsum("jl,il->ji", batch.h, fit.w)
@@ -289,7 +313,7 @@ def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
     lam0 = batch.offset - _rowdot(lam, fit.offset)
     if variant == "ok":
         # classic compact form, written with the block-system multiplier
-        compact = fit.kernel.variance - lam_kstar + batch.h[:, 0]
+        compact = engine.kernel.variance - lam_kstar + batch.h[:, 0]
         gap = np.abs(batch.variance - compact)
         if np.any(gap > _COMPACT_TOL * np.maximum(1.0, batch.variance)):
             j = int(np.argmax(gap))
@@ -298,7 +322,7 @@ def _predictions(batch: _Batch, variant: str) -> list[Prediction]:
                 f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
             )
     return _Route(variant, batch.mean, batch.variance, estimator_var, lam, lam0,
-                  batch.h, fit.factor.jitter_used > 0.0).records()
+                  batch.h, engine.factor.jitter_used > 0.0).records()
 
 
 def _one_row(xstar) -> np.ndarray:
@@ -365,8 +389,7 @@ def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
              max_jitter: float = 0.0) -> np.ndarray:
     """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y."""
     spec = _variant_mean("uk", mean)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _fit(data, kernel, spec, factor).beta
+    return _fit(data, spec, _factor_observation_cov(data, kernel, max_jitter)).beta
 
 
 def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
@@ -398,6 +421,4 @@ def predict_points(data: Dataset, kernel: KernelSpec, xs, variant: str = "ok",
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     xs = _as_locations(xs, data.dim, "prediction points")
-    spec = _variant_mean(variant, mean)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _predictions(_predict(_fit(data, kernel, spec, factor), xs), variant)
+    return _predictions(_Engine(data, kernel, xs, max_jitter), variant, mean)

@@ -35,7 +35,7 @@ from .kernels import (
     _nonnegative,
     build_gram,
 )
-from .kriging import _factor_observation_cov, _fit, _predict, _variant_mean, ls_predict
+from .kriging import _Engine, ls_predict
 
 PREDICTORS = ("ls", "sk", "ok", "uk", "gpr")
 
@@ -77,8 +77,8 @@ class StudyConfig:
             raise InputError(
                 f"domain has {len(domain)} dimensions, kernel has {self.kernel.dim}"
             )
-        if any(hi <= lo for lo, hi in domain):
-            raise InputError("each domain interval needs lo < hi")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in domain):
+            raise InputError("each domain interval needs finite lo < hi")
         object.__setattr__(self, "domain", domain)
         for name, least in (("n_train", 1), ("n_test", 1), ("replicates", 1), ("seed", 0)):
             v = _integer(getattr(self, name), name)
@@ -164,26 +164,22 @@ def _draw_locations(rng, domain, count):
     return lows + rng.random((count, len(domain))) * (highs - lows)
 
 
-def _run_predictor(name, cfg, data, factor, x_test, z_test, uk_mean, ls_mean):
-    """Returns (squared errors, error variances or None, coverage pair or None)."""
+def _run_predictor(name, cfg, engine, uk_mean, ls_mean):
+    """Returns the predicted means at the test points and the error variances or None."""
     if name == "ls":
-        pred = np.full(x_test.shape[0], ls_predict(data, ls_mean, x_test[0]))
+        pred = ls_predict(engine.data, ls_mean, engine.xs[0])
         # constant basis: one fitted value serves every test point
-        return (pred - z_test) ** 2, None, None
-    spec = _variant_mean(name, uk_mean if name == "uk" else cfg.true_mean)
-    batch = _predict(_fit(data, cfg.kernel, spec, factor), x_test)
-    sq = (batch.mean - z_test) ** 2
-    if name != "gpr":
-        return sq, batch.variance, None
-    covered = np.abs(z_test - batch.mean) <= _Z95 * np.sqrt(batch.variance)
-    return sq, batch.variance, (int(covered.sum()), covered.size)
+        return np.full(engine.xs.shape[0], pred), None
+    batch = engine.predict(name, uk_mean if name == "uk" else cfg.true_mean)
+    return batch.mean, batch.variance
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the replicated comparison study described by ``cfg``.
 
-    The observation covariance is factored once per replicate and shared
-    by every Kriging and GP predictor.  A predictor that fails inside a
+    Each replicate builds one two-stage engine: the factor of the
+    observation covariance and the target solve run once, and every Kriging
+    and GP predictor adds only its mean stage.  A predictor that fails inside a
     replicate with a :class:`GpKrigeError` is recorded and skipped for that
     replicate; any other exception is a bug and propagates.  The study
     itself fails only when no replicate yields any usable result.
@@ -209,26 +205,21 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                 cfg.n_train
             )
         z_test = z_all[cfg.n_train:]
-        data = Dataset(x_train, y_train, cfg.noise_variance)
-
-        factor = None
+        engine = _Engine(Dataset(x_train, y_train, cfg.noise_variance), cfg.kernel, x_test)
         replicate_ok = False
         for name in cfg.predictors:
             try:
-                if name != "ls" and factor is None:
-                    factor = _factor_observation_cov(data, cfg.kernel, 0.0)
-                sq, err_vars, cover = _run_predictor(
-                    name, cfg, data, factor, x_test, z_test, uk_mean, ls_mean
-                )
+                pred, err_vars = _run_predictor(name, cfg, engine, uk_mean, ls_mean)
             except GpKrigeError:
                 failures[name] += 1
                 continue
-            mse[name].append(float(np.mean(sq)))
+            mse[name].append(float(np.mean((pred - z_test) ** 2)))
             if err_vars is not None:
                 variances[name].extend(err_vars.tolist())
-            if cover is not None:
-                coverage_hits += cover[0]
-                coverage_total += cover[1]
+            if name == "gpr":
+                covered = np.abs(z_test - pred) <= _Z95 * np.sqrt(err_vars)
+                coverage_hits += int(covered.sum())
+                coverage_total += covered.size
             replicate_ok = True
         if replicate_ok:
             usable_replicates += 1

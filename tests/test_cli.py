@@ -15,7 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
-from gpkrige import cli, linalg, oracle
+from gpkrige import kriging, linalg, oracle
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -42,6 +42,7 @@ MALFORMED_CONFIGS = {
     "prior-cov-string": {**SE_CONFIG, "variant": "gpr-basis",
                          "mean": {**POLY_MEAN, "prior_cov": [[1.0, "x"], [0.0, 1.0]]}},
     "dimension-string": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "dimension": "two"}},
+    "dimension-zero": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "dimension": 0}},
     "variance-inf": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "variance": float("inf")}},
     "lengthscales-inf": {**SE_CONFIG,
                          "kernel": {**SE_CONFIG["kernel"], "lengthscales": [float("inf")]}},
@@ -455,13 +456,13 @@ class TestVerify:
     def test_perturbed_engine_fails_its_rows(self, tmp_path, capsys, monkeypatch):
         # every row compares the engine against a route that does not use it,
         # so a 1e-6 shift of the engine's mean must show in all of them
-        engine = cli._predict
+        engine = kriging._Engine.predict
 
-        def perturbed(fit, xs):
-            batch = engine(fit, xs)
+        def perturbed(self, variant, mean=None):
+            batch = engine(self, variant, mean)
             return dataclasses.replace(batch, mean=batch.mean + 1e-6)
 
-        monkeypatch.setattr(cli, "_predict", perturbed)
+        monkeypatch.setattr(kriging._Engine, "predict", perturbed)
         data, config = self.make_dataset(tmp_path)
         code = main(["verify", "--data", data, "--config", config,
                      "--grid", "0.05:0.95:7"])
@@ -471,6 +472,22 @@ class TestVerify:
         assert status == {name: "fail" for name in (
             "ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
             "gpr_vs_sk", "gpr_basis_vs_uk", "interpolation")}
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_engine_target_block_built_once(self, tmp_path, capsys, monkeypatch, noise):
+        # every variant reads one target stage; on noise-free data its rows
+        # also hold the 20 data points, for the interpolation row
+        data, config = self.make_dataset(tmp_path, noise)
+        rows, block = [], kriging.kernel_matrix
+
+        def counted(kernel, xa, xb):
+            rows.append(len(xa))
+            return block(kernel, xa, xb)
+
+        monkeypatch.setattr(kriging, "kernel_matrix", counted)
+        assert main(["verify", "--data", data, "--config", config,
+                     "--grid", "0.05:0.95:7"]) == 0
+        assert rows == [7 if noise else 7 + 20]
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
         # the engine and four routes Cholesky-factor the n x n Gram once each,

@@ -223,6 +223,11 @@ class TestEmpiricalSemivariogram:
         _, counts, _ = empirical_semivariogram([[0.0], [5.0]], [0.0, 1.0], 2, 1.0)
         assert counts.sum() == 0
 
+    @pytest.mark.parametrize("bins", [2.7, math.nan, "3"])
+    def test_non_integral_bins_rejected(self, bins):
+        with pytest.raises(InputError, match="bins must be an integer"):
+            empirical_semivariogram([[0.0], [1.0], [2.0]], [0.0, 1.0, 3.0], bins, 2.0)
+
     def test_lags_on_bin_edges(self):
         # edges 0, 1, 2, 3: lags of exactly 1 and 2 open their bins, a lag of
         # exactly max_lag = 3 closes the last one, and 3.5 and 4.5 drop out

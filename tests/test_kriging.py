@@ -13,6 +13,7 @@ from gpkrige import (
     SingularityError,
     build_gram,
     gls_beta,
+    gpr_predict,
     kernel_matrix,
     ls_predict,
     ordinary_krige,
@@ -21,6 +22,7 @@ from gpkrige import (
     simple_krige,
     universal_krige,
 )
+from gpkrige.kriging import _Engine
 from gpkrige.oracle import (
     _direct_route,
     _plugin_route,
@@ -295,14 +297,43 @@ class TestGls:
     lambda data, known, unknown: sk_mean_subtraction(data, SE1, unknown, [0.5]),
     lambda data, known, unknown: joint_prior(data, SE1, unknown, [[0.5]]),
     lambda data, known, unknown: sample_field(SE1, unknown, data.x, 0.0, 1),
+    lambda data, known, unknown: predict_points(data, SE1, [[0.5]], "sk", unknown),
+    lambda data, known, unknown: gpr_predict(data, SE1, unknown, [[0.5]]),
 ], ids=["sk_with_plugin_mean", "gls_beta", "ls_predict", "sk_mean_subtraction",
-        "joint_prior", "sample_field"])
+        "joint_prior", "sample_field", "predict_points_sk", "gpr_predict"])
 def test_bad_mean_rejected_before_factoring(call):
     # the Gram of two identical noise-free points is singular, so only a
     # mean check that runs before any factorization can raise InputError
     data = Dataset([[0.0], [0.0]], [1.0, 1.0])
     with pytest.raises(InputError):
         call(data, MeanSpec.known_constant(1.0), MeanSpec.constant_unknown())
+
+
+ENGINE_MEANS = {
+    "sk": MeanSpec.polynomial(2, 1, coefficients=[0.5, -1.0, 2.0]),
+    "ok": None,
+    "uk": MeanSpec.polynomial(2, 1),
+    "gpr": MeanSpec.known_constant(1.5),
+    "gpr-basis": MeanSpec.polynomial(2, 1, prior_mean=[0.0, 1.0, 0.0],
+                                     prior_cov=np.diag([1.0, 2.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("variant", ENGINE_MEANS)
+def test_engine_rows_do_not_depend_on_their_batch(variant):
+    # one engine over a and b stacked gives, row for row, the very numbers
+    # of one engine over a and another over b
+    rng = np.random.default_rng(97)
+    for noise in (0.0, 0.1, 0.0, 0.1):
+        data, kernel, _ = random_instance(rng, n=int(rng.integers(5, 30)), dim=2,
+                                          noise=noise)
+        a = rng.uniform(0.0, 8.0, (int(rng.integers(1, 9)), 2))
+        b = rng.uniform(0.0, 8.0, (5, 2))
+        mean = ENGINE_MEANS[variant]
+        both = _Engine(data, kernel, np.vstack([a, b])).predict(variant, mean)
+        alone = [_Engine(data, kernel, xs).predict(variant, mean) for xs in (a, b)]
+        assert np.array_equal(both.mean, np.concatenate([r.mean for r in alone]))
+        assert np.array_equal(both.variance, np.concatenate([r.variance for r in alone]))
 
 
 class TestPluginRoute:

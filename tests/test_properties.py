@@ -17,11 +17,12 @@ from gpkrige import (
     MeanSpec,
     basis_matrix,
     build_gram,
+    gpr_predict,
     gpr_predict_basis,
     kernel_matrix,
     predict_points,
 )
-from gpkrige.oracle import _plugin_route, bordered_solve
+from gpkrige.oracle import _plugin_route, _subtraction_route, bordered_solve
 from helpers import FAMILIES
 
 TOL = 1e-8
@@ -33,8 +34,8 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @st.composite
-def instances(draw, min_n=2):
-    """A well-separated noise-free or noisy dataset, its kernel and targets."""
+def instances(draw, min_n=2, noises=(0.0, 0.1)):
+    """A well-separated dataset with one of ``noises``, its kernel and targets."""
     dim = draw(st.integers(1, 2))
     n = draw(st.integers(min_n, 10))
     cells = draw(st.permutations(range(SIDE ** dim)))[:n]
@@ -43,7 +44,7 @@ def instances(draw, min_n=2):
     y = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
     kernel = KernelSpec(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.5, 2.0)),
                         (draw(st.floats(0.3, 2.0)),), dim=dim)
-    noise = draw(st.sampled_from([0.0, 0.1]))
+    noise = draw(st.sampled_from(noises))
     m = draw(st.integers(1, 6))
     xs = draw(arrays(float, (m, dim), elements=st.floats(0.0, float(SIDE))))
     assume(np.linalg.cond(build_gram(kernel, x, noise)) < MAX_COND)
@@ -102,3 +103,23 @@ def test_uk_with_constant_basis_equals_ok(instance):
     assert rel(np.array([p.mean for p in uk]), np.array([p.mean for p in ok])) <= TOL
     assert rel(np.array([p.error_variance for p in uk]),
                np.array([p.error_variance for p in ok])) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_gpr_equals_sk_by_mean_subtraction(instance):
+    data, kernel, xs = instance
+    mean = MeanSpec.polynomial(data.dim, 1, coefficients=np.linspace(2.0, -1.0, data.dim + 1))
+    post = gpr_predict(data, kernel, mean, xs)
+    oracle = _subtraction_route(data, kernel, mean, xs, 0.0)
+    assert rel(post.mean, oracle.mean) <= TOL
+    assert rel(post.variance, oracle.variance) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(instances(noises=(0.0,)))
+def test_noise_free_ok_interpolates(instance):
+    data, kernel, _ = instance
+    ok = predict_points(data, kernel, data.x, "ok")
+    assert rel(data.y, np.array([p.mean for p in ok])) <= TOL
+    assert max(p.error_variance for p in ok) <= TOL

@@ -16,6 +16,7 @@ from gpkrige import (
     study_config_from_json,
     study_config_to_json,
 )
+from gpkrige import kriging
 
 SE_SHORT = KernelSpec("squared_exponential", 1.0, (0.2,))
 CONST5 = MeanSpec.known_constant(5.0)
@@ -131,6 +132,9 @@ class TestStudyConfig:
             study_config_from_json({"kernel": {}})
         with pytest.raises(InputError):
             study_config_from_json(dict(study_config_to_json(make_config()), true_mean=5.0))
+        for domain in ([[0.0, math.inf]], [[math.nan, 1.0]]):
+            with pytest.raises(InputError, match="finite lo < hi"):
+                study_config_from_json(dict(study_config_to_json(make_config()), domain=domain))
 
 
 class TestRunStudy:
@@ -219,12 +223,24 @@ class TestRunStudy:
         assert math.isnan(report.predictors["sk"].mse_mean)
         assert report.predictors["ls"].failures == 0
 
+    def test_one_target_stage_per_replicate(self, monkeypatch):
+        # sk, ok, uk and gpr share the replicate's K* and its solve
+        calls, block = [], kriging.kernel_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(kriging, "kernel_matrix", counted)
+        run_study(make_config(predictors=("sk", "ok", "uk", "gpr"), replicates=3))
+        assert len(calls) == 3
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only library errors count as replicate failures; a bug must surface
-        def broken(fit, xs):
+        def broken(self, variant, mean=None):
             raise TypeError("broken predictor")
 
-        monkeypatch.setattr("gpkrige.simulate._predict", broken)
+        monkeypatch.setattr("gpkrige.kriging._Engine.predict", broken)
         with pytest.raises(TypeError, match="broken predictor"):
             run_study(make_config(predictors=("ls", "ok")))
 
