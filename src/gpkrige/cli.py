@@ -130,6 +130,8 @@ def _parse_grid(specs: list[str], dim: int) -> np.ndarray:
             raise InputError(f"bad grid spec {spec!r}: {err}") from err
         if count < 1:
             raise InputError(f"bad grid spec {spec!r}: count must be positive")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InputError(f"bad grid spec {spec!r}: bounds must be finite")
         axes.append(np.linspace(lo, hi, count))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -297,8 +299,8 @@ def cmd_verify(args) -> int:
     # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target, by
     # one dense LU of the matrix the engine factored, its jitter included
     kstar, fstar = kernel_matrix(kernel, data.x, targets), basis_matrix(basis, targets).T
-    sigma = (build_gram(kernel, data.x, data.noise_variance)
-             + engine.factor.jitter_used * np.eye(data.n))
+    sigma = build_gram(kernel, data.x, data.noise_variance)
+    sigma[np.diag_indices(data.n)] += engine.factor.jitter_used
     lam, nu = bordered_solve(sigma, basis_matrix(basis, data.x), kstar, fstar)
     gpr_basis = engine.predict("gpr-basis", basis)
     record("gpr_basis_vs_uk", gpr_basis.mean[:m], gpr_basis.variance[:m], data.y @ lam,

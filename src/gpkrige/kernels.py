@@ -31,21 +31,35 @@ _SQRT5 = np.sqrt(5.0)
 
 
 def _se_profile(u):
-    return np.exp(-0.5 * u * u)
+    t = np.multiply(-0.5, u, out=np.empty_like(u))
+    t *= u
+    return np.exp(t, out=t)
 
 
 def _exponential_profile(u):
-    return np.exp(-u)
+    np.negative(u, out=u)
+    return np.exp(u, out=u)
 
 
 def _matern32_profile(u):
-    s = _SQRT3 * u
-    return (1.0 + s) * np.exp(-s)
+    s = np.multiply(_SQRT3, u, out=u)
+    decay = np.negative(s, out=np.empty_like(s))
+    np.exp(decay, out=decay)
+    s += 1.0
+    s *= decay
+    return s
 
 
 def _matern52_profile(u):
-    s = _SQRT5 * u
-    return (1.0 + s + s * s / 3.0) * np.exp(-s)
+    s = np.multiply(_SQRT5, u, out=u)
+    decay = np.negative(s, out=np.empty_like(s))
+    np.exp(decay, out=decay)
+    quadratic = s * s
+    quadratic /= 3.0
+    s += 1.0
+    s += quadratic
+    s *= decay
+    return s
 
 
 def _white_noise_profile(u):
@@ -53,6 +67,9 @@ def _white_noise_profile(u):
 
 
 #: Correlation profiles as functions of the scaled lag u = ||(x - x') / ell||.
+#: Each takes a float array of lags that its caller gives up, may overwrite
+#: it, and updates in place in the association order of its closed form, so
+#: it rounds exactly as that expression would.
 KERNEL_FAMILIES: dict[str, Callable] = {
     "squared_exponential": _se_profile,
     "exponential": _exponential_profile,
@@ -156,8 +173,9 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
     xa = _as_locations(xa, spec.dim, "xa")
     xb = _as_locations(xb, spec.dim, "xb")
     ls = np.asarray(spec.lengthscales)
-    u = cdist(xa / ls, xb / ls)
-    return spec.variance * spec._profile()(u)
+    k = spec._profile()(cdist(xa / ls, xb / ls))
+    k *= spec.variance
+    return k
 
 
 def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
@@ -167,8 +185,8 @@ def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     kernel values, so duplicated locations remain perfectly correlated.
     """
     noise_variance = _nonnegative(noise_variance, "noise variance")
+    # exactly symmetric already: cdist rounds the lags of (i, j) and (j, i) alike
     k = kernel_matrix(spec, x, x)
-    k = 0.5 * (k + k.T)
     np.fill_diagonal(k, spec.variance + noise_variance)
     return k
 
@@ -184,7 +202,7 @@ def semivariogram_of(spec: KernelSpec, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise InputError("lags must be nonnegative")
-    cov = spec.variance * spec._profile()(tau / spec.lengthscales[0])
+    cov = spec.variance * spec._profile()(np.asarray(tau / spec.lengthscales[0]))
     gamma = spec.variance - cov
     return float(gamma) if gamma.ndim == 0 else gamma
 

@@ -249,6 +249,18 @@ class _Engine:
         kt = kernel_matrix(self.kernel, self.xs, self.data.x)
         return kt, solve_spd(self.factor, kt.T).T
 
+    def observing(self, y) -> _Engine:
+        """This engine with responses ``y`` at the same locations.
+
+        The target stage depends on the locations only, so whatever of it is
+        already computed carries over to the copy.
+        """
+        engine = replace(self, data=replace(self.data, y=y))
+        for name in ("factor", "_targets"):
+            if name in self.__dict__:
+                engine.__dict__[name] = self.__dict__[name]
+        return engine
+
     def predict(self, variant: str, mean: MeanSpec | None = None) -> _Batch:
         """The mean stage of ``variant`` on the shared target stage.
 

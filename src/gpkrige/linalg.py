@@ -35,9 +35,16 @@ class SpdFactor:
 
 
 def _check_symmetric(a):
+    """``a`` as an exactly symmetric float matrix.
+
+    An input that is already exactly symmetric comes back as itself, not
+    copied: 0.5 * (a + a^T) would reproduce it bit for bit.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if np.array_equal(a, a.T):
+        return a
     scale = max(1.0, np.abs(a).max())
     if np.abs(a - a.T).max() > _SYM_RTOL * scale:
         raise InputError("matrix is not symmetric")

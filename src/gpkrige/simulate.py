@@ -1,12 +1,18 @@
 """Random-field sampling and the desk-scale predictor comparison study.
 
-A study draws training and test locations uniformly over a box, samples the
-latent field jointly at all locations (exact multivariate normal through a
-symmetric eigendecomposition of the covariance), observes the training
-values through additive noise, fits the requested predictors, and scores
-squared prediction error against the latent field values at the test
-points.  GPR additionally reports the empirical coverage of its central
-95% predictive intervals.
+A study draws training and test locations uniformly over a box and samples
+the joint law of the noisy training observations Y and the latent field
+Z(X*) at the test points, factored as p(y) p(z* | y).  The observations
+are y = m(X) + L xi, with L the Cholesky factor of S = Sigma + sigma^2 I
+that the replicate's Kriging engine uses anyway; the test values come from
+the exact conditional, mean m(X*) + K*^T S^-1 (y - m(X)) and covariance
+K** - K*^T S^-1 K*, drawn through the symmetric eigendecomposition of that
+m x m matrix (conditioning by Kriging).  When S does not factor or that
+covariance is not positive semidefinite (noise-free data at coincident
+points), the replicate falls back to :func:`sample_field`'s joint draw.
+The study then fits the requested predictors, scores squared prediction
+error against the latent field values at the test points, and reports for
+GPR the empirical coverage of its central 95% predictive intervals.
 
 Reproducibility: all randomness flows through NumPy's PCG64 generator; each
 replicate draws from an independent stream keyed by (seed, replicate index),
@@ -164,6 +170,34 @@ def _draw_locations(rng, domain, count):
     return lows + rng.random((count, len(domain))) * (highs - lows)
 
 
+def _sample_replicate(cfg, x_train, x_test, rng):
+    """One replicate's engine over its drawn observations, and Z at ``x_test``.
+
+    The conditional draw takes the normals of z* | y first: its PSD check
+    runs before any normal is drawn, so a replicate that falls back to the
+    joint draw consumes ``rng`` exactly as :func:`sample_field` alone would.
+    """
+    engine = _Engine(Dataset(x_train, np.zeros(cfg.n_train), cfg.noise_variance),
+                     cfg.kernel, x_test)
+    try:
+        chol = engine.factor.chol
+        kt, at = engine._targets
+        deviation = _sample_zero_mean(build_gram(cfg.kernel, x_test) - kt @ at.T, rng)
+    except SingularityError:
+        z_all = sample_field(cfg.kernel, cfg.true_mean, np.vstack([x_train, x_test]), 0.0,
+                             rng)
+        y_train = z_all[: cfg.n_train]
+        if cfg.noise_variance > 0.0:
+            y_train = y_train + np.sqrt(cfg.noise_variance) * rng.standard_normal(
+                cfg.n_train
+            )
+        return engine.observing(y_train), z_all[cfg.n_train:]
+    m_train = _mean_vector(cfg.true_mean, x_train)
+    y_train = m_train + chol @ rng.standard_normal(cfg.n_train)
+    z_test = _mean_vector(cfg.true_mean, x_test) + at @ (y_train - m_train) + deviation
+    return engine.observing(y_train), z_test
+
+
 def _run_predictor(name, cfg, engine, uk_mean, ls_mean):
     """Returns the predicted means at the test points and the error variances or None."""
     if name == "ls":
@@ -177,12 +211,14 @@ def _run_predictor(name, cfg, engine, uk_mean, ls_mean):
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the replicated comparison study described by ``cfg``.
 
-    Each replicate builds one two-stage engine: the factor of the
-    observation covariance and the target solve run once, and every Kriging
-    and GP predictor adds only its mean stage.  A predictor that fails inside a
-    replicate with a :class:`GpKrigeError` is recorded and skipped for that
-    replicate; any other exception is a bug and propagates.  The study
-    itself fails only when no replicate yields any usable result.
+    Each replicate builds one two-stage engine.  Its factor of the
+    observation covariance and its target solve serve first the sampler,
+    which draws the observations and then the test values from their exact
+    conditional, and then every Kriging and GP predictor, which adds only
+    its mean stage.  A predictor that fails inside a replicate with a
+    :class:`GpKrigeError` is recorded and skipped for that replicate; any
+    other exception is a bug and propagates.  The study itself fails only
+    when no replicate yields any usable result.
     """
     uk_mean = MeanSpec.polynomial(cfg.kernel.dim, 1)
     ls_mean = MeanSpec.constant_unknown()
@@ -197,15 +233,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         rng = np.random.default_rng([cfg.seed, rep])
         x_train = _draw_locations(rng, cfg.domain, cfg.n_train)
         x_test = _draw_locations(rng, cfg.domain, cfg.n_test)
-        x_all = np.vstack([x_train, x_test])
-        z_all = sample_field(cfg.kernel, cfg.true_mean, x_all, 0.0, rng)
-        y_train = z_all[: cfg.n_train]
-        if cfg.noise_variance > 0.0:
-            y_train = y_train + np.sqrt(cfg.noise_variance) * rng.standard_normal(
-                cfg.n_train
-            )
-        z_test = z_all[cfg.n_train:]
-        engine = _Engine(Dataset(x_train, y_train, cfg.noise_variance), cfg.kernel, x_test)
+        engine, z_test = _sample_replicate(cfg, x_train, x_test, rng)
         replicate_ok = False
         for name in cfg.predictors:
             try:

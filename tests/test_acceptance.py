@@ -23,6 +23,7 @@ from gpkrige import (
     kernel_matrix,
     ls_predict,
     ordinary_krige,
+    predict_points,
     run_study,
     sample_field,
     simple_krige,
@@ -31,6 +32,7 @@ from gpkrige import (
 from gpkrige.cli import main as cli_main
 from gpkrige.oracle import (
     gls_constant,
+    joint_prior,
     ordinary_krige_direct,
     sk_mean_subtraction,
     sk_with_plugin_mean,
@@ -348,3 +350,38 @@ def test_criterion_11_cli_round_trip(tmp_path):
     report("criterion 11 CLI round-trip (verify, full-precision predict, "
            "deterministic study)", passed,
            f"verify exit {verify_code}, exact={exact}, byte-identical={identical}")
+
+
+def _residual_covariance(data, kernel, xs, records):
+    """A C A^T with A = [-Lam^T | I]: the covariance of Z(X*) - Lam^T Y under the prior."""
+    _, joint = joint_prior(data, kernel, ZERO_MEAN, xs)
+    lam_t = np.array([r.weights.lam for r in records])
+    a = np.hstack([-lam_t, np.eye(len(records))])
+    return a @ joint @ a.T
+
+
+def test_criterion_12_conditioning_by_kriging(instances):
+    # conditioning by Kriging subtracts the Kriged field, a linear map of the
+    # joint draw; pushed through the joint prior it must give the posterior
+    # covariance: SK weights give gpr's, UK weights the noninformative gpr-basis'
+    rng = np.random.default_rng(2027)
+    worst_sk = worst_uk = 0.0
+    for i, (data, kernel, xstar) in enumerate(instances):
+        xs = np.vstack([xstar, rng.uniform(data.x.min(axis=0), data.x.max(axis=0),
+                                           (2, data.dim)), data.x[:1]])
+        basis = _basis_for(min(1 + i % 3, data.n - 1), data.dim)
+        pairs = (
+            (predict_points(data, kernel, xs, "sk", ZERO_MEAN),
+             gpr_predict(data, kernel, ZERO_MEAN, xs).covariance),
+            (predict_points(data, kernel, xs, "uk", basis),
+             gpr_predict_basis(data, kernel, basis, xs).covariance),
+        )
+        sk_dev, uk_dev = (
+            np.abs(_residual_covariance(data, kernel, xs, records) - cov).max()
+            / max(1.0, np.abs(cov).max())
+            for records, cov in pairs
+        )
+        worst_sk, worst_uk = max(worst_sk, sk_dev), max(worst_uk, uk_dev)
+    passed = worst_sk <= 1e-8 and worst_uk <= 1e-8
+    report("criterion 12 conditioning by Kriging reproduces the GP posterior covariance",
+           passed, f"max deviation SK/gpr {worst_sk:.3e}, UK/gpr-basis {worst_uk:.3e} <= 1e-8")

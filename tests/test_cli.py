@@ -552,3 +552,12 @@ def test_non_integral_field_exits_2(tmp_path, capsys, field, value):
         argv = ["predict", "--data", str(data), "--config", str(config), "--grid", "0:4:3"]
     assert main(argv) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:2", "-inf:0:2"])
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_non_finite_grid_bounds_exit_2(tmp_path, capsys, command, spec):
+    data, config = TestVerify.make_dataset(tmp_path)
+    assert main([command, "--data", data, "--config", config, f"--grid={spec}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bounds must be finite" in err

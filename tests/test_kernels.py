@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from gpkrige import (
     Dataset,
@@ -56,6 +57,34 @@ class TestEvalKernel:
         for _ in range(50):
             v = kernel_matrix(spec, [rng.normal(size=1)], [rng.normal(size=1)])[0, 0]
             assert 0.0 <= v <= 2.0
+
+    @pytest.mark.parametrize("family", DECAYING)
+    def test_rounds_as_the_closed_form(self, family):
+        # the profiles update their lags in place; they must round exactly as
+        # the closed-form expression does, for matrices and for scalar lags
+        def closed_form(u):
+            if family == "squared_exponential":
+                return np.exp(-0.5 * u * u)
+            if family == "exponential":
+                return np.exp(-u)
+            s = math.sqrt(3.0) * u if family == "matern32" else math.sqrt(5.0) * u
+            if family == "matern32":
+                return (1.0 + s) * np.exp(-s)
+            return (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+        rng = np.random.default_rng(4)
+        spec = KernelSpec(family, 1.7, (0.3, 0.8), dim=2)
+        xa, xb = rng.uniform(0.0, 2.0, (40, 2)), rng.uniform(0.0, 2.0, (7, 2))
+        ls = np.array(spec.lengthscales)
+        lags = np.sqrt((((xa[:, None, :] - xb[None, :, :]) / ls) ** 2).sum(axis=2))
+        np.testing.assert_array_equal(kernel_matrix(spec, xa, xb),
+                                      1.7 * closed_form(cdist(xa / ls, xb / ls)))
+        np.testing.assert_allclose(kernel_matrix(spec, xa, xb), 1.7 * closed_form(lags),
+                                   rtol=1e-14)
+        iso = KernelSpec(family, 1.7, (0.3,))
+        for tau in (0.45, np.array([0.0, 0.45, 2.0])):
+            assert np.array_equal(semivariogram_of(iso, tau),
+                                  1.7 - 1.7 * closed_form(np.asarray(tau) / 0.3))
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,), dim=2)
@@ -117,6 +146,13 @@ class TestBuildGram:
             spec = KernelSpec(family, 1.5, (1.0,), dim=d)
             eig = np.linalg.eigvalsh(build_gram(spec, x, 0.0))
             assert eig.min() >= -1e-9 * spec.variance
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_exactly_symmetric(self, family):
+        rng = np.random.default_rng(5)
+        spec = KernelSpec(family, 1.5, (0.4, 0.9, 1.3), dim=3)
+        g = build_gram(spec, rng.uniform(0.0, 3.0, (60, 3)), 0.2)
+        np.testing.assert_array_equal(g, g.T)
 
     def test_nugget_lifts_diagonal_above_continuous_limit(self):
         # with noise the lag-0 covariance exceeds the tau -> 0+ kernel limit

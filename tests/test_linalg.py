@@ -46,6 +46,20 @@ class TestSpdFactor:
         target = a + f.jitter_used * np.eye(3)
         np.testing.assert_allclose(f.chol @ f.chol.T, target, rtol=1e-12, atol=1e-14)
 
+    def test_input_left_untouched(self):
+        # an input asymmetric by rounding is factored as its symmetric part
+        rng = np.random.default_rng(7)
+        a = random_spd(rng, 5)
+        b = a.copy()
+        b[0, 1] += 4e-16 * abs(b[0, 1])
+        assert b[0, 1] != b[1, 0]
+        for m in (a, b, np.asfortranarray(b)):
+            before = m.copy()
+            spd_factor(m)
+            spd_factor(m, max_jitter=1e-6)
+            np.testing.assert_array_equal(m, before)
+        np.testing.assert_array_equal(spd_factor(b).chol, spd_factor(0.5 * (b + b.T)).chol)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError, match="symmetric"):
             spd_factor(np.array([[1.0, 0.5], [0.2, 1.0]]))

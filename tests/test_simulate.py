@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpkrige import (
+    Dataset,
     InputError,
     KernelSpec,
     MeanSpec,
@@ -16,7 +17,9 @@ from gpkrige import (
     study_config_from_json,
     study_config_to_json,
 )
-from gpkrige import kriging
+from gpkrige import kriging, simulate
+from gpkrige.oracle import joint_prior
+from gpkrige.simulate import PREDICTORS
 
 SE_SHORT = KernelSpec("squared_exponential", 1.0, (0.2,))
 CONST5 = MeanSpec.known_constant(5.0)
@@ -253,3 +256,97 @@ class TestRunStudy:
         )
         with pytest.raises(StudyError):
             run_study(cfg)
+
+
+class _UnitNormals:
+    """Stands in for a Generator: its normals are e_k (or zeros), handed out in order."""
+
+    def __init__(self, size, k=None):
+        self.values = np.zeros(size)
+        if k is not None:
+            self.values[k] = 1.0
+        self.used = 0
+
+    def standard_normal(self, count):
+        out = self.values[self.used:self.used + count]
+        self.used += count
+        return out
+
+
+class TestReplicateSampler:
+    KERNEL = KernelSpec("matern52", 1.3, (0.4,), dim=2)
+    TREND = MeanSpec.polynomial(2, 1, coefficients=[1.0, -2.0, 0.5])
+
+    def config(self, noise, **overrides):
+        return make_config(kernel=self.KERNEL, true_mean=self.TREND, noise_variance=noise,
+                           domain=((0.0, 1.0), (0.0, 1.0)), **overrides)
+
+    @pytest.mark.parametrize("noise", [0.05, 0.0], ids=["noisy", "noise-free"])
+    def test_draw_has_the_joint_law(self, monkeypatch, noise):
+        # the draw is affine in its normals: recover its map R column by column,
+        # then R R^T must be the joint prior covariance of (Y, Z(X*))
+        def no_fallback(*args):
+            raise AssertionError("the replicate fell back to the joint draw")
+
+        monkeypatch.setattr(simulate, "sample_field", no_fallback)
+        cfg = self.config(noise)
+        rng = np.random.default_rng(8)
+        x_train = rng.uniform(0.0, 1.0, (cfg.n_train, 2))
+        x_test = rng.uniform(0.0, 1.0, (cfg.n_test, 2))
+        size = cfg.n_train + cfg.n_test
+
+        def draw(k=None):
+            normals = _UnitNormals(size, k)
+            engine, z_test = simulate._sample_replicate(cfg, x_train, x_test, normals)
+            assert normals.used == size
+            return np.concatenate([engine.data.y, z_test])
+
+        base = draw()
+        r = np.column_stack([draw(k) - base for k in range(size)])
+        mean, cov = joint_prior(Dataset(x_train, np.zeros(cfg.n_train), noise),
+                                cfg.kernel, cfg.true_mean, x_test)
+        np.testing.assert_array_equal(base, mean)
+        assert np.abs(r @ r.T - cov).max() <= 1e-10 * np.abs(cov).max()
+
+    def test_fallback_replays_the_joint_draw(self):
+        # noise-free data at coincident points: S does not factor, and the
+        # replicate draws what sample_field draws from the same stream
+        cfg = self.config(0.0)
+        rng = np.random.default_rng(9)
+        x_train = np.repeat(rng.uniform(0.0, 1.0, (cfg.n_train // 2, 2)), 2, axis=0)
+        x_test = rng.uniform(0.0, 1.0, (cfg.n_test, 2))
+        ours, theirs = np.random.default_rng(10), np.random.default_rng(10)
+        engine, z_test = simulate._sample_replicate(cfg, x_train, x_test, ours)
+        z_all = sample_field(cfg.kernel, cfg.true_mean, np.vstack([x_train, x_test]), 0.0,
+                             theirs)
+        np.testing.assert_array_equal(engine.data.y, z_all[:cfg.n_train])
+        np.testing.assert_array_equal(z_test, z_all[cfg.n_train:])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_coincident_training_points_fail_kriging_but_score_ls(self, monkeypatch):
+        draw = simulate._draw_locations
+
+        def pairs(rng, domain, count):
+            return np.repeat(draw(rng, domain, (count + 1) // 2), 2, axis=0)[:count]
+
+        monkeypatch.setattr(simulate, "_draw_locations", pairs)
+        report = run_study(self.config(0.0, predictors=PREDICTORS))
+        for name in ("sk", "ok", "uk", "gpr"):
+            assert report.predictors[name].failures == 3
+        assert report.predictors["ls"].failures == 0
+        assert len(report.predictors["ls"].mse_replicates) == 3
+
+    def test_no_joint_eigendecomposition(self, monkeypatch):
+        # a well-conditioned replicate decomposes only the m x m conditional
+        # covariance, never the (n + m) x (n + m) joint one
+        orders, eigh = [], np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = make_config(kernel=KernelSpec("matern52", 1.0, (0.3,)), n_train=40, n_test=8,
+                          predictors=PREDICTORS)
+        run_study(cfg)
+        assert orders == [cfg.n_test] * cfg.replicates
