@@ -231,8 +231,10 @@ class _Engine:
 
     The target stage (the factor of S, K*^T and (S^-1 K*)^T) is computed on
     first use and shared by every later :meth:`predict`.  Being lazy, it
-    lets a bad variant or mean be rejected before anything is factored, and
-    a failed factorization caches nothing, so the next call retries it.
+    lets a bad variant or mean be rejected before anything is factored.  A
+    factorization that fails is remembered too: every later use raises a
+    fresh :class:`SingularityError` with the same message and pivot instead
+    of retrying it.
     """
 
     data: Dataset
@@ -241,8 +243,18 @@ class _Engine:
     max_jitter: float = 0.0
 
     @cached_property
+    def _factor_or_error(self) -> SpdFactor | SingularityError:
+        try:
+            return _factor_observation_cov(self.data, self.kernel, self.max_jitter)
+        except SingularityError as err:
+            return err
+
+    @property
     def factor(self) -> SpdFactor:
-        return _factor_observation_cov(self.data, self.kernel, self.max_jitter)
+        factor = self._factor_or_error
+        if isinstance(factor, SingularityError):
+            raise SingularityError(str(factor), pivot=factor.pivot)
+        return factor
 
     @cached_property
     def _targets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +265,11 @@ class _Engine:
         """This engine with responses ``y`` at the same locations.
 
         The target stage depends on the locations only, so whatever of it is
-        already computed carries over to the copy.
+        already computed, a failed factorization included, carries over to
+        the copy.
         """
         engine = replace(self, data=replace(self.data, y=y))
-        for name in ("factor", "_targets"):
+        for name in ("_factor_or_error", "_targets"):
             if name in self.__dict__:
                 engine.__dict__[name] = self.__dict__[name]
         return engine

@@ -69,9 +69,13 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     ``max_jitter > 0`` a diagonal shift delta * I is added, with delta
     escalating in decade steps from ``1e-12 * trace(A)/n`` up to
     ``max_jitter``, until the shifted matrix factors; the shift actually
-    used is recorded in ``jitter_used``.
+    used is recorded in ``jitter_used``.  A matrix with a non-finite entry
+    is rejected here, once, so the solves against the factor need not
+    rescan it.
     """
     a = _check_symmetric(a)
+    if not np.isfinite(a).all():
+        raise InputError("matrix must be finite")
     n = a.shape[0]
     chol, pivot = _try_cholesky(a)
     if chol is not None:
@@ -93,11 +97,16 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
 
 
 def solve_spd(factor: SpdFactor, b) -> np.ndarray:
-    """Solve (A + jitter * I) X = B against a prepared factor."""
+    """Solve (A + jitter * I) X = B against a prepared factor.
+
+    The factor is finite by construction, so only B is checked.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factor.n:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.n}")
-    return cho_solve((factor.chol, True), b)
+    if not np.isfinite(b).all():
+        raise InputError("right-hand side must be finite")
+    return cho_solve((factor.chol, True), b, check_finite=False)
 
 
 _RANK_RTOL = 1e-12

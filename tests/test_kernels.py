@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram assembly, mean models, and variogram identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gpkrige import (
     model_to_json,
     semivariogram_of,
 )
-from gpkrige.kernels import KERNEL_FAMILIES, _mean_vector
+from gpkrige.kernels import _PAIR_BLOCK, KERNEL_FAMILIES, _mean_vector
 
 ALL_FAMILIES = sorted(KERNEL_FAMILIES)
 DECAYING = ["squared_exponential", "exponential", "matern32", "matern52"]
@@ -298,6 +299,51 @@ class TestEmpiricalSemivariogram:
             else:
                 expected = sums[b] / (2.0 * counts[b])
                 assert abs(got_gamma[b] - expected) <= 1e-12 * abs(expected)
+
+    def test_many_blocks_match_per_row_reference(self):
+        # integer points: many lags fall exactly on the integer edges, some
+        # at max_lag = 10 itself, and coincident points give lag 0
+        n, bins, max_lag = 500, 10, 10.0
+        assert n * (n - 1) // 2 > 1.5 * _PAIR_BLOCK
+        rng = np.random.default_rng(41)
+        x = rng.integers(0, 16, (n, 2)).astype(float)
+        y = rng.normal(size=n)
+        inner_edges = np.linspace(0.0, max_lag, bins + 1)[1:-1]
+        counts, sums = np.zeros(bins, dtype=int), np.zeros(bins)
+        for i in range(n - 1):
+            lags = cdist(x[i:i + 1], x[i + 1:])[0]
+            keep = lags <= max_lag
+            idx = np.digitize(lags[keep], inner_edges)
+            counts += np.bincount(idx, minlength=bins)
+            sums += np.bincount(idx, weights=(y[i] - y[i + 1:][keep]) ** 2, minlength=bins)
+        _, got_counts, got_gamma = empirical_semivariogram(x, y, bins, max_lag)
+        np.testing.assert_array_equal(got_counts, counts)
+        assert counts.all()
+        expected = sums / (2.0 * counts)
+        assert np.all(np.abs(got_gamma - expected) <= 1e-12 * np.abs(expected))
+
+    def test_memory_is_bounded_by_the_pair_block(self):
+        # 4000 points make about 8 million pairs; holding them at once takes
+        # well over 100 MB
+        rng = np.random.default_rng(43)
+        x = rng.uniform(0.0, 1.0, (4000, 2))
+        y = rng.normal(size=4000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            empirical_semivariogram(x, y, 12, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, which, bad):
+        args = {"x": np.arange(4.0)[:, None], "y": np.ones(4)}
+        args[which][2] = bad
+        with pytest.raises(InputError, match=f"{which} must be finite"):
+            empirical_semivariogram(args["x"], args["y"], 3, 2.0)
 
 
 class TestMeanSpec:

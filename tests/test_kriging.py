@@ -22,6 +22,7 @@ from gpkrige import (
     simple_krige,
     universal_krige,
 )
+from gpkrige import kriging
 from gpkrige.kriging import _Engine
 from gpkrige.oracle import (
     _direct_route,
@@ -307,6 +308,29 @@ def test_bad_mean_rejected_before_factoring(call):
     data = Dataset([[0.0], [0.0]], [1.0, 1.0])
     with pytest.raises(InputError):
         call(data, MeanSpec.known_constant(1.0), MeanSpec.constant_unknown())
+
+
+def test_engine_remembers_a_failed_factor(monkeypatch):
+    # each use raises its own error, unchained, without refactoring S
+    orders, factor = [], kriging.spd_factor
+
+    def counted(a, *args, **kwargs):
+        orders.append(len(a))
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(kriging, "spd_factor", counted)
+    engine = _Engine(Dataset([[0.0], [0.0]], [1.0, 2.0]), SE1, np.array([[0.5]]))
+    errors = []
+    for observing in (False, False, True):
+        user = engine.observing(np.array([3.0, 4.0])) if observing else engine
+        with pytest.raises(SingularityError) as err:
+            user.predict("sk", MeanSpec.known_constant(0.0))
+        errors.append(err.value)
+    assert orders == [2]
+    assert len({id(e) for e in errors}) == 3
+    for e in errors:
+        assert (str(e), e.pivot) == (str(errors[0]), 1)
+        assert e.__cause__ is None and e.__context__ is None
 
 
 ENGINE_MEANS = {

@@ -64,6 +64,20 @@ class TestSpdFactor:
         with pytest.raises(InputError, match="symmetric"):
             spd_factor(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize("entry, bad", [((0, 2), math.nan), ((1, 1), math.nan),
+                                            ((1, 1), math.inf)])
+    def test_non_finite_matrix_rejected(self, entry, bad):
+        a = np.eye(3)
+        a[entry] = a[entry[::-1]] = bad
+        with pytest.raises(InputError, match="matrix must be finite"):
+            spd_factor(a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_right_hand_side_rejected(self, bad):
+        f = spd_factor(np.eye(3))
+        with pytest.raises(InputError, match="right-hand side must be finite"):
+            solve_spd(f, np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0]]))
+
     def test_not_pd_within_budget(self):
         a = np.diag([1.0, -1.0])
         with pytest.raises(SingularityError):

@@ -1,4 +1,5 @@
-"""Property-based checks of the identities between the engine and the oracles.
+"""Property-based checks of the identities between the engine and the oracles,
+and of the empirical semivariogram's bin rule.
 
 Points are drawn on distinct cells of a unit lattice with an offset below
 one half, so no two lie closer than 0.5.  Draws whose observation
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from gpkrige import (
     Dataset,
@@ -17,6 +19,7 @@ from gpkrige import (
     MeanSpec,
     basis_matrix,
     build_gram,
+    empirical_semivariogram,
     gpr_predict,
     gpr_predict_basis,
     kernel_matrix,
@@ -123,3 +126,29 @@ def test_noise_free_ok_interpolates(instance):
     ok = predict_points(data, kernel, data.x, "ok")
     assert rel(data.y, np.array([p.mean for p in ok])) <= TOL
     assert max(p.error_variance for p in ok) <= TOL
+
+
+@st.composite
+def binned_lags(draw):
+    """bins, max_lag and a lag on an edge, next to one, or at max_lag itself."""
+    bins = draw(st.integers(1, 64))
+    max_lag = draw(st.floats(1e-100, 1e100))
+    edges = np.linspace(0.0, max_lag, bins + 1)  # edges[-1] is max_lag
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+    lag = float(draw(st.sampled_from(near[near >= 0.0])))
+    # the pair [0], [lag] must have exactly this lag: not so below about
+    # 1e-154, where lag^2 leaves the normal range
+    assume(cdist([[0.0]], [[lag]])[0, 0] == lag)
+    return bins, max_lag, edges, lag
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(binned_lags())
+def test_variogram_bin_is_digitize(case):
+    bins, max_lag, edges, lag = case
+    _, counts, _ = empirical_semivariogram([[0.0], [lag]], [0.0, 1.0], bins, max_lag)
+    expected = np.zeros(bins, dtype=int)
+    if lag <= max_lag:
+        expected[np.digitize(lag, edges[1:-1])] = 1
+    assert counts.tolist() == expected.tolist()

@@ -10,6 +10,7 @@ from gpkrige import (
     InputError,
     KernelSpec,
     MeanSpec,
+    SingularityError,
     StudyConfig,
     StudyError,
     run_study,
@@ -335,6 +336,28 @@ class TestReplicateSampler:
             assert report.predictors[name].failures == 3
         assert report.predictors["ls"].failures == 0
         assert len(report.predictors["ls"].mse_replicates) == 3
+
+    def test_failed_factor_is_not_retried(self, monkeypatch):
+        # the sampler's failed factor of S serves every predictor of its replicate
+        draw, factor, failed = simulate._draw_locations, kriging.spd_factor, []
+
+        def pairs(rng, domain, count):
+            return np.repeat(draw(rng, domain, (count + 1) // 2), 2, axis=0)[:count]
+
+        def counted(a, *args, **kwargs):
+            try:
+                return factor(a, *args, **kwargs)
+            except SingularityError:
+                failed.append(len(a))
+                raise
+
+        monkeypatch.setattr(simulate, "_draw_locations", pairs)
+        monkeypatch.setattr(kriging, "spd_factor", counted)
+        report = run_study(self.config(0.0, n_train=40, predictors=PREDICTORS))
+        assert failed == [40] * 3
+        for name in ("sk", "ok", "uk", "gpr"):
+            assert report.predictors[name].failures == 3
+        assert report.predictors["ls"].failures == 0
 
     def test_no_joint_eigendecomposition(self, monkeypatch):
         # a well-conditioned replicate decomposes only the m x m conditional
