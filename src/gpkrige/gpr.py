@@ -96,12 +96,12 @@ def gpr_predict_basis(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
 def _posterior(data, kernel, variant, mean, xs, observe_noise, max_jitter):
     """The engine's mean and variances plus the joint m x m covariance.
 
-    cov = K** - K*^T S^-1 K* + Gamma^T G^-1 Gamma, with the engine's
-    variances on the diagonal.
+    cov = K** - V^T V + Gamma^T G^-1 Gamma with V = L^-1 K*, with the
+    engine's variances on the diagonal.
     """
     xs = _as_locations(xs, data.dim, "test points")
     batch = _Engine(data, kernel, xs, max_jitter).predict(variant, mean)
-    post_cov = (build_gram(kernel, xs, 0.0) - batch.kt @ batch.at.T
+    post_cov = (build_gram(kernel, xs, 0.0) - batch.vt @ batch.vt.T
                 + batch.gamma @ batch.h.T)
     np.fill_diagonal(post_cov, batch.variance)
     if observe_noise:

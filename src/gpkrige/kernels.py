@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .exceptions import InputError
 
@@ -186,8 +186,15 @@ def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     kernel values, so duplicated locations remain perfectly correlated.
     """
     noise_variance = _nonnegative(noise_variance, "noise variance")
-    # exactly symmetric already: cdist rounds the lags of (i, j) and (j, i) alike
-    k = kernel_matrix(spec, x, x)
+    x = _as_locations(x, spec.dim)
+    if x.shape[0] < 2:
+        k = np.empty((x.shape[0],) * 2)
+    else:
+        # the profile runs once per pair on pdist's lags, which round as
+        # cdist's do, and squareform mirrors them, so k is exactly symmetric
+        k = spec._profile()(pdist(x / np.asarray(spec.lengthscales)))
+        k *= spec.variance
+        k = squareform(k, checks=False)
     np.fill_diagonal(k, spec.variance + noise_variance)
     return k
 
@@ -241,10 +248,10 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     rather than of n(n-1)/2: a ``tracemalloc`` peak of 2.5 to 2.7 MB for n
     from 3000 to 20 000.  Each kept pair's bin is floor(h * bins / max_lag),
     clipped to the last bin and moved by one against the exact edges; that
-    is ``np.digitize``'s bin whenever max_lag / bins is a normal float
-    (below that the edges can repeat or fall out of order).  The per-bin
-    sums carry over from block to block in pair order, so they round as one
-    pass over all pairs would.
+    is ``np.digitize``'s bin.  A max_lag / bins that is not a normal float
+    is rejected, because the edges can then repeat or fall out of order.
+    The per-bin sums carry over from block to block in pair order, so they
+    round as one pass over all pairs would.
 
     Returns
     -------
@@ -257,6 +264,9 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError(f"bins must be positive, got {bins}")
     if not 0.0 < max_lag < np.inf:
         raise InputError(f"max_lag must be positive and finite, got {max_lag}")
+    if max_lag / bins < np.finfo(float).tiny:
+        # subnormal edges repeat or fall out of order
+        raise InputError(f"bin width max_lag / bins = {max_lag / bins!r} is not a normal float")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]

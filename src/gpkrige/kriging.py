@@ -18,12 +18,22 @@ uses the block-system sign and is asserted against the expanded form
 whenever OK weights are built.
 
 Every variant runs through one two-stage engine, :class:`_Engine`, over one
-dataset and one batch of targets.  Its target stage factors S and solves
-S^-1 K* for all targets at once; it is shared by every mean assumption.
-Its mean stage, :func:`_fit` plus the basis, Gamma and the variances, is
-all a variant adds: a known mean is a basis with zero columns, and a
-Gaussian coefficient prior adds B^-1 to the GLS Gram.  The public
-predictors are thin wrappers over it.  The independent routes that
+dataset and one batch of targets, in whitened form (Rasmussen & Williams
+2006, Algorithm 2.1 and section 2.7).  With S = L L^T, its target stage
+factors S and whitens all targets at once, V = L^-1 K*; it is shared by
+every mean assumption.  Its mean stage whitens the basis and the data,
+U = L^-1 M and z = L^-1 (y - m(X)), and is all a variant adds:
+
+    G     = U^T U (+ B^-1 under a Gaussian coefficient prior N(b, B))
+    beta  = G^-1 (U^T z (+ B^-1 b))
+    Gamma = F* - V^T U
+    mean  = m(X*) + F* beta + V^T (z - U beta)
+    var   = sigma*^2 - ||v||^2 + Gamma G^-1 Gamma^T   (per target, clamped)
+
+A known mean is a basis with zero columns.  The Kriging weights
+lambda = L^-T (v + U mu_tilde) cost a second triangular solve and are
+formed only by the functions that return them.  The public predictors are
+thin wrappers over the engine.  The independent routes that
 ``verify`` and the tests check it against live in :mod:`gpkrige.oracle`;
 this module never imports them.
 
@@ -31,7 +41,7 @@ Rows, not columns: every per-target reduction in the engine and in the
 oracle routes runs along a contiguous row of an (m, k) array that holds one
 target per row.  Matrix products and column reductions round differently
 depending on how many targets share the call; row reductions and the
-columns of a multi-right-hand-side Cholesky solve do not.  A target's
+columns of a multi-right-hand-side BLAS triangular solve do not.  A target's
 numbers are therefore bit-identical whether it is predicted alone or in a
 batch.
 
@@ -62,7 +72,7 @@ from .kernels import (
     build_gram,
     kernel_matrix,
 )
-from .linalg import SpdFactor, _factor_constraint_gram, solve_spd, spd_factor
+from .linalg import SpdFactor, _factor_constraint_gram, _whiten, solve_spd, spd_factor
 
 _VARIANCE_TOL = 1e-9
 _COMPACT_TOL = 1e-9
@@ -163,15 +173,16 @@ class _Fit:
     """Target-independent pieces of the BLUP under one mean assumption.
 
     ``offset`` is the known mean m(X), zero for a basis with unknown
-    coefficients; with M the n x p basis (p = 0 for a known mean), ``w`` is
-    S^-1 M, ``gram_factor`` factors G = M^T S^-1 M (+ B^-1 under a
-    coefficient prior; None when p = 0), ``beta`` holds the GLS (or
-    posterior) coefficients and ``residual`` is y - offset - M beta.
+    coefficients; with M the n x p basis (p = 0 for a known mean) and L
+    the factor of S, ``u`` is U = L^-1 M, ``gram_factor`` factors
+    G = U^T U (+ B^-1 under a coefficient prior; None when p = 0),
+    ``beta`` holds the GLS (or posterior) coefficients and ``residual`` is
+    the whitened residual z - U beta, z = L^-1 (y - offset).
     """
 
     mean: MeanSpec
     offset: np.ndarray
-    w: np.ndarray
+    u: np.ndarray
     gram_factor: SpdFactor | None
     beta: np.ndarray
     residual: np.ndarray
@@ -184,9 +195,9 @@ def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
     else:
         offset = np.zeros(data.n)
         m_mat = _data_basis(mean, data)
-    w = solve_spd(factor, m_mat)
-    centered = data.y - offset
-    gram, rhs = m_mat.T @ w, w.T @ centered
+    u = _whiten(factor, m_mat)
+    z = _whiten(factor, data.y - offset)
+    gram, rhs = u.T @ u, u.T @ z
     if not m_mat.shape[1]:
         gram_factor = None
     elif mean.prior_cov is None:
@@ -202,23 +213,23 @@ def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
         gram_factor = spd_factor(gram + precision)
         rhs = rhs + precision @ b
     beta = solve_spd(gram_factor, rhs) if gram_factor is not None else np.empty(0)
-    return _Fit(mean, offset, w, gram_factor, beta, centered - m_mat @ beta)
+    return _Fit(mean, offset, u, gram_factor, beta, z - u @ beta)
 
 
 @dataclass(frozen=True)
 class _Batch:
     """Engine output for m targets, one target per row.
 
-    ``kt`` = K*^T and ``at`` = (S^-1 K*)^T are m x n; ``f`` = f(X*),
-    ``gamma`` = f(X*) - K*^T W and ``h`` = Gamma G^-1 (the rows are the
-    multipliers mu_tilde) are m x p; ``offset`` is the known mean m(X*).
+    ``vt`` = V^T = (L^-1 K*)^T is m x n and is the engine's own, shared
+    array; ``f`` = f(X*), ``gamma`` = f(X*) - V^T U and ``h`` = Gamma G^-1
+    (the rows are the multipliers mu_tilde) are m x p; ``offset`` is the
+    known mean m(X*).
     """
 
     fit: _Fit
     mean: np.ndarray
     variance: np.ndarray
-    kt: np.ndarray
-    at: np.ndarray
+    vt: np.ndarray
     f: np.ndarray
     gamma: np.ndarray
     h: np.ndarray
@@ -229,12 +240,15 @@ class _Batch:
 class _Engine:
     """The two-stage engine over one dataset and one batch of targets ``xs``.
 
-    The target stage (the factor of S, K*^T and (S^-1 K*)^T) is computed on
-    first use and shared by every later :meth:`predict`.  Being lazy, it
-    lets a bad variant or mean be rejected before anything is factored.  A
-    factorization that fails is remembered too: every later use raises a
-    fresh :class:`SingularityError` with the same message and pivot instead
-    of retrying it.
+    The target stage (the factor S = L L^T and V^T = (L^-1 K*)^T, one
+    ``dtrsm`` over every target) is computed on first use and shared by
+    every later :meth:`predict`, whose mean stage adds U = L^-1 M,
+    z = L^-1 (y - m(X)), G = U^T U and Gamma = F* - V^T U for its mean
+    assumption.  Being lazy, the target stage lets a bad variant or mean be
+    rejected before anything is factored.  A factorization that fails is
+    remembered too: every later use raises a fresh
+    :class:`SingularityError` with the same message and pivot instead of
+    retrying it.
     """
 
     data: Dataset
@@ -257,9 +271,11 @@ class _Engine:
         return factor
 
     @cached_property
-    def _targets(self) -> tuple[np.ndarray, np.ndarray]:
+    def _targets(self) -> np.ndarray:
+        # K*^T is m x n row-major, so K* is its column-major transpose and is
+        # whitened where it lies
         kt = kernel_matrix(self.kernel, self.xs, self.data.x)
-        return kt, solve_spd(self.factor, kt.T).T
+        return _whiten(self.factor, kt.T).T
 
     def observing(self, y) -> _Engine:
         """This engine with responses ``y`` at the same locations.
@@ -277,21 +293,24 @@ class _Engine:
     def predict(self, variant: str, mean: MeanSpec | None = None) -> _Batch:
         """The mean stage of ``variant`` on the shared target stage.
 
-        mean:      m(x*) + f(x*)^T beta + k*^T S^-1 residual
-        variance:  sigma*^2 - k*^T S^-1 k* + Gamma^T G^-1 Gamma, clamped
+        With v = L^-1 k*, U = L^-1 M and z = L^-1 (y - m(X)):
+
+        mean:      m(x*) + f(x*)^T beta + v^T (z - U beta)
+        variance:  sigma*^2 - v^T v + Gamma^T G^-1 Gamma, clamped,
+                   Gamma = f(x*) - U^T v and G = U^T U (+ B^-1)
         """
         fit = _fit(self.data, _variant_mean(variant, mean), self.factor)
-        kt, at = self._targets
-        m = kt.shape[0]
+        vt = self._targets
+        m = vt.shape[0]
         if fit.gram_factor is None:
             offset, f = _mean_vector(fit.mean, self.xs), np.empty((m, 0))
         else:
             offset, f = np.zeros(m), basis_matrix(fit.mean, self.xs)
-        gamma = f - np.einsum("ji,li->jl", kt, fit.w.T)
+        gamma = f - np.einsum("ji,li->jl", vt, fit.u.T)
         h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
-        mean = offset + _rowdot(f, fit.beta) + _rowdot(at, fit.residual)
-        raw = self.kernel.variance - _rowdot(kt, at) + _rowdot(gamma, h)
-        return _Batch(fit, mean, _clamped(raw, self.kernel.variance), kt, at, f, gamma, h,
+        mean = offset + _rowdot(f, fit.beta) + _rowdot(vt, fit.residual)
+        raw = self.kernel.variance - _rowdot(vt, vt) + _rowdot(gamma, h)
+        return _Batch(fit, mean, _clamped(raw, self.kernel.variance), vt, f, gamma, h,
                       offset)
 
 
@@ -331,9 +350,11 @@ def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[P
     """The engine's per-target records of ``variant`` with their Kriging weights."""
     batch = engine.predict(variant, mean)
     fit = batch.fit
-    # lam = S^-1 (k* + M mu_tilde); lam^T S lam then needs no extra solve
-    lam = batch.at + np.einsum("jl,il->ji", batch.h, fit.w)
-    lam_kstar = _rowdot(lam, batch.kt)
+    # lam = L^-T (v + U mu_tilde), so lam^T k* = (v + U mu_tilde)^T v and
+    # lam^T S lam = lam^T k* + f^T mu_tilde need no further solve
+    whitened = batch.vt + np.einsum("jl,il->ji", batch.h, fit.u)
+    lam_kstar = _rowdot(whitened, batch.vt)
+    lam = _whiten(engine.factor, whitened.T, transpose=True).T
     estimator_var = lam_kstar + _rowdot(batch.f, batch.h)
     lam0 = batch.offset - _rowdot(lam, fit.offset)
     if variant == "ok":

@@ -3,10 +3,11 @@
 Every Kriging variant reduces to solving against an SPD observation
 covariance, optionally coupled to unbiasedness constraints through the
 p x p constraint Gram M^T Sigma^-1 M.  This module Cholesky-factors both
-(LAPACK ``potrf``, with an optional diagonal jitter) and solves against
-the factors; Sigma^-1 is never formed.  Routes that avoid these factors
-(a dense LU of the bordered system, the partitioned inverse) live in
-:mod:`gpkrige.oracle`.
+(LAPACK ``potrf``, with an optional diagonal jitter), solves against the
+factors, and whitens against the lower factor L alone (L^-1 B, or L^-T B,
+by one BLAS ``dtrsm``); Sigma^-1 is never formed.  Routes that avoid these
+factors (a dense LU of the bordered system, the partitioned inverse) live
+in :mod:`gpkrige.oracle`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
 
 _SYM_RTOL = 1e-10
+_SYM_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,18 @@ class SpdFactor:
     n: int
 
 
+def _exactly_symmetric(a) -> bool:
+    """Whether a square ``a`` equals its transpose, compared tile by tile.
+
+    Each tile above the diagonal is read against the transpose of its
+    mirror tile, so both stay in cache instead of striding down whole
+    columns of ``a``.
+    """
+    n, t = a.shape[0], _SYM_TILE
+    return all(np.array_equal(a[i:i + t, j:j + t], a[j:j + t, i:i + t].T)
+               for i in range(0, n, t) for j in range(i, n, t))
+
+
 def _check_symmetric(a):
     """``a`` as an exactly symmetric float matrix.
 
@@ -43,7 +58,7 @@ def _check_symmetric(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    if np.array_equal(a, a.T):
+    if _exactly_symmetric(a):
         return a
     scale = max(1.0, np.abs(a).max())
     if np.abs(a - a.T).max() > _SYM_RTOL * scale:
@@ -52,9 +67,15 @@ def _check_symmetric(a):
 
 
 def _try_cholesky(a):
-    """Attempt a lower Cholesky; return (L, None) or (None, failing pivot)."""
+    """Attempt a lower Cholesky of an exactly symmetric ``a``.
+
+    Returns (L, None) or (None, failing pivot).  LAPACK reads the matrix in
+    column-major order, so it is handed the transposed view ``a.T``, the
+    same matrix by symmetry, which a row-major ``a`` stores without the
+    transposing copy ``a`` itself would need.
+    """
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    c, info = potrf(a, lower=True, overwrite_a=False, clean=True)
+    c, info = potrf(a.T, lower=True, overwrite_a=False, clean=True)
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of Cholesky")
     if info > 0:
@@ -96,8 +117,8 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     )
 
 
-def solve_spd(factor: SpdFactor, b) -> np.ndarray:
-    """Solve (A + jitter * I) X = B against a prepared factor.
+def _right_hand_side(factor: SpdFactor, b) -> np.ndarray:
+    """``b`` as a float array checked against the factor.
 
     The factor is finite by construction, so only B is checked.
     """
@@ -106,7 +127,30 @@ def solve_spd(factor: SpdFactor, b) -> np.ndarray:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.n}")
     if not np.isfinite(b).all():
         raise InputError("right-hand side must be finite")
-    return cho_solve((factor.chol, True), b, check_finite=False)
+    return b
+
+
+def solve_spd(factor: SpdFactor, b) -> np.ndarray:
+    """Solve (A + jitter * I) X = B against a prepared factor."""
+    return cho_solve((factor.chol, True), _right_hand_side(factor, b), check_finite=False)
+
+
+def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
+    """L^-1 B (L^-T B with ``transpose``) by one BLAS ``dtrsm`` on the factor.
+
+    B is an n-vector or an n x k matrix; a column-major float B is
+    overwritten with the result instead of copied.  The engine relies on
+    each column of the result rounding the same whether it is solved alone
+    or inside a block: ``dtrsm`` does (the tests check it), LAPACK
+    ``trtrs`` behind ``scipy.linalg.solve_triangular`` does not.  A
+    jittered factor whitens against A + jitter * I.
+    """
+    b = _right_hand_side(factor, b)
+    if b.size == 0:
+        return np.zeros(b.shape)
+    x = dtrsm(1.0, factor.chol, b.reshape(factor.n, -1), lower=1, trans_a=int(transpose),
+              overwrite_b=1)
+    return x.reshape(b.shape)
 
 
 _RANK_RTOL = 1e-12

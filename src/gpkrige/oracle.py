@@ -13,6 +13,9 @@ Each block route (``_subtraction_route``, ``_direct_route``,
 ``_plugin_route``) factors its own Gram once per call, never the engine's
 nor another route's, and serves every target with one multi-right-hand-side
 solve; the one-point functions call that block form with a single row.
+The subtraction route whitens against its factor as the engine does; the
+direct and plug-in routes solve against S itself (``cho_solve``), so they
+share neither the factor nor the algorithm with the engine.
 :func:`bordered_solve` shares no algorithm with the engine: one pivoted LU
 of the whole bordered matrix replaces its Cholesky factors.
 """
@@ -45,7 +48,7 @@ from .kriging import (
     _one_row,
     _Route,
 )
-from .linalg import _factor_constraint_gram, solve_spd
+from .linalg import _factor_constraint_gram, _whiten, solve_spd
 
 
 def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -60,15 +63,21 @@ def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
 
 def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
                        max_jitter: float) -> _Route:
-    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor."""
+    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor.
+
+    Zero-mean SK of the residuals y - m, whitened by that factor L:
+    v = L^-1 k*, z = L^-1 (y - m), mean m(x*) + v^T z, variance
+    sigma*^2 - v^T v and weights lam = L^-T v.
+    """
     m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
     factor = _factor_observation_cov(data, kernel, max_jitter)
-    kt = kernel_matrix(kernel, xs, data.x)
-    lam = solve_spd(factor, kt.T).T
-    estimator_var = _rowdot(kt, lam)
+    v = _whiten(factor, kernel_matrix(kernel, xs, data.x).T).T
+    mean_value = m_star + _rowdot(v, _whiten(factor, data.y - m_vec))
+    estimator_var = _rowdot(v, v)
+    lam = _whiten(factor, v.T, transpose=True).T  # consumes v
     return _Route(
         "sk",
-        mean=m_star + _rowdot(lam, data.y - m_vec),
+        mean=mean_value,
         variance=_clamped(kernel.variance - estimator_var, kernel.variance),
         estimator_variance=estimator_var,
         lam=lam,

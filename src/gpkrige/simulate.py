@@ -5,11 +5,12 @@ the joint law of the noisy training observations Y and the latent field
 Z(X*) at the test points, factored as p(y) p(z* | y).  The observations
 are y = m(X) + L xi, with L the Cholesky factor of S = Sigma + sigma^2 I
 that the replicate's Kriging engine uses anyway; the test values come from
-the exact conditional, mean m(X*) + K*^T S^-1 (y - m(X)) and covariance
-K** - K*^T S^-1 K*, drawn through the symmetric eigendecomposition of that
-m x m matrix (conditioning by Kriging).  When S does not factor or that
-covariance is not positive semidefinite (noise-free data at coincident
-points), the replicate falls back to :func:`sample_field`'s joint draw.
+the exact conditional, mean m(X*) + K*^T S^-1 (y - m(X)) = m(X*) + V^T xi
+and covariance K** - V^T V, with V = L^-1 K* the engine's whitened target
+stage, drawn through the symmetric eigendecomposition of that m x m matrix
+(conditioning by Kriging).  When S does not factor or that covariance is
+not positive semidefinite (noise-free data at coincident points), the
+replicate falls back to :func:`sample_field`'s joint draw.
 The study then fits the requested predictors, scores squared prediction
 error against the latent field values at the test points, and reports for
 GPR the empirical coverage of its central 95% predictive intervals.
@@ -181,8 +182,8 @@ def _sample_replicate(cfg, x_train, x_test, rng):
                      cfg.kernel, x_test)
     try:
         chol = engine.factor.chol
-        kt, at = engine._targets
-        deviation = _sample_zero_mean(build_gram(cfg.kernel, x_test) - kt @ at.T, rng)
+        vt = engine._targets
+        deviation = _sample_zero_mean(build_gram(cfg.kernel, x_test) - vt @ vt.T, rng)
     except SingularityError:
         z_all = sample_field(cfg.kernel, cfg.true_mean, np.vstack([x_train, x_test]), 0.0,
                              rng)
@@ -192,9 +193,10 @@ def _sample_replicate(cfg, x_train, x_test, rng):
                 cfg.n_train
             )
         return engine.observing(y_train), z_all[cfg.n_train:]
-    m_train = _mean_vector(cfg.true_mean, x_train)
-    y_train = m_train + chol @ rng.standard_normal(cfg.n_train)
-    z_test = _mean_vector(cfg.true_mean, x_test) + at @ (y_train - m_train) + deviation
+    # y - m(X) = L xi, so the conditional mean K*^T S^-1 (y - m(X)) is V^T xi
+    xi = rng.standard_normal(cfg.n_train)
+    y_train = _mean_vector(cfg.true_mean, x_train) + chol @ xi
+    z_test = _mean_vector(cfg.true_mean, x_test) + vt @ xi + deviation
     return engine.observing(y_train), z_test
 
 

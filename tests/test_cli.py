@@ -283,7 +283,8 @@ class TestPredict:
 
 class TestVariogram:
     @pytest.mark.parametrize("bins, max_lag", [("0", "1"), ("2", "0"), ("2", "-1"),
-                                               ("2", "nan"), ("2", "inf")])
+                                               ("2", "nan"), ("2", "inf"),
+                                               ("64", "5e-322"), ("4", "5e-324")])
     def test_invalid_bins_or_max_lag_exit_2(self, tmp_path, capsys, bins, max_lag):
         data = tmp_path / "d.csv"
         write_csv(data, np.arange(3.0), np.arange(3.0))

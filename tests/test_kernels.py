@@ -155,6 +155,23 @@ class TestBuildGram:
         g = build_gram(spec, rng.uniform(0.0, 3.0, (60, 3)), 0.2)
         np.testing.assert_array_equal(g, g.T)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 600])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_equals_kernel_matrix_with_diagonal(self, family, dim, n):
+        # the pairwise Gram is the rectangular one with its diagonal filled
+        # in, bit for bit, anisotropic and with repeated points included
+        rng = np.random.default_rng(n + 10 * dim)
+        x = rng.uniform(0.0, 3.0, (n, dim))
+        if n > 2:
+            x[n // 2] = x[0]
+        spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 1.5, dim)))
+        expected = kernel_matrix(spec, x, x)
+        np.fill_diagonal(expected, 1.3 + 0.05)
+        g = build_gram(spec, x, 0.05)
+        assert g.shape == (n, n)
+        assert np.array_equal(g, expected)
+
     def test_nugget_lifts_diagonal_above_continuous_limit(self):
         # with noise the lag-0 covariance exceeds the tau -> 0+ kernel limit
         spec = KernelSpec("exponential", 1.0, (1.0,))
@@ -259,6 +276,12 @@ class TestEmpiricalSemivariogram:
     def test_pairs_beyond_max_lag_excluded(self):
         _, counts, _ = empirical_semivariogram([[0.0], [5.0]], [0.0, 1.0], 2, 1.0)
         assert counts.sum() == 0
+
+    @pytest.mark.parametrize("bins, max_lag", [(64, 5e-322), (4, 5e-324)])
+    def test_subnormal_bin_width_rejected(self, bins, max_lag):
+        # linspace edges repeat or fall out of order below the normal range
+        with pytest.raises(InputError, match="not a normal float"):
+            empirical_semivariogram([[0.0], [0.0], [1.0]], [0.0, 1.0, 3.0], bins, max_lag)
 
     @pytest.mark.parametrize("bins", [2.7, math.nan, "3"])
     def test_non_integral_bins_rejected(self, bins):

@@ -22,7 +22,7 @@ from gpkrige import (
     simple_krige,
     universal_krige,
 )
-from gpkrige import kriging
+from gpkrige import kriging, linalg
 from gpkrige.kriging import _Engine
 from gpkrige.oracle import (
     _direct_route,
@@ -358,6 +358,33 @@ def test_engine_rows_do_not_depend_on_their_batch(variant):
         alone = [_Engine(data, kernel, xs).predict(variant, mean) for xs in (a, b)]
         assert np.array_equal(both.mean, np.concatenate([r.mean for r in alone]))
         assert np.array_equal(both.variance, np.concatenate([r.variance for r in alone]))
+
+
+@pytest.mark.parametrize("variant", ENGINE_MEANS)
+def test_one_triangular_solve_over_the_targets(monkeypatch, variant):
+    # the target stage is one dtrsm of the n x n factor over all m targets;
+    # nothing is solved against S itself (the only cho_solve left is the
+    # p x p constraint Gram's)
+    rng = np.random.default_rng(41)
+    data, kernel, _ = random_instance(rng, n=12, dim=2, noise=0.1)
+    xs = rng.uniform(0.0, 8.0, (7, 2))
+    trsm, cho = [], []
+    dtrsm, cho_solve = linalg.dtrsm, linalg.cho_solve
+
+    def counted_trsm(alpha, a, b, **kwargs):
+        trsm.append((a.shape[0], b.shape[1], kwargs.get("trans_a", 0)))
+        return dtrsm(alpha, a, b, **kwargs)
+
+    def counted_cho(c_and_lower, b, **kwargs):
+        cho.append(c_and_lower[0].shape[0])
+        return cho_solve(c_and_lower, b, **kwargs)
+
+    monkeypatch.setattr(linalg, "dtrsm", counted_trsm)
+    monkeypatch.setattr(linalg, "cho_solve", counted_cho)
+    _Engine(data, kernel, xs).predict(variant, ENGINE_MEANS[variant])
+    assert [call for call in trsm if call[1] == 7] == [(12, 7, 0)]
+    assert all(order == 12 for order, _, _ in trsm)
+    assert 12 not in cho
 
 
 class TestPluginRoute:

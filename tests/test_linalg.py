@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gpkrige import InputError, SingularityError
-from gpkrige.linalg import solve_spd, spd_factor
+from gpkrige.linalg import _check_symmetric, _whiten, solve_spd, spd_factor
 from gpkrige.oracle import block_inverse, bordered_solve
 from helpers import random_spd
 
@@ -91,6 +91,73 @@ class TestSpdFactor:
         assert f1.jitter_used == f2.jitter_used
         b = rng.normal(size=4)
         np.testing.assert_array_equal(solve_spd(f1, b), solve_spd(f2, b))
+
+
+class TestCheckSymmetric:
+    # 600 x 600 spans three 256-wide tiles a side; (10, 590) lies in the
+    # tile farthest from the diagonal
+    @staticmethod
+    def spd600():
+        x = np.random.default_rng(11).uniform(0.0, 1.0, (600, 2))
+        a = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
+        return a + np.eye(600)
+
+    def test_exactly_symmetric_returned_uncopied(self):
+        a = self.spd600()
+        assert _check_symmetric(a) is a
+
+    def test_far_tile_asymmetry_beyond_tolerance_raises(self):
+        a = self.spd600()
+        a[10, 590] += 2e-10 * np.abs(a).max()
+        with pytest.raises(InputError, match="not symmetric"):
+            _check_symmetric(a)
+
+    def test_far_tile_asymmetry_within_tolerance_symmetrized(self):
+        a = self.spd600()
+        a[10, 590] += 5e-11 * np.abs(a).max()
+        before = a.copy()
+        got = _check_symmetric(a)
+        assert got is not a
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_array_equal(got, 0.5 * (a + a.T))
+
+
+class TestWhiten:
+    def test_solves_against_the_lower_factor(self):
+        rng = np.random.default_rng(12)
+        a = random_spd(rng, 7)
+        f = spd_factor(a)
+        b = rng.normal(size=(7, 3))
+        np.testing.assert_allclose(f.chol @ _whiten(f, b.copy()), b, atol=1e-10)
+        np.testing.assert_allclose(f.chol.T @ _whiten(f, b.copy(), transpose=True), b,
+                                   atol=1e-10)
+        np.testing.assert_allclose(_whiten(f, b[:, 0].copy()), _whiten(f, b.copy())[:, 0],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_columns_do_not_depend_on_their_block(self, transpose):
+        rng = np.random.default_rng(13)
+        f = spd_factor(random_spd(rng, 50))
+        b = np.asfortranarray(rng.normal(size=(50, 9)))
+        block = _whiten(f, b.copy(order="F"), transpose)
+        for j in range(9):
+            alone = _whiten(f, b[:, j:j + 1].copy(order="F"), transpose)
+            assert np.array_equal(alone[:, 0], block[:, j])
+
+    def test_column_major_right_hand_side_overwritten(self):
+        rng = np.random.default_rng(14)
+        f = spd_factor(random_spd(rng, 6))
+        b = np.asfortranarray(rng.normal(size=(6, 4)))
+        expected = np.linalg.solve(f.chol, b)
+        x = _whiten(f, b)
+        assert np.shares_memory(x, b)
+        np.testing.assert_allclose(x, expected, atol=1e-12)
+
+    def test_non_finite_right_hand_side_rejected(self):
+        f = spd_factor(np.eye(3))
+        with pytest.raises(InputError, match="right-hand side must be finite"):
+            _whiten(f, np.array([1.0, math.nan, 0.0]))
 
 
 class TestSolveSpd:
