@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,10 +48,6 @@ EXIT_VERIFY = 5
 VERIFY_TOL = 1e-8
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
 # File input
 # ---------------------------------------------------------------------------
@@ -63,31 +60,31 @@ def _split_csv_line(line: str) -> list[str]:
 def read_point_table(path: str, expect_response: bool = True):
     """Read a coordinates(+response) CSV; returns (X, y or None).
 
-    Errors cite the 1-based line number of the offending row.
+    Blank lines are skipped.  Errors cite the offending line's 1-based
+    number in the file; each row is checked for its field count, then
+    parsed, then checked for finite values.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
+        lines = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty file")
-    header = _split_csv_line(lines[0])
-    if expect_response:
-        if len(header) < 2 or header[-1] != "y":
-            raise InputError(f"{path}: line 1: header must end with a 'y' column")
-        coord_names = header[:-1]
-    else:
-        # a trailing response column is tolerated (and ignored) in points files
-        coord_names = header[:-1] if len(header) > 1 and header[-1] == "y" else header
+    (header_lineno, header_line), body = lines[0], lines[1:]
+    header = _split_csv_line(header_line)
+    # a trailing response column is tolerated (and ignored) in points files
+    has_response = len(header) > 1 and header[-1] == "y"
+    if expect_response and not has_response:
+        raise InputError(f"{path}: line {header_lineno}: header must end with a 'y' column")
+    coord_names = header[:-1] if has_response else header
     dim = len(coord_names)
     expected = [f"x{i + 1}" for i in range(dim)]
     if coord_names != expected:
         raise InputError(
-            f"{path}: line 1: coordinate columns must be {','.join(expected)}, "
-            f"got {','.join(coord_names)}"
+            f"{path}: line {header_lineno}: coordinate columns must be "
+            f"{','.join(expected)}, got {','.join(coord_names)}"
         )
     ncols = len(header)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         fields = _split_csv_line(line)
         if len(fields) != ncols:
             raise InputError(
@@ -97,15 +94,13 @@ def read_point_table(path: str, expect_response: bool = True):
             values = [float(f) for f in fields]
         except ValueError as err:
             raise InputError(f"{path}: line {lineno}: {err}") from err
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise InputError(f"{path}: line {lineno}: non-finite value")
         rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
     table = np.asarray(rows)
-    if expect_response:
-        return table[:, :dim], table[:, dim]
-    return table[:, :dim], None
+    return table[:, :dim], (table[:, dim] if expect_response else None)
 
 
 def _load_json(path: str) -> dict:
@@ -152,10 +147,14 @@ def _resolve_targets(args, dim: int) -> np.ndarray:
     raise InputError("prediction targets required: --grid or --points")
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
+def _write_lines(path: str | None, lines) -> None:
+    """Write ``lines``, each ended by a newline, to ``path``, or to stdout if it is None."""
+    text = "".join(line + "\n" for line in lines)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +184,9 @@ def cmd_predict(args) -> int:
         print("warning: diagonal jitter was added to factor the covariance",
               file=sys.stderr)
 
-    out = _open_out(args)
-    try:
-        header = [f"x{i + 1}" for i in range(data.dim)] + ["mean", "error_variance"]
-        out.write(",".join(header) + "\n")
-        for point, m, v in zip(targets, batch.mean, batch.variance):
-            fields = [_fmt(c) for c in point] + [_fmt(m), _fmt(v)]
-            out.write(",".join(fields) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    header = [f"x{i + 1}" for i in range(data.dim)] + ["mean", "error_variance"]
+    table = np.column_stack([targets, batch.mean, batch.variance]).tolist()
+    _write_lines(args.out, [",".join(header)] + [",".join(map(repr, row)) for row in table])
     return EXIT_OK
 
 
@@ -212,24 +204,18 @@ def cmd_variogram(args) -> int:
         kernel, _, _, _ = _model_from_config(config, x.shape[1])
         model = semivariogram_of(kernel, centers)
 
-    out = _open_out(args)
-    try:
-        header = ["lag_center", "pair_count", "empirical_semivariance"]
-        if model is not None:
-            header.append("model_semivariance")
-        out.write(",".join(header) + "\n")
-        for b in range(len(centers)):
-            fields = [
-                _fmt(centers[b]),
-                str(int(counts[b])),
-                "" if counts[b] == 0 else _fmt(gamma[b]),
-            ]
-            if model is not None:
-                fields.append(_fmt(model[b]))
-            out.write(",".join(fields) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    header = ["lag_center", "pair_count", "empirical_semivariance"]
+    columns = [centers, counts, gamma]
+    if model is not None:
+        header.append("model_semivariance")
+        columns.append(model)
+    lines = [",".join(header)]
+    for row in zip(*(c.tolist() for c in columns)):
+        fields = [repr(v) for v in row]
+        if row[1] == 0:  # an empty bin leaves its empirical field blank
+            fields[2] = ""
+        lines.append(",".join(fields))
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -243,12 +229,7 @@ def cmd_study(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_study(cfg)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2, sort_keys=True)])
     return EXIT_OK
 
 
@@ -338,12 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("predict", help="predict at grid or listed target points")
-    p.add_argument("--data", required=True, help="training CSV (x1..xd,y)")
-    p.add_argument("--config", required=True, help="model config JSON with 'variant'")
-    p.add_argument("--grid", action="append", default=[],
-                   help="per-dimension grid spec lo:hi:count (repeat per dimension)")
-    p.add_argument("--points", help="CSV of target points (x1..xd)")
+    # the data, model and targets, shared by predict and verify
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--data", required=True, help="training CSV (x1..xd,y)")
+    inputs.add_argument("--config", required=True, help="model config JSON with 'variant'")
+    inputs.add_argument("--grid", action="append", default=[],
+                        help="per-dimension grid spec lo:hi:count (repeat per dimension)")
+    inputs.add_argument("--points", help="CSV of target points (x1..xd)")
+
+    p = sub.add_parser("predict", parents=[inputs],
+                       help="predict at grid or listed target points")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_predict)
 
@@ -361,11 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_study)
 
-    p = sub.add_parser("verify", help="run the cross-path equivalence checks")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--grid", action="append", default=[])
-    p.add_argument("--points")
+    p = sub.add_parser("verify", parents=[inputs],
+                       help="run the cross-path equivalence checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -22,7 +22,7 @@ so reports are identical regardless of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -112,17 +112,7 @@ class PredictorSummary:
     coverage_95: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "mse_mean": self.mse_mean,
-            "mse_stderr": self.mse_stderr,
-            "mse_replicates": list(self.mse_replicates),
-            "failures": self.failures,
-        }
-        if self.mean_error_variance is not None:
-            doc["mean_error_variance"] = self.mean_error_variance
-        if self.coverage_95 is not None:
-            doc["coverage_95"] = self.coverage_95
-        return doc
+        return _json_dict(self)
 
 
 @dataclass(frozen=True)
@@ -132,11 +122,14 @@ class StudyReport:
     predictors: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "predictors": {k: v.to_dict() for k, v in self.predictors.items()},
-        }
+        return _json_dict(self)
+
+
+def _json_dict(record) -> dict:
+    """``dataclasses.asdict`` with None fields left out and tuples as lists."""
+    return asdict(record, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None
+    })
 
 
 def sample_field(kernel: KernelSpec, mean: MeanSpec, x, noise_variance: float,
@@ -227,16 +220,13 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     mse = {p: [] for p in cfg.predictors}
     variances = {p: [] for p in cfg.predictors}
     failures = {p: 0 for p in cfg.predictors}
-    coverage_hits = 0
-    coverage_total = 0
-    usable_replicates = 0
+    gpr_hits = []  # one bool per GPR test prediction: inside its 95% interval
 
     for rep in range(cfg.replicates):
         rng = np.random.default_rng([cfg.seed, rep])
         x_train = _draw_locations(rng, cfg.domain, cfg.n_train)
         x_test = _draw_locations(rng, cfg.domain, cfg.n_test)
         engine, z_test = _sample_replicate(cfg, x_train, x_test, rng)
-        replicate_ok = False
         for name in cfg.predictors:
             try:
                 pred, err_vars = _run_predictor(name, cfg, engine, uk_mean, ls_mean)
@@ -247,14 +237,9 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             if err_vars is not None:
                 variances[name].extend(err_vars.tolist())
             if name == "gpr":
-                covered = np.abs(z_test - pred) <= _Z95 * np.sqrt(err_vars)
-                coverage_hits += int(covered.sum())
-                coverage_total += covered.size
-            replicate_ok = True
-        if replicate_ok:
-            usable_replicates += 1
+                gpr_hits.extend((np.abs(z_test - pred) <= _Z95 * np.sqrt(err_vars)).tolist())
 
-    if usable_replicates == 0:
+    if not any(mse.values()):
         raise StudyError("every predictor failed in every replicate")
 
     summaries = {}
@@ -275,10 +260,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             mean_error_variance=(
                 float(np.mean(variances[name])) if variances[name] else None
             ),
-            coverage_95=(
-                coverage_hits / coverage_total
-                if name == "gpr" and coverage_total else None
-            ),
+            coverage_95=sum(gpr_hits) / len(gpr_hits) if name == "gpr" and gpr_hits else None,
         )
     return StudyReport(replicates=cfg.replicates, seed=cfg.seed, predictors=summaries)
 

@@ -3,6 +3,7 @@ the README examples that use it."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gpkrige
+from gpkrige import cli
 
 PUBLIC_NAMES = {
     "GpKrigeError", "InputError", "NumericalError", "SingularityError", "StudyError",
@@ -25,6 +27,9 @@ PUBLIC_NAMES = {
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+README_CLI = [line for _, block in re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(),
+                                               re.M | re.S)
+              for line in block.splitlines() if line.startswith("gpkrige ")]
 
 
 def run_python(args):
@@ -57,3 +62,15 @@ def test_readme_has_python_examples():
 def test_readme_example_runs(block):
     out = run_python(["-W", "error", "-c", block])
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_cli_lines_cover_every_command():
+    assert {shlex.split(line)[1] for line in README_CLI} == {
+        "predict", "variogram", "study", "verify"}
+
+
+@pytest.mark.parametrize("line", README_CLI)
+def test_readme_cli_line_parses(line):
+    command, *argv = shlex.split(line)[1:]
+    args = cli._build_parser().parse_args([command, *argv])
+    assert args.func.__name__ == f"cmd_{command}"

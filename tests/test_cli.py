@@ -127,15 +127,25 @@ class TestPredict:
             assert float(row[1]) == lib.mean
             assert float(row[2]) == lib.error_variance
 
-    def test_malformed_row_cites_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, line", [
+        ("x1,y\n0.0,1.0\noops,2.0\n", 3),
+        ("x1,y\n\n0.0,1.0\noops,2.0\n", 4),
+        ("x1,y\n0.0,1.0\n\n\n1.0\n", 5),
+        ("x1,y\n0.0,1.0\n\nnan,2.0\n", 4),
+        ("\nx1,z\n0.0,1.0\n", 2),
+        # checked in file order: the non-finite row is reported, not the short one
+        ("x1,y\n0.0,1.0\ninf,2.0\n1.0\n", 3),
+    ], ids=["unparsable", "unparsable-after-blank", "short-after-two-blanks",
+            "nan-after-blank", "header-after-blank", "non-finite-before-short"])
+    def test_malformed_row_cites_line(self, tmp_path, capsys, text, line):
         data = tmp_path / "bad.csv"
-        data.write_text("x1,y\n0.0,1.0\noops,2.0\n")
+        data.write_text(text)
         config = tmp_path / "c.json"
         write_config(config, SE_CONFIG)
         code = main(["predict", "--data", str(data), "--config", str(config),
                      "--grid", "0:1:2"])
         assert code == 2
-        assert "line 3" in capsys.readouterr().err
+        assert f"line {line}" in capsys.readouterr().err
 
     def test_bad_variant_exits_2(self, demo):
         tmp, data, config = demo
@@ -533,6 +543,24 @@ class TestVerify:
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
         assert status["gpr_basis_vs_uk"] == "fail"
+
+
+@pytest.mark.parametrize("command", ["predict", "variogram", "study"])
+def test_stdout_is_the_out_file(demo, capsys, command):
+    tmp, data, config = demo
+    study = tmp / "study.json"
+    write_config(study, TestStudy.STUDY)
+    argv = {
+        "predict": ["predict", "--data", data, "--config", config, "--grid", "0:2:7"],
+        "variogram": ["variogram", "--data", data, "--bins", "3", "--max-lag", "2",
+                      "--config", config],
+        "study": ["study", "--config", str(study)],
+    }[command]
+    out = tmp / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [("degree", 1.5), ("dimension", 1.5),
