@@ -53,8 +53,18 @@ VERIFY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _split_csv_line(line: str) -> list[str]:
-    return [f.strip() for f in line.split(",")]
+def _plain(kind):
+    """``kind`` (float or int) for text, refusing the PEP 515 digit-group
+    underscores both accept, so ``1_0`` is an error rather than 10."""
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names the type in its error message
+    return parse
+
+
+_float, _int = _plain(float), _plain(int)
 
 
 def read_point_table(path: str, expect_response: bool = True):
@@ -62,14 +72,16 @@ def read_point_table(path: str, expect_response: bool = True):
 
     Blank lines are skipped.  Errors cite the offending line's 1-based
     number in the file; each row is checked for its field count, then
-    parsed, then checked for finite values.
+    parsed, then checked for finite values.  Fields are plain decimals:
+    ``float()`` reads each, padding and all, and a line holding a ``_`` is
+    refused.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+        lines = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if not ln.isspace()]
     if not lines:
         raise InputError(f"{path}: empty file")
     (header_lineno, header_line), body = lines[0], lines[1:]
-    header = _split_csv_line(header_line)
+    header = [f.strip() for f in header_line.split(",")]
     # a trailing response column is tolerated (and ignored) in points files
     has_response = len(header) > 1 and header[-1] == "y"
     if expect_response and not has_response:
@@ -85,11 +97,13 @@ def read_point_table(path: str, expect_response: bool = True):
     ncols = len(header)
     rows = []
     for lineno, line in body:
-        fields = _split_csv_line(line)
+        fields = line.strip().split(",")
         if len(fields) != ncols:
             raise InputError(
                 f"{path}: line {lineno}: expected {ncols} fields, got {len(fields)}"
             )
+        if "_" in line:  # _plain's rule, checked once per line rather than per field
+            raise InputError(f"{path}: line {lineno}: digit-group underscores are not accepted")
         try:
             values = [float(f) for f in fields]
         except ValueError as err:
@@ -120,7 +134,7 @@ def _parse_grid(specs: list[str], dim: int) -> np.ndarray:
         if len(parts) != 3:
             raise InputError(f"bad grid spec {spec!r}; expected lo:hi:count")
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, count = _float(parts[0]), _float(parts[1]), _int(parts[2])
         except ValueError as err:
             raise InputError(f"bad grid spec {spec!r}: {err}") from err
         if count < 1:
@@ -164,20 +178,20 @@ def _write_lines(path: str | None, lines) -> None:
 
 def _model_from_config(config: dict, dim: int):
     kernel, mean, noise = model_from_json(config, dim=dim)
-    try:
-        max_jitter = float(config.get("max_jitter", 0.0))
-    except (TypeError, ValueError) as err:
-        raise InputError(f"bad max_jitter: {err}") from err
-    return kernel, mean, noise, _nonnegative(max_jitter, "max_jitter")
+    return kernel, mean, noise, _nonnegative(config.get("max_jitter", 0.0), "max_jitter")
 
 
-def cmd_predict(args) -> int:
+def _load_problem(args):
+    """The dataset, config, kernel, mean, max_jitter and targets of predict and verify."""
     x, y = read_point_table(args.data)
     config = _load_json(args.config)
     kernel, mean, noise, max_jitter = _model_from_config(config, x.shape[1])
     data = Dataset(x, y, noise)
-    targets = _resolve_targets(args, data.dim)
+    return data, config, kernel, mean, max_jitter, _resolve_targets(args, data.dim)
 
+
+def cmd_predict(args) -> int:
+    data, config, kernel, mean, max_jitter, targets = _load_problem(args)
     engine = _Engine(data, kernel, targets, max_jitter)
     batch = engine.predict(config.get("variant"), mean)
     if engine.factor.jitter_used > 0.0:
@@ -239,11 +253,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    x, y = read_point_table(args.data)
-    config = _load_json(args.config)
-    kernel, mean, noise, max_jitter = _model_from_config(config, x.shape[1])
-    data = Dataset(x, y, noise)
-    targets = _resolve_targets(args, data.dim)
+    data, _, kernel, mean, max_jitter, targets = _load_problem(args)
 
     constant = MeanSpec.constant_unknown()
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
@@ -334,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variogram", help="binned empirical semivariogram")
     p.add_argument("--data", required=True)
-    p.add_argument("--bins", type=int, required=True)
-    p.add_argument("--max-lag", type=float, required=True, dest="max_lag")
+    p.add_argument("--bins", type=_int, required=True)
+    p.add_argument("--max-lag", type=_float, required=True, dest="max_lag")
     p.add_argument("--config", help="optional model config for the model column")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_variogram)
@@ -343,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="run a replicated predictor comparison study")
     p.add_argument("--config", required=True, help="study config JSON")
     p.add_argument("--out", help="report JSON path (default stdout)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_int, help="override the config seed")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("verify", parents=[inputs],

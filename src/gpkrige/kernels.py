@@ -17,6 +17,7 @@ All functions are pure; nothing here caches state.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -80,21 +81,49 @@ KERNEL_FAMILIES: dict[str, Callable] = {
 }
 
 
+def _real(value, name: str) -> np.ndarray:
+    """``value`` as a float array: the one check that turns an outside value into numbers.
+
+    Ints of any size, floats and numpy numbers pass, alone, in a rectangular
+    nest of sequences or in an int or float array; a string, a boolean, None
+    or a ragged nest anywhere in ``value`` is an input error.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+    a = np.asarray(value, dtype=object)  # entries keep their types; a ragged nest, its lists
+    if all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+           for v in a.flat):
+        try:
+            return a.astype(float)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise InputError(f"{name} must be numeric, got {reprlib.repr(value)}")
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejected unless every entry is a finite number."""
+    a = _real(value, name)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    return a
+
+
 def _nonnegative(value, name: str) -> float:
-    """``value`` as a float, rejected unless it is finite and nonnegative."""
-    value = float(value)
-    if not 0.0 <= value < np.inf:
-        raise InputError(f"{name} must be nonnegative and finite, got {value}")
-    return value
+    """``value`` as a float, rejected unless it is one finite, nonnegative number."""
+    a = _real(value, name)
+    if a.ndim or not 0.0 <= a < np.inf:
+        raise InputError(f"{name} must be one nonnegative, finite number, got {value!r}")
+    return float(a)
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int, rejected unless it is an integral number (2.0, not 2.5)."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``value`` as an int, rejected unless it is an integral number: 2.0, not 2.5, "2" or True."""
+    if not isinstance(value, (str, bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise InputError(f"{name} must be an integer, got {value!r}")
 
 
@@ -122,28 +151,21 @@ class KernelSpec:
     dim: int | None = None
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
+        if not (isinstance(self.family, str) and self.family in KERNEL_FAMILIES):
             raise InputError(
                 f"unknown kernel family {self.family!r}; "
                 f"expected one of {sorted(KERNEL_FAMILIES)}"
             )
         variance = _nonnegative(self.variance, "process variance")
-        ls = self.lengthscales
-        if np.isscalar(ls):
-            ls = (float(ls),)
-        else:
-            ls = tuple(float(v) for v in ls)
+        ls = np.atleast_1d(_real(self.lengthscales, "lengthscales"))
         dim = len(ls) if self.dim is None else _integer(self.dim, "dimension")
         if dim < 1:
             raise InputError(f"dimension must be positive, got {dim}")
-        if len(ls) == 1 and dim > 1:
-            ls = ls * dim
-        if len(ls) != dim:
-            raise InputError(
-                f"got {len(ls)} lengthscales for dimension {dim}"
-            )
-        if not all(0.0 < v < np.inf for v in ls):
-            raise InputError(f"lengthscales must be positive and finite, got {ls}")
+        if ls.shape not in ((1,), (dim,)):  # one value is shared by every dimension
+            raise InputError(f"got lengthscales of shape {ls.shape} for dimension {dim}")
+        if not np.all((0.0 < ls) & (ls < np.inf)):
+            raise InputError(f"lengthscales must be positive and finite, got {ls.tolist()}")
+        ls = tuple(np.broadcast_to(ls, dim).tolist())
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "dim", dim)
@@ -157,7 +179,7 @@ class KernelSpec:
 
 
 def _as_locations(x, dim, name="X"):
-    x = np.asarray(x, dtype=float)
+    x = _real(x, name)
     if x.ndim == 1:
         x = x[:, None] if dim == 1 else x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
@@ -207,7 +229,7 @@ def semivariogram_of(spec: KernelSpec, tau):
     """
     if not spec.is_isotropic:
         raise InputError("semivariogram requires an isotropic kernel")
-    tau = np.asarray(tau, dtype=float)
+    tau = _real(tau, "lags")
     if np.any(tau < 0.0):
         raise InputError("lags must be nonnegative")
     cov = spec.variance * spec._profile()(np.asarray(tau / spec.lengthscales[0]))
@@ -221,11 +243,9 @@ def cov_from_semivariogram(variance: float, gamma_val: float) -> float:
     ``gamma_val`` must lie in [0, 2*variance] (covariances are bounded below
     by -variance for a valid stationary field).
     """
-    variance = float(variance)
-    gamma_val = float(gamma_val)
-    if variance < 0.0:
-        raise InputError(f"variance must be nonnegative, got {variance}")
-    if not 0.0 <= gamma_val <= 2.0 * variance:
+    variance = _nonnegative(variance, "variance")
+    gamma_val = _nonnegative(gamma_val, "semivariogram value")
+    if gamma_val > 2.0 * variance:
         raise InputError(
             f"semivariogram value {gamma_val} outside [0, {2.0 * variance}]"
         )
@@ -259,23 +279,22 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     NaN on bins containing no pairs.
     """
     bins = _integer(bins, "bins")
-    max_lag = float(max_lag)
+    max_lag = _nonnegative(max_lag, "max_lag")
     if bins < 1:
         raise InputError(f"bins must be positive, got {bins}")
-    if not 0.0 < max_lag < np.inf:
-        raise InputError(f"max_lag must be positive and finite, got {max_lag}")
+    if max_lag == 0.0:
+        raise InputError("max_lag must be positive, got 0.0")
     if max_lag / bins < np.finfo(float).tiny:
         # subnormal edges repeat or fall out of order
         raise InputError(f"bin width max_lag / bins = {max_lag / bins!r} is not a normal float")
-    x = np.asarray(x, dtype=float)
+    x = _finite(x, "x")
     if x.ndim == 1:
         x = x[:, None]
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _finite(y, "y").reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise InputError("x and y must have the same number of rows")
     if x.shape[0] < 2:
         raise InputError("need at least two points for an empirical semivariogram")
-    x, y = _finite(x, "x"), _finite(y, "y")
 
     edges = np.linspace(0.0, max_lag, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -364,11 +383,14 @@ class MeanSpec:
         if self.constant is not None:
             if self.kind != KNOWN:
                 raise InputError("only a known mean takes a constant")
-            object.__setattr__(self, "constant", float(_finite(self.constant, "constant")))
+            constant = _finite(self.constant, "constant")
+            if constant.ndim:
+                raise InputError(f"constant must be one number, got shape {constant.shape}")
+            object.__setattr__(self, "constant", float(constant))
         if self.kind == KNOWN and (self.function is None) == (self.constant is None):
             raise InputError("known mean requires exactly one of a function and a constant")
         if self.exponents is not None:
-            e = np.asarray(self.exponents, dtype=float)
+            e = _real(self.exponents, "exponents")
             if self.kind != BASIS or self.functions or e.ndim != 2:
                 raise InputError("a polynomial basis takes exponents and no functions")
             object.__setattr__(self, "exponents", _frozen(e))
@@ -438,14 +460,6 @@ class MeanSpec:
         return self.kind == KNOWN or (self.kind == BASIS and self.coefficients is not None)
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, rejected unless every entry is finite."""
-    a = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} must be finite")
-    return a
-
-
 def _frozen(a: np.ndarray) -> tuple:
     """A 1-D or 2-D float array as (nested) tuples of Python floats."""
     return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
@@ -507,7 +521,7 @@ def basis_matrix(mean: MeanSpec, x) -> np.ndarray:
         e = np.asarray(mean.exponents)
         x = _as_locations(x, e.shape[1], "basis locations")
         return np.prod(x[:, None, :] ** e, axis=2)
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "basis locations")
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
@@ -544,16 +558,14 @@ class Dataset:
         # contiguous copies keep solves bit-reproducible regardless of how
         # the caller sliced the inputs (BLAS rounding depends on strides),
         # and keep the caller's later writes out of a validated dataset
-        x = np.array(self.x, dtype=float, order="C", ndmin=1)
+        x = np.array(_finite(self.x, "x"), order="C", ndmin=1)
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1:
             raise InputError(f"x must be a nonempty (n, d) array, got shape {x.shape}")
-        y = np.array(self.y, dtype=float, order="C").reshape(-1)
+        y = np.array(_finite(self.y, "y"), order="C").reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise InputError(f"{x.shape[0]} locations but {y.shape[0]} responses")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InputError("locations and responses must be finite")
         noise = _nonnegative(self.noise_variance, "noise variance")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -582,7 +594,7 @@ def model_to_json(kernel: KernelSpec, mean: MeanSpec, noise_variance: float) -> 
     return {
         "kernel": _kernel_to_json(kernel),
         "mean": _mean_to_json(mean),
-        "noise_variance": float(noise_variance),
+        "noise_variance": _nonnegative(noise_variance, "noise_variance"),
     }
 
 
@@ -614,59 +626,45 @@ def _mean_to_json(mean: MeanSpec) -> dict:
     raise InputError("basis means built from raw callables are not JSON-representable")
 
 
+def _fields(doc, what: str, *keys) -> list:
+    """The values of ``keys`` in ``doc``, which must be a JSON object holding them all."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InputError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [doc[key] for key in keys]
+
+
 def model_from_json(doc: dict, dim: int | None = None):
     """Parse the interchange document into (KernelSpec, MeanSpec, noise).
 
     ``dim`` (e.g. taken from a dataset) broadcasts an isotropic lengthscale;
-    the document may also carry an explicit ``"dimension"`` key.
+    the document may also carry an explicit ``"dimension"`` key.  Values go
+    to the constructors as they are, whose validators reject non-numbers.
     """
-    if not isinstance(doc, dict):
-        raise InputError("model document must be a JSON object")
-    try:
-        kdoc = doc["kernel"]
-        mdoc = doc["mean"]
-        noise = float(doc["noise_variance"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"bad model document: {err}") from err
+    kdoc, mdoc, noise = _fields(doc, "model document", "kernel", "mean", "noise_variance")
     kernel = _kernel_from_json(kdoc, dim)
-    mean = _mean_from_json(mdoc, kernel.dim)
-    return kernel, mean, _nonnegative(noise, "noise_variance")
+    return kernel, _mean_from_json(mdoc, kernel.dim), _nonnegative(noise, "noise_variance")
 
 
 def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
     """Parse a kernel document; ``dim`` broadcasts an isotropic lengthscale."""
-    try:
-        family = kdoc["family"]
-        variance = float(kdoc["variance"])
-        lengthscales = [float(v) for v in kdoc["lengthscales"]]
-        kdim = _integer(kdoc.get("dimension", dim or len(lengthscales)), "dimension")
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"bad kernel document: {err}") from err
-    return KernelSpec(family, variance, tuple(lengthscales), dim=kdim)
+    family, variance, lengthscales = _fields(kdoc, "kernel document",
+                                             "family", "variance", "lengthscales")
+    return KernelSpec(family, variance, lengthscales, dim=kdoc.get("dimension", dim))
 
 
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
-    if not isinstance(doc, dict):
-        raise InputError("a mean document must be a JSON object")
-    mtype = doc.get("type")
-    try:
-        if mtype == "constant_unknown":
-            return MeanSpec.constant_unknown()
-        if mtype == "known":
-            if "constant" not in doc:
-                raise InputError("known mean document requires a 'constant' value")
-            return MeanSpec.known_constant(float(doc["constant"]))
-        if mtype == "basis":
-            if doc.get("basis", "polynomial") != "polynomial":
-                raise InputError(f"unsupported basis family {doc.get('basis')!r}")
-            return MeanSpec.polynomial(
-                dim, doc.get("degree", 1),
-                coefficients=doc.get("coefficients"),
-                prior_mean=doc.get("prior_mean"),
-                prior_cov=doc.get("prior_cov"),
-            )
-    except InputError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise InputError(f"bad mean document: {err}") from err
+    (mtype,) = _fields(doc, "mean document", "type")
+    if mtype == "constant_unknown":
+        return MeanSpec.constant_unknown()
+    if mtype == "known":
+        (constant,) = _fields(doc, "known mean document", "constant")
+        return MeanSpec.known_constant(constant)
+    if mtype == "basis":
+        if doc.get("basis", "polynomial") != "polynomial":
+            raise InputError(f"unsupported basis family {doc.get('basis')!r}")
+        return MeanSpec.polynomial(dim, doc.get("degree", 1), doc.get("coefficients"),
+                                   doc.get("prior_mean"), doc.get("prior_cov"))
     raise InputError(f"unknown mean type {mtype!r}")

@@ -67,6 +67,7 @@ from .kernels import (
     MeanSpec,
     _as_locations,
     _mean_vector,
+    _real,
     _rowdot,
     basis_matrix,
     build_gram,
@@ -372,7 +373,7 @@ def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[P
 
 
 def _one_row(xstar) -> np.ndarray:
-    return np.reshape(np.asarray(xstar, dtype=float), (1, -1))
+    return np.reshape(_real(xstar, "target"), (1, -1))
 
 
 def _predict_one(data, kernel, mean, xstar, variant, max_jitter) -> Prediction:

@@ -33,6 +33,8 @@ from .kernels import (
     KernelSpec,
     MeanSpec,
     _as_locations,
+    _fields,
+    _frozen,
     _integer,
     _kernel_from_json,
     _kernel_to_json,
@@ -40,6 +42,7 @@ from .kernels import (
     _mean_to_json,
     _mean_vector,
     _nonnegative,
+    _real,
     build_gram,
 )
 from .kriging import _Engine, ls_predict
@@ -70,23 +73,20 @@ class StudyConfig:
     predictors: tuple[str, ...] = ("ok",)
 
     def __post_init__(self):
-        preds = tuple(str(p).lower() for p in self.predictors)
-        if not preds:
-            raise InputError("at least one predictor is required")
-        for p in preds:
-            if p not in PREDICTORS:
-                raise InputError(f"unknown predictor {p!r}; expected one of {PREDICTORS}")
-        object.__setattr__(self, "predictors", preds)
+        preds = self.predictors
+        if not (isinstance(preds, (list, tuple)) and preds
+                and all(p in PREDICTORS for p in preds)):
+            raise InputError(f"predictors must be a nonempty list of {PREDICTORS}, got {preds!r}")
+        object.__setattr__(self, "predictors", tuple(preds))
         if not self.true_mean.is_identified:
             raise InputError("true_mean must have fixed parameters")
-        domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        if len(domain) != self.kernel.dim:
-            raise InputError(
-                f"domain has {len(domain)} dimensions, kernel has {self.kernel.dim}"
-            )
-        if not all(-np.inf < lo < hi < np.inf for lo, hi in domain):
+        domain = _real(self.domain, "domain")
+        if domain.shape != (self.kernel.dim, 2):
+            raise InputError(f"domain must be one (lo, hi) interval per kernel dimension, "
+                             f"an array of shape {(self.kernel.dim, 2)}, got {domain.shape}")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in domain.tolist()):
             raise InputError("each domain interval needs finite lo < hi")
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "domain", _frozen(domain))
         for name, least in (("n_train", 1), ("n_test", 1), ("replicates", 1), ("seed", 0)):
             v = _integer(getattr(self, name), name)
             if v < least:
@@ -285,23 +285,12 @@ def study_config_to_json(cfg: StudyConfig) -> dict:
 
 
 def study_config_from_json(doc: dict) -> StudyConfig:
-    if not isinstance(doc, dict):
-        raise InputError("study config must be a JSON object")
-    try:
-        domain = doc["domain"]
-        kernel = _kernel_from_json(doc["kernel"], dim=len(domain))
-        return StudyConfig(
-            kernel=kernel,
-            true_mean=_mean_from_json(doc["true_mean"], kernel.dim),
-            noise_variance=doc["noise_variance"],
-            n_train=doc["n_train"],
-            n_test=doc["n_test"],
-            domain=tuple((float(lo), float(hi)) for lo, hi in domain),
-            replicates=doc["replicates"],
-            seed=doc["seed"],
-            predictors=tuple(doc.get("predictors", ["ok"])),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, InputError):
-            raise
-        raise InputError(f"bad study config: {err}") from err
+    """Parse a study config; its values go to :class:`StudyConfig` as they are."""
+    kdoc, mdoc, noise, n_train, n_test, domain, replicates, seed = _fields(
+        doc, "study config", "kernel", "true_mean", "noise_variance", "n_train", "n_test",
+        "domain", "replicates", "seed")
+    # one interval per dimension broadcasts an isotropic lengthscale
+    kernel = _kernel_from_json(kdoc, dim=len(domain) if isinstance(domain, list) else None)
+    return StudyConfig(kernel=kernel, true_mean=_mean_from_json(mdoc, kernel.dim),
+                       noise_variance=noise, n_train=n_train, n_test=n_test, domain=domain,
+                       replicates=replicates, seed=seed, predictors=doc.get("predictors", ["ok"]))

@@ -1,6 +1,7 @@
 """The public API: the names ``gpkrige`` exports, what importing it loads, and
 the README examples that use it."""
 
+import json
 import os
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gpkrige
-from gpkrige import cli
+from gpkrige import cli, model_from_json, study_config_from_json
 
 PUBLIC_NAMES = {
     "GpKrigeError", "InputError", "NumericalError", "SingularityError", "StudyError",
@@ -30,6 +31,8 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | 
 README_CLI = [line for _, block in re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(),
                                                re.M | re.S)
               for line in block.splitlines() if line.startswith("gpkrige ")]
+README_JSON = [json.loads(block) for block in
+               re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)]
 
 
 def run_python(args):
@@ -74,3 +77,17 @@ def test_readme_cli_line_parses(line):
     command, *argv = shlex.split(line)[1:]
     args = cli._build_parser().parse_args([command, *argv])
     assert args.func.__name__ == f"cmd_{command}"
+
+
+def test_readme_json_covers_model_and_study():
+    assert {"variant" in doc for doc in README_JSON} == {True, False}
+
+
+@pytest.mark.parametrize("doc", README_JSON, ids=lambda doc: ",".join(doc))
+def test_readme_json_block_parses(doc):
+    # the strict readers: a quoted or boolean number would fail here
+    if "variant" in doc:
+        model_from_json(doc)
+    else:
+        assert "n_train" in doc
+        study_config_from_json(doc)

@@ -49,6 +49,16 @@ MALFORMED_CONFIGS = {
     "noise-inf": {**SE_CONFIG, "noise_variance": float("inf")},
     "max-jitter-string": {**SE_CONFIG, "max_jitter": "abc"},
     "config-array": [SE_CONFIG],
+    # values of the wrong JSON type: a string or a boolean for a number, a list for a name
+    "family-list": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "family": ["matern52"]}},
+    "lengthscales-string": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "lengthscales": "1"}},
+    "variance-digit-groups": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "variance": "1_0"}},
+    "noise-string": {**SE_CONFIG, "noise_variance": "1e-4"},
+    "constant-bool": {**SE_CONFIG, "variant": "sk", "mean": {"type": "known", "constant": True}},
+    "degree-bool": {**SE_CONFIG, "variant": "uk", "mean": {**POLY_MEAN, "degree": True}},
+    "coefficients-scalar-string": {**SE_CONFIG, "variant": "sk",
+                                   "mean": {**POLY_MEAN, "degree": 0, "coefficients": "12"}},
+    "max-jitter-bool": {**SE_CONFIG, "max_jitter": True},
 }
 
 
@@ -135,8 +145,11 @@ class TestPredict:
         ("\nx1,z\n0.0,1.0\n", 2),
         # checked in file order: the non-finite row is reported, not the short one
         ("x1,y\n0.0,1.0\ninf,2.0\n1.0\n", 3),
+        # float() alone reads 1_0 as 10
+        ("x1,y\n0.0,1.0\n1_0,2.0\n", 3),
     ], ids=["unparsable", "unparsable-after-blank", "short-after-two-blanks",
-            "nan-after-blank", "header-after-blank", "non-finite-before-short"])
+            "nan-after-blank", "header-after-blank", "non-finite-before-short",
+            "digit-group-underscore"])
     def test_malformed_row_cites_line(self, tmp_path, capsys, text, line):
         data = tmp_path / "bad.csv"
         data.write_text(text)
@@ -402,6 +415,15 @@ class TestStudy:
         assert main(["study", "--config", str(config), *override]) == 2
         assert "seed must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("domain", ["01"]), ("noise_variance", "0.01")],
+                             ids=["domain-string-pair", "noise-string"])
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, field, value):
+        config = tmp_path / "s.json"
+        write_config(config, {**self.STUDY, field: value})
+        assert main(["study", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be numeric") and "Traceback" not in err
+
     def test_seed_override_of_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "s.json"
         write_config(config, [self.STUDY])
@@ -565,7 +587,8 @@ def test_stdout_is_the_out_file(demo, capsys, command):
 
 @pytest.mark.parametrize("field, value", [("degree", 1.5), ("dimension", 1.5),
                                           ("n_train", 10.9), ("n_test", 5.5),
-                                          ("replicates", 1.5), ("seed", 77.5)])
+                                          ("replicates", 1.5), ("seed", 77.5),
+                                          ("seed", True)])
 def test_non_integral_field_exits_2(tmp_path, capsys, field, value):
     config = tmp_path / "c.json"
     if field in TestStudy.STUDY:
@@ -590,3 +613,24 @@ def test_non_finite_grid_bounds_exit_2(tmp_path, capsys, command, spec):
     assert main([command, "--data", data, "--config", config, f"--grid={spec}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bounds must be finite" in err
+
+
+@pytest.mark.parametrize("spec", ["0:1_0:3", "1_0:20:3", "0:1:1_0"])
+def test_digit_group_grid_spec_exits_2(tmp_path, capsys, spec):
+    data, config = TestVerify.make_dataset(tmp_path)
+    assert main(["predict", "--data", data, "--config", config, f"--grid={spec}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad grid spec {spec!r}")
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--bins", ["variogram", "--data", "d.csv", "--bins", "1_2", "--max-lag", "2"]),
+    ("--max-lag", ["variogram", "--data", "d.csv", "--bins", "12", "--max-lag", "2_0"]),
+    ("--seed", ["study", "--config", "s.json", "--seed", "1_1"]),
+    ("--seed", ["study", "--config", "s.json", "--seed", "abc"]),
+], ids=["bins", "max-lag", "seed", "seed-letters"])
+def test_digit_group_option_exits_2(capsys, option, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err

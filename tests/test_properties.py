@@ -1,5 +1,5 @@
 """Property-based checks of the identities between the engine and the oracles,
-and of the empirical semivariogram's bin rule.
+of the empirical semivariogram's bin rule, and of the number validators.
 
 Points are drawn on distinct cells of a unit lattice with an offset below
 one half, so no two lie closer than 0.5.  Draws whose observation
@@ -8,6 +8,7 @@ the data are never shrunk to hide them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,6 +26,8 @@ from gpkrige import (
     kernel_matrix,
     predict_points,
 )
+from gpkrige.exceptions import InputError
+from gpkrige.kernels import _finite, _integer, _nonnegative
 from gpkrige.oracle import _plugin_route, _subtraction_route, bordered_solve
 from helpers import FAMILIES
 
@@ -152,3 +155,52 @@ def test_variogram_bin_is_digitize(case):
     if lag <= max_lag:
         expected[np.digitize(lag, edges[1:-1])] = 1
     assert counts.tolist() == expected.tolist()
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+#: finite Python and numpy numbers, with Python ints beyond 64 bits
+NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70), FINITE_FLOATS,
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.uint8, st.integers(0, 255)),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    st.builds(np.float64, FINITE_FLOATS),
+)
+VALIDATOR_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+NOT_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                        st.sampled_from([np.True_, np.False_]))
+#: rows of numbers whose lengths differ
+RAGGED = st.lists(st.lists(NUMBERS, min_size=1, max_size=3), min_size=2, max_size=4).filter(
+    lambda rows: len({len(row) for row in rows}) > 1)
+
+
+def _with_numbers(kids):
+    """Lists holding one of ``kids`` among numbers, at any position."""
+    return st.tuples(kids, st.lists(NUMBERS, max_size=3)).flatmap(
+        lambda pair: st.permutations([pair[0], *pair[1]]))
+
+
+@VALIDATOR_SETTINGS
+@given(st.one_of(RAGGED, st.recursive(NOT_NUMBERS, _with_numbers, max_leaves=6)))
+def test_validators_reject_non_numbers(value):
+    for check in (_finite, _nonnegative, _integer):
+        with pytest.raises(InputError):
+            check(value, "value")
+
+
+@VALIDATOR_SETTINGS
+@given(NUMBERS)
+def test_validators_return_numbers(v):
+    finite = _finite(v, "v")
+    assert finite.dtype == float and finite.shape == () and finite == float(v)
+    if v >= 0:
+        nonnegative = _nonnegative(v, "v")
+        assert type(nonnegative) is float and nonnegative == float(v)
+    else:
+        with pytest.raises(InputError):
+            _nonnegative(v, "v")
+    if int(v) == v:
+        integer = _integer(v, "v")
+        assert type(integer) is int and integer == int(v)
+    else:
+        with pytest.raises(InputError):
+            _integer(v, "v")
