@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
+from .exceptions import InputError
 from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram
-from .kriging import _Engine
-
-_DIAG_TOL = 1e-9
+from .kriging import _clamped, _Engine
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,7 @@ class GaussianPredictive:
                 f"covariance shape {cov.shape} does not match {mean.shape[0]} means"
             )
         cov = 0.5 * (cov + cov.T)
-        scale = max(1.0, float(np.abs(np.diag(cov)).max(initial=0.0)))
-        if np.diag(cov).min(initial=0.0) < -_DIAG_TOL * scale:
-            raise NumericalError("posterior variance is negative beyond tolerance")
+        _clamped(np.diag(cov), np.abs(np.diag(cov)).max(initial=0.0))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

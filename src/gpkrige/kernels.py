@@ -287,13 +287,9 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     if max_lag / bins < np.finfo(float).tiny:
         # subnormal edges repeat or fall out of order
         raise InputError(f"bin width max_lag / bins = {max_lag / bins!r} is not a normal float")
-    x = _finite(x, "x")
-    if x.ndim == 1:
-        x = x[:, None]
-    y = _finite(y, "y").reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise InputError("x and y must have the same number of rows")
-    if x.shape[0] < 2:
+    data = Dataset(x, y)
+    x, y = data.x, data.y
+    if data.n < 2:
         raise InputError("need at least two points for an empirical semivariogram")
 
     edges = np.linspace(0.0, max_lag, bins + 1)

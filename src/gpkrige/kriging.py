@@ -67,6 +67,7 @@ from .kernels import (
     MeanSpec,
     _as_locations,
     _mean_vector,
+    _nonnegative,
     _real,
     _rowdot,
     basis_matrix,
@@ -123,6 +124,8 @@ def _clamped(value, scale: float):
 
 def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
                             max_jitter: float) -> SpdFactor:
+    """Factor S = Sigma + sigma^2 I; ``max_jitter`` is checked before S is built."""
+    max_jitter = _nonnegative(max_jitter, "max_jitter")
     if kernel.dim != data.dim:
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
@@ -132,11 +135,10 @@ def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
 
 
 def _data_basis(mean: MeanSpec, data: Dataset) -> np.ndarray:
-    """The n x p basis matrix at the design points; p must not exceed n."""
-    m_mat = basis_matrix(mean, data.x)
-    if m_mat.shape[1] > data.n:
-        raise InputError(f"{m_mat.shape[1]} basis functions exceed {data.n} observations")
-    return m_mat
+    """The n x p basis matrix at the design points; p is checked against n first."""
+    if mean.p > data.n:
+        raise InputError(f"{mean.p} basis functions exceed {data.n} observations")
+    return basis_matrix(mean, data.x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import cho_solve, get_lapack_funcs, issymmetric
 from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
 
 _SYM_RTOL = 1e-10
-_SYM_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -37,28 +36,18 @@ class SpdFactor:
     n: int
 
 
-def _exactly_symmetric(a) -> bool:
-    """Whether a square ``a`` equals its transpose, compared tile by tile.
-
-    Each tile above the diagonal is read against the transpose of its
-    mirror tile, so both stay in cache instead of striding down whole
-    columns of ``a``.
-    """
-    n, t = a.shape[0], _SYM_TILE
-    return all(np.array_equal(a[i:i + t, j:j + t], a[j:j + t, i:i + t].T)
-               for i in range(0, n, t) for j in range(i, n, t))
-
-
 def _check_symmetric(a):
     """``a`` as an exactly symmetric float matrix.
 
-    An input that is already exactly symmetric comes back as itself, not
-    copied: 0.5 * (a + a^T) would reproduce it bit for bit.
+    An input that is already exactly symmetric (``scipy.linalg.issymmetric``
+    with no tolerance: +0 equals -0, an off-diagonal NaN equals nothing)
+    comes back as itself, not copied: 0.5 * (a + a^T) would reproduce it
+    bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    if _exactly_symmetric(a):
+    if issymmetric(a):
         return a
     scale = max(1.0, np.abs(a).max())
     if np.abs(a - a.T).max() > _SYM_RTOL * scale:
@@ -90,9 +79,10 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     ``max_jitter > 0`` a diagonal shift delta * I is added, with delta
     escalating in decade steps from ``1e-12 * trace(A)/n`` up to
     ``max_jitter``, until the shifted matrix factors; the shift actually
-    used is recorded in ``jitter_used``.  A matrix with a non-finite entry
-    is rejected here, once, so the solves against the factor need not
-    rescan it.
+    used is recorded in ``jitter_used``.  ``max_jitter`` must already be a
+    nonnegative finite float; callers validate it before building A.  A
+    matrix with a non-finite entry is rejected here, once, so the solves
+    against the factor need not rescan it.
     """
     a = _check_symmetric(a)
     if not np.isfinite(a).all():
@@ -101,7 +91,6 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     chol, pivot = _try_cholesky(a)
     if chol is not None:
         return SpdFactor(chol=chol, jitter_used=0.0, n=n)
-    max_jitter = float(max_jitter)
     if max_jitter > 0.0:
         delta = 1e-12 * np.trace(a) / n
         if not delta > 0.0:

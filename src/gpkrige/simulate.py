@@ -111,9 +111,6 @@ class PredictorSummary:
     mean_error_variance: float | None = None
     coverage_95: float | None = None
 
-    def to_dict(self) -> dict:
-        return _json_dict(self)
-
 
 @dataclass(frozen=True)
 class StudyReport:
@@ -122,14 +119,10 @@ class StudyReport:
     predictors: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _json_dict(self)
-
-
-def _json_dict(record) -> dict:
-    """``dataclasses.asdict`` with None fields left out and tuples as lists."""
-    return asdict(record, dict_factory=lambda items: {
-        k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None
-    })
+        """``dataclasses.asdict`` with None fields left out and tuples as lists."""
+        return asdict(self, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None
+        })
 
 
 def sample_field(kernel: KernelSpec, mean: MeanSpec, x, noise_variance: float,

@@ -634,3 +634,31 @@ def test_digit_group_option_exits_2(capsys, option, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: invalid" in capsys.readouterr().err
+
+
+DATA_1D = "x1,y\n0.0,1.0\n1.0,2.0\n"
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ("", ["--grid", "0:1:2"], "data.csv: empty file"),
+    ("x2,y\n0.0,1.0\n", ["--grid", "0:1:2"], "coordinate columns must be x1, got x2"),
+    ("x1,y\n\n", ["--grid", "0:1:2"], "data.csv: no data rows"),
+    (DATA_1D, ["--grid", "0:1:2", "--grid", "0:1:2"],
+     "need 1 --grid specs (one per dimension), got 2"),
+    (DATA_1D, ["--grid", "0:1"], "bad grid spec '0:1'; expected lo:hi:count"),
+    (DATA_1D, ["--grid", "0:1:0"], "bad grid spec '0:1:0': count must be positive"),
+    (DATA_1D, ["--grid", "0:1:2", "--points", "PTS"], "give either --grid or --points, not both"),
+    (DATA_1D, ["--points", "PTS"], "target points have dimension 2, data has 1"),
+    (None, ["--grid", "0:1:2"], "No such file or directory"),
+], ids=["empty-file", "coordinate-header", "no-data-rows", "grid-count", "grid-parts",
+        "grid-size", "grid-and-points", "points-dimension", "missing-data-file"])
+def test_input_error_exits_2_with_its_message(tmp_path, capsys, data, argv, message):
+    if data is not None:
+        (tmp_path / "data.csv").write_text(data)
+    (tmp_path / "pts.csv").write_text("x1,x2\n0.1,0.2\n")
+    write_config(tmp_path / "c.json", SE_CONFIG)
+    argv = [str(tmp_path / "pts.csv") if arg == "PTS" else arg for arg in argv]
+    assert main(["predict", "--data", str(tmp_path / "data.csv"),
+                 "--config", str(tmp_path / "c.json"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

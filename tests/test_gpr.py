@@ -5,9 +5,11 @@ import pytest
 
 from gpkrige import (
     Dataset,
+    GaussianPredictive,
     InputError,
     KernelSpec,
     MeanSpec,
+    NumericalError,
     build_gram,
     gpr_predict,
     gpr_predict_basis,
@@ -45,6 +47,16 @@ class TestJointPrior:
         assert cov[2, 2] == 1.0
         # noise never reaches the test block
         np.testing.assert_allclose(cov, cov.T)
+
+
+class TestGaussianPredictive:
+    def test_negative_variance_beyond_tolerance_raises(self):
+        with pytest.raises(NumericalError, match="negative beyond tolerance"):
+            GaussianPredictive(mean=[0.0, 0.0], covariance=np.diag([1.0, -1e-6]))
+
+    def test_round_off_negative_variance_is_clamped(self):
+        post = GaussianPredictive(mean=[0.0, 0.0], covariance=np.diag([1.0, -1e-12]))
+        assert post.variance.tolist() == [1.0, 0.0]
 
 
 class TestGprPredict:

@@ -277,6 +277,10 @@ class TestEmpiricalSemivariogram:
         _, counts, _ = empirical_semivariogram([[0.0], [5.0]], [0.0, 1.0], 2, 1.0)
         assert counts.sum() == 0
 
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(InputError, match="3 locations but 2 responses"):
+            empirical_semivariogram([[0.0], [1.0], [2.0]], [0.0, 1.0], 2, 2.0)
+
     @pytest.mark.parametrize("bins, max_lag", [(64, 5e-322), (4, 5e-324)])
     def test_subnormal_bin_width_rejected(self, bins, max_lag):
         # linspace edges repeat or fall out of order below the normal range

@@ -310,6 +310,41 @@ def test_bad_mean_rejected_before_factoring(call):
         call(data, MeanSpec.known_constant(1.0), MeanSpec.constant_unknown())
 
 
+@pytest.mark.parametrize("max_jitter", ["1e-6", True, -1.0, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda data, jitter: ordinary_krige(data, SE1, [0.5], max_jitter=jitter),
+    lambda data, jitter: predict_points(data, SE1, [[0.5]], "ok", max_jitter=jitter),
+    lambda data, jitter: gls_beta(data, SE1, MeanSpec.polynomial(1, 1), max_jitter=jitter),
+    lambda data, jitter: gpr_predict(data, SE1, ZERO_MEAN, [[0.5]], max_jitter=jitter),
+    lambda data, jitter: ordinary_krige_direct(data, SE1, [0.5], max_jitter=jitter),
+], ids=["ordinary_krige", "predict_points", "gls_beta", "gpr_predict",
+        "ordinary_krige_direct"])
+def test_bad_max_jitter_rejected_before_factoring(monkeypatch, call, max_jitter):
+    def no_cholesky(a):
+        raise AssertionError("a Cholesky was attempted")
+
+    monkeypatch.setattr(linalg, "_try_cholesky", no_cholesky)
+    data = Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
+    with pytest.raises(InputError, match="max_jitter must be"):
+        call(data, max_jitter)
+
+
+@pytest.mark.parametrize("call", [
+    lambda data, mean: predict_points(data, SE1, [[0.5]], "uk", mean),
+    lambda data, mean: ls_predict(data, mean, [0.5]),
+    lambda data, mean: sk_with_plugin_mean(data, SE1, mean, [0.5]),
+], ids=["predict_points_uk", "ls_predict", "sk_with_plugin_mean"])
+def test_basis_size_checked_before_the_basis_is_built(monkeypatch, call):
+    # a degree-5 basis has 6 functions, more than the 3 observations
+    def no_basis(*args):
+        raise AssertionError("the basis was evaluated")
+
+    monkeypatch.setattr(kriging, "basis_matrix", no_basis)
+    data = Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
+    with pytest.raises(InputError, match="6 basis functions exceed 3 observations"):
+        call(data, MeanSpec.polynomial(1, 5))
+
+
 def test_engine_remembers_a_failed_factor(monkeypatch):
     # each use raises its own error, unchained, without refactoring S
     orders, factor = [], kriging.spd_factor

@@ -324,6 +324,30 @@ class TestReplicateSampler:
         np.testing.assert_array_equal(z_test, z_all[cfg.n_train:])
         assert ours.bit_generator.state == theirs.bit_generator.state
 
+    def test_noisy_fallback_adds_the_noise_after_the_joint_draw(self, monkeypatch):
+        # a noisy S that does not factor: the replicate draws the latent field
+        # jointly, then the observation noise from the same stream
+        cfg = self.config(0.05)
+        factor = kriging.spd_factor
+
+        def singular_gram(a, *args, **kwargs):
+            if len(a) == cfg.n_train:
+                raise SingularityError("forced", pivot=0)
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(kriging, "spd_factor", singular_gram)
+        rng = np.random.default_rng(9)
+        x_train = rng.uniform(0.0, 1.0, (cfg.n_train, 2))
+        x_test = rng.uniform(0.0, 1.0, (cfg.n_test, 2))
+        ours, theirs = np.random.default_rng(10), np.random.default_rng(10)
+        engine, z_test = simulate._sample_replicate(cfg, x_train, x_test, ours)
+        z_all = sample_field(cfg.kernel, cfg.true_mean, np.vstack([x_train, x_test]), 0.0,
+                             theirs)
+        noise = np.sqrt(cfg.noise_variance) * theirs.standard_normal(cfg.n_train)
+        np.testing.assert_array_equal(engine.data.y, z_all[:cfg.n_train] + noise)
+        np.testing.assert_array_equal(z_test, z_all[cfg.n_train:])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_coincident_training_points_fail_kriging_but_score_ls(self, monkeypatch):
         draw = simulate._draw_locations
 
