@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, build_gram
+from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, _finite, build_gram
 from .kriging import _clamped, _Engine
 
 
@@ -36,8 +36,8 @@ class GaussianPredictive:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = _finite(self.mean, "mean").reshape(-1)
+        cov = _finite(self.covariance, "covariance")
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise InputError(
                 f"covariance shape {cov.shape} does not match {mean.shape[0]} means"

@@ -17,6 +17,7 @@ All functions are pure; nothing here caches state.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -30,48 +31,33 @@ from .exceptions import InputError
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 _PAIR_BLOCK = 1 << 16  # pairs per block of the empirical semivariogram
+_LAG_BLOCK = 1 << 14  # lags per profile call: 128 KiB temporaries, at glibc's mmap threshold
 
 
 def _se_profile(u):
-    t = np.multiply(-0.5, u, out=np.empty_like(u))
-    t *= u
-    return np.exp(t, out=t)
+    return np.exp(-0.5 * u * u)
 
 
 def _exponential_profile(u):
-    np.negative(u, out=u)
-    return np.exp(u, out=u)
+    return np.exp(-u)
 
 
 def _matern32_profile(u):
-    s = np.multiply(_SQRT3, u, out=u)
-    decay = np.negative(s, out=np.empty_like(s))
-    np.exp(decay, out=decay)
-    s += 1.0
-    s *= decay
-    return s
+    s = _SQRT3 * u
+    return (1.0 + s) * np.exp(-s)
 
 
 def _matern52_profile(u):
-    s = np.multiply(_SQRT5, u, out=u)
-    decay = np.negative(s, out=np.empty_like(s))
-    np.exp(decay, out=decay)
-    quadratic = s * s
-    quadratic /= 3.0
-    s += 1.0
-    s += quadratic
-    s *= decay
-    return s
+    s = _SQRT5 * u
+    return (1.0 + s + s * s / 3.0) * np.exp(-s)
 
 
 def _white_noise_profile(u):
     return np.where(u == 0.0, 1.0, 0.0)
 
 
-#: Correlation profiles as functions of the scaled lag u = ||(x - x') / ell||.
-#: Each takes a float array of lags that its caller gives up, may overwrite
-#: it, and updates in place in the association order of its closed form, so
-#: it rounds exactly as that expression would.
+#: Correlation profiles as functions of the scaled lag u = ||(x - x') / ell||
+#: (Rasmussen & Williams 2006, section 4.2), written as their closed forms.
 KERNEL_FAMILIES: dict[str, Callable] = {
     "squared_exponential": _se_profile,
     "exponential": _exponential_profile,
@@ -174,9 +160,6 @@ class KernelSpec:
     def is_isotropic(self) -> bool:
         return len(set(self.lengthscales)) == 1
 
-    def _profile(self):
-        return KERNEL_FAMILIES[self.family]
-
 
 def _as_locations(x, dim, name="X"):
     x = _real(x, name)
@@ -185,6 +168,20 @@ def _as_locations(x, dim, name="X"):
     if x.ndim != 2 or x.shape[1] != dim:
         raise InputError(f"{name} must be an (n, {dim}) array, got shape {x.shape}")
     return x
+
+
+def _covariance(spec: KernelSpec, lags: np.ndarray) -> np.ndarray:
+    """variance * profile of a fresh array of scaled lags, written over its lags.
+
+    The only caller of a profile.  Blocks of ``_LAG_BLOCK`` lags bound its
+    temporaries, and each lag is computed on its own, so they change no bit.
+    """
+    profile = KERNEL_FAMILIES[spec.family]
+    flat = lags.reshape(-1)  # a view of C-ordered lags, else a copy
+    for start in range(0, flat.size, _LAG_BLOCK):
+        block = flat[start:start + _LAG_BLOCK]
+        np.multiply(profile(block), spec.variance, out=block)
+    return flat.reshape(lags.shape)
 
 
 def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
@@ -196,9 +193,7 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
     xa = _as_locations(xa, spec.dim, "xa")
     xb = _as_locations(xb, spec.dim, "xb")
     ls = np.asarray(spec.lengthscales)
-    k = spec._profile()(cdist(xa / ls, xb / ls))
-    k *= spec.variance
-    return k
+    return _covariance(spec, cdist(xa / ls, xb / ls))
 
 
 def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
@@ -214,9 +209,7 @@ def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     else:
         # the profile runs once per pair on pdist's lags, which round as
         # cdist's do, and squareform mirrors them, so k is exactly symmetric
-        k = spec._profile()(pdist(x / np.asarray(spec.lengthscales)))
-        k *= spec.variance
-        k = squareform(k, checks=False)
+        k = squareform(_covariance(spec, pdist(x / np.asarray(spec.lengthscales))), checks=False)
     np.fill_diagonal(k, spec.variance + noise_variance)
     return k
 
@@ -232,8 +225,7 @@ def semivariogram_of(spec: KernelSpec, tau):
     tau = _real(tau, "lags")
     if np.any(tau < 0.0):
         raise InputError("lags must be nonnegative")
-    cov = spec.variance * spec._profile()(np.asarray(tau / spec.lengthscales[0]))
-    gamma = spec.variance - cov
+    gamma = spec.variance - _covariance(spec, np.asarray(tau / spec.lengthscales[0]))
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -610,7 +602,10 @@ def _mean_to_json(mean: MeanSpec) -> dict:
             return {"type": "known", "constant": mean.constant}
         raise InputError("only constant known means are JSON-representable")
     if mean.exponents is not None:
-        degree = int(max(map(sum, mean.exponents)))
+        dim, degree = len(mean.exponents[0]), int(max(map(sum, mean.exponents)))
+        if (degree < 0 or len(mean.exponents) != math.comb(dim + degree, dim)
+                or list(map(list, mean.exponents)) != _monomial_exponents(dim, degree)):
+            raise InputError("only all monomials up to a degree, in order, are JSON-representable")
         doc = {"type": "basis", "basis": "polynomial", "degree": degree}
         if mean.coefficients is not None:
             doc["coefficients"] = list(mean.coefficients)

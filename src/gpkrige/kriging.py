@@ -375,7 +375,11 @@ def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[P
 
 
 def _one_row(xstar) -> np.ndarray:
-    return np.reshape(_real(xstar, "target"), (1, -1))
+    """One target as a (1, d) row: a number, a 1-D point or a single row, nothing else."""
+    x = _real(xstar, "target")
+    if x.ndim > 2 or (x.ndim == 2 and x.shape[0] != 1):
+        raise InputError(f"target must be one point, got shape {x.shape}")
+    return np.reshape(x, (1, -1))
 
 
 def _predict_one(data, kernel, mean, xstar, variant, max_jitter) -> Prediction:

@@ -48,6 +48,11 @@ class TestJointPrior:
         # noise never reaches the test block
         np.testing.assert_allclose(cov, cov.T)
 
+    def test_kernel_dimension_mismatch_rejected(self):
+        data = Dataset([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+        with pytest.raises(InputError, match="kernel dimension 1"):
+            joint_prior(data, SE1, ZERO_MEAN, [[0.5, 0.5]])
+
 
 class TestGaussianPredictive:
     def test_negative_variance_beyond_tolerance_raises(self):
@@ -57,6 +62,21 @@ class TestGaussianPredictive:
     def test_round_off_negative_variance_is_clamped(self):
         post = GaussianPredictive(mean=[0.0, 0.0], covariance=np.diag([1.0, -1e-12]))
         assert post.variance.tolist() == [1.0, 0.0]
+
+    def test_covariance_shape_must_match_mean(self):
+        with pytest.raises(InputError, match="does not match 2 means"):
+            GaussianPredictive(mean=[0.0, 0.0], covariance=np.eye(3))
+
+    @pytest.mark.parametrize("mean, cov, name", [
+        (["1.5", True], np.eye(2), "mean must be numeric"),
+        ([1.5, 1.0], [["1", 0], [0, 1]], "covariance must be numeric"),
+        ([1.5, np.inf], np.eye(2), "mean must be finite"),
+        ([1.5, 1.0], [[1.0, 0.0], [0.0, np.nan]], "covariance must be finite"),
+    ])
+    def test_numbers_go_through_the_shared_validator(self, mean, cov, name):
+        # each of these was once read as a number or kept as NaN
+        with pytest.raises(InputError, match=name):
+            GaussianPredictive(mean=mean, covariance=cov)
 
 
 class TestGprPredict:

@@ -21,7 +21,14 @@ from gpkrige import (
     model_to_json,
     semivariogram_of,
 )
-from gpkrige.kernels import _PAIR_BLOCK, KERNEL_FAMILIES, _mean_vector
+from gpkrige.kernels import (
+    _LAG_BLOCK,
+    _PAIR_BLOCK,
+    KERNEL_FAMILIES,
+    _mean_from_json,
+    _mean_vector,
+    _real,
+)
 
 ALL_FAMILIES = sorted(KERNEL_FAMILIES)
 DECAYING = ["squared_exponential", "exponential", "matern32", "matern52"]
@@ -61,8 +68,9 @@ class TestEvalKernel:
 
     @pytest.mark.parametrize("family", DECAYING)
     def test_rounds_as_the_closed_form(self, family):
-        # the profiles update their lags in place; they must round exactly as
-        # the closed-form expression does, for matrices and for scalar lags
+        # the profiles are evaluated in blocks of lags, in place of the lags;
+        # they must round exactly as the closed-form expression does, for
+        # matrices, for scalar lags and across block boundaries
         def closed_form(u):
             if family == "squared_exponential":
                 return np.exp(-0.5 * u * u)
@@ -82,10 +90,32 @@ class TestEvalKernel:
                                       1.7 * closed_form(cdist(xa / ls, xb / ls)))
         np.testing.assert_allclose(kernel_matrix(spec, xa, xb), 1.7 * closed_form(lags),
                                    rtol=1e-14)
+        # 300 x 70 lags span two blocks, and a block boundary falls inside a row
+        xa, xb = rng.uniform(0.0, 2.0, (300, 2)), rng.uniform(0.0, 2.0, (70, 2))
+        assert 300 * 70 > _LAG_BLOCK and _LAG_BLOCK % 70
+        np.testing.assert_array_equal(kernel_matrix(spec, xa, xb),
+                                      1.7 * closed_form(cdist(xa / ls, xb / ls)))
         iso = KernelSpec(family, 1.7, (0.3,))
-        for tau in (0.45, np.array([0.0, 0.45, 2.0])):
+        # a column-major tau gives column-major lags, which reshape(-1) copies
+        for tau in (0.45, np.array([0.0, 0.45, 2.0]), np.asfortranarray(lags[:5])):
             assert np.array_equal(semivariogram_of(iso, tau),
                                   1.7 - 1.7 * closed_form(np.asarray(tau) / 0.3))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_memory_is_its_output_plus_a_few_blocks(self, family):
+        # the profile's temporaries are block-sized, so a 2000 x 1000 matrix
+        # (16 MB) needs less than 1 MiB beside itself
+        rng = np.random.default_rng(5)
+        spec = KernelSpec(family, 1.3, (0.25, 0.5), dim=2)
+        xa, xb = rng.uniform(0.0, 1.0, (2000, 2)), rng.uniform(0.0, 1.0, (1000, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            k = kernel_matrix(spec, xa, xb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k.nbytes + 2**20
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("squared_exponential", 1.0, (1.0,), dim=2)
@@ -112,6 +142,16 @@ class TestKernelSpecValidation:
     def test_unknown_family_rejected(self):
         with pytest.raises(InputError):
             KernelSpec("cubic", 1.0, (1.0,))
+
+    def test_lengthscales_must_match_dimension(self):
+        with pytest.raises(InputError, match="shape"):
+            KernelSpec("squared_exponential", 1.0, (1.0, 2.0), dim=3)
+
+    def test_int_beyond_float_range_rejected(self):
+        with pytest.raises(InputError, match="must be numeric"):
+            _real(10**400, "variance")
+        with pytest.raises(InputError, match="must be numeric"):
+            KernelSpec("exponential", 1.0, [1.0, 10**400])
 
     def test_isotropic_broadcast(self):
         spec = KernelSpec("exponential", 1.0, (2.0,), dim=3)
@@ -235,6 +275,10 @@ class TestSemivariogram:
         with pytest.raises(InputError):
             semivariogram_of(spec, 1.0)
 
+    def test_negative_lag_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            semivariogram_of(KernelSpec("matern32", 1.0, (1.0,)), [0.5, -0.1])
+
     def test_cov_from_semivariogram_roundtrip(self):
         spec = KernelSpec("matern32", 2.0, (1.0,))
         for tau in (0.0, 0.3, 1.0, 4.0):
@@ -276,6 +320,10 @@ class TestEmpiricalSemivariogram:
     def test_pairs_beyond_max_lag_excluded(self):
         _, counts, _ = empirical_semivariogram([[0.0], [5.0]], [0.0, 1.0], 2, 1.0)
         assert counts.sum() == 0
+
+    def test_one_point_rejected(self):
+        with pytest.raises(InputError, match="at least two points"):
+            empirical_semivariogram([[0.0, 1.0]], [1.0], 3, 1.0)
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(InputError, match="3 locations but 2 responses"):
@@ -470,6 +518,29 @@ class TestMeanSpec:
         with pytest.raises(InputError):
             MeanSpec.polynomial(1, 1, prior_cov=np.eye(3))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "linear"}, "unknown mean kind"),
+        ({"kind": "constant_unknown", "constant": 1.0}, "only a known mean takes a constant"),
+        ({"kind": "known", "constant": [1.0, 2.0]}, "constant must be one number"),
+        ({"kind": "basis", "functions": (lambda x: 1.0,), "exponents": ((0.0,),)},
+         "exponents and no functions"),
+        ({"kind": "known", "constant": 1.0, "coefficients": (1.0,)}, "no coefficients or prior"),
+        ({"kind": "basis"}, "at least one function"),
+        ({"kind": "basis", "exponents": ((0.0,), (1.0,)),
+          "prior_cov": ((1.0, 0.5), (0.0, 1.0))}, "prior_cov must be symmetric"),
+    ])
+    def test_invalid_specs_rejected(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            MeanSpec(**kwargs)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(InputError, match="degree >= 0"):
+            MeanSpec.polynomial(2, -1)
+
+    def test_basis_matrix_of_known_mean_rejected(self):
+        with pytest.raises(InputError, match="requires a basis"):
+            basis_matrix(MeanSpec.known_constant(1.0), [[0.0]])
+
 
 class TestDataset:
     def test_promotes_1d_locations(self):
@@ -484,6 +555,10 @@ class TestDataset:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             Dataset([[0.0]], [np.nan])
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(InputError, match="nonempty"):
+            Dataset(np.empty((0, 2)), [])
 
     def test_negative_noise_rejected(self):
         with pytest.raises(InputError):
@@ -532,6 +607,29 @@ class TestModelJson:
         _, m2, _ = model_from_json(doc)
         assert _mean_vector(m2, np.array([[1.0, 1.0]]))[0] == 6.0
 
+    def test_prior_roundtrip(self):
+        mean = MeanSpec.polynomial(1, 1, prior_mean=[0.5, -2.0],
+                                   prior_cov=[[2.0, 0.3], [0.3, 1.0]])
+        doc = model_to_json(KernelSpec("matern52", 1.0, (0.7,)), mean, 0.01)
+        assert doc["mean"] == {"type": "basis", "basis": "polynomial", "degree": 1,
+                               "prior_mean": [0.5, -2.0],
+                               "prior_cov": [[2.0, 0.3], [0.3, 1.0]]}
+        _, m2, _ = model_from_json(doc)
+        assert m2 == mean
+
+    @pytest.mark.parametrize("exponents, coefficients", [
+        (((0.0,), (2.0,)), None),  # a gap: not the monomials up to degree 2
+        (((0.0,), (2.0,)), (1.0, 2.0)),
+        (((0.5,),), None),  # not a monomial
+        (((1.0,), (0.0,)), None),  # out of order
+        (((1e9,),), None),  # degree 1e9: rejected by the count, before any monomial is built
+    ])
+    def test_other_exponents_not_serializable(self, exponents, coefficients):
+        # each was once written as a polynomial of another degree
+        mean = MeanSpec(kind="basis", exponents=exponents, coefficients=coefficients)
+        with pytest.raises(InputError, match="JSON-representable"):
+            model_to_json(KernelSpec("exponential", 1.0, (1.0,)), mean, 0.0)
+
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_polynomial_degree_from_exponents(self, degree):
         kernel = KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2)
@@ -553,6 +651,17 @@ class TestModelJson:
         with pytest.raises(InputError):
             model_to_json(KernelSpec("exponential", 1.0, (1.0,)),
                           MeanSpec.known(lambda x: x[0] ** 3), 0.0)
+        with pytest.raises(InputError, match="raw callables"):
+            model_to_json(KernelSpec("exponential", 1.0, (1.0,)),
+                          MeanSpec.basis([lambda x: 1.0]), 0.0)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "basis", "basis": "fourier"}, "unsupported basis family"),
+        ({"type": "spline"}, "unknown mean type"),
+    ])
+    def test_bad_mean_documents_rejected(self, doc, message):
+        with pytest.raises(InputError, match=message):
+            _mean_from_json(doc, 1)
 
     def test_bad_documents_rejected(self):
         with pytest.raises(InputError):

@@ -717,6 +717,25 @@ class TestPredictPoints:
             assert pred.weights.lam0 == single.weights.lam0
             assert np.array_equal(pred.weights.mu_tilde, single.weights.mu_tilde)
 
+    def test_one_point_calls_take_one_point(self):
+        # a number, a 1-D point and a single row are one point; any other
+        # nest was once flattened into one point
+        data = Dataset([[0.0, 0.0], [1.0, 0.5], [0.2, 0.9]], [1.0, 2.0, 0.5])
+        kernel = KernelSpec("matern52", 1.0, (0.7,), dim=2)
+        row = ordinary_krige(data, kernel, [[0.1, 0.2]])
+        assert ordinary_krige(data, kernel, [0.1, 0.2]).mean == row.mean
+        assert ordinary_krige(Dataset([0.0, 1.0], [1.0, 2.0]), SE1, 0.5).mean == 1.5
+        for target in ([[0.1], [0.2]], [[[0.1, 0.2]]], np.zeros((2, 2))):
+            with pytest.raises(InputError, match="target must be one point"):
+                ordinary_krige(data, kernel, target)
+            with pytest.raises(InputError, match="target must be one point"):
+                ls_predict(data, MeanSpec.polynomial(2, 1), target)
+
+    def test_kernel_dimension_mismatch_rejected(self):
+        data = Dataset([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+        with pytest.raises(InputError, match="kernel dimension 1"):
+            predict_points(data, SE1, [[0.5, 0.5]], "ok")
+
     def test_variant_validation(self):
         data = Dataset([[0.0], [1.0]], [1.0, 2.0])
         with pytest.raises(InputError):

@@ -102,6 +102,11 @@ class TestCheckSymmetric:
         a = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
         return a + np.eye(600)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InputError, match="square matrix"):
+            _check_symmetric(np.ones(shape))
+
     def test_exactly_symmetric_returned_uncopied(self):
         a = self.spd600()
         assert _check_symmetric(a) is a
@@ -221,6 +226,10 @@ class TestBlockInverse:
         with pytest.raises(SingularityError, match="block A"):
             block_inverse(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2))
 
+    def test_inconsistent_block_shapes_rejected(self):
+        with pytest.raises(InputError, match="inconsistent block shapes"):
+            block_inverse(np.eye(3), np.ones((2, 1)), np.ones((1, 2)), np.eye(1))
+
     def test_singular_schur_identified(self):
         # D - C A^-1 B = 0 here
         with pytest.raises(SingularityError, match="Schur"):
@@ -276,6 +285,15 @@ class TestSolveSaddle:
                 assert lam_j.shape == (n,) and mu_j.shape == (p,)
                 np.testing.assert_allclose(lam[:, j], lam_j, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(mu[:, j], mu_j, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma, m", [
+        (np.eye(3), np.ones((2, 1))),  # M has fewer rows than Sigma
+        (np.ones((3, 2)), np.ones((3, 1))),  # Sigma is not square
+        (np.eye(3), np.ones(3)),  # M is not a matrix
+    ])
+    def test_blocks_that_do_not_border_rejected(self, sigma, m):
+        with pytest.raises(InputError, match="do not border each other"):
+            bordered_solve(sigma, m, np.zeros(3), np.zeros(1))
 
     def test_block_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
