@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -322,7 +323,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it as it was: ``--grid`` appends to a copy of its empty
+    default, and argparse looks up stdout and stderr when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="gpkrige",
         description="Kriging and Gaussian-process prediction over CSV point data.",

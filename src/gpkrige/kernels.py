@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .exceptions import InputError
 
@@ -184,6 +184,7 @@ def _covariance(spec: KernelSpec, lags: np.ndarray) -> np.ndarray:
     return flat.reshape(lags.shape)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is the caller's to report
 def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
     """Rectangular covariance matrix k(xa_i, xb_j), no noise term.
 
@@ -196,22 +197,50 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
     return _covariance(spec, cdist(xa / ls, xb / ls))
 
 
-def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
-    """Assemble the observation covariance Sigma + sigma^2 I.
+@np.errstate(over="ignore", invalid="ignore")  # the finite check is the one report
+def _observation_cov(spec: KernelSpec, x, noise_variance: float,
+                     mirror: bool) -> np.ndarray:
+    """S = Sigma + sigma^2 I in the upper triangle of a fresh C-ordered array.
 
-    The noise sits on the diagonal only; off-diagonal entries are the pure
-    kernel values, so duplicated locations remain perfectly correlated.
+    That triangle is the lower one of the column-major transpose LAPACK
+    reads, so S can be factored where it is built.  Row blocks of about
+    ``_LAG_BLOCK`` lags bound the temporaries: rows [i, i + r) against
+    columns [i, n), each block's profile run in place on ``cdist``'s lags
+    and checked finite.  With ``mirror`` each block is also written below
+    the diagonal; its own r x r square holds both orders of each pair, and
+    cdist(a, b) rounds as cdist(b, a) does, so S comes out exactly
+    symmetric.  Without it the strict lower triangle holds zeros and the
+    lower halves of those squares, and is not to be read.  The diagonal is
+    variance + noise whatever a point's lag to itself computes to (NaN
+    where its scaled coordinates overflow).
     """
     noise_variance = _nonnegative(noise_variance, "noise variance")
     x = _as_locations(x, spec.dim)
-    if x.shape[0] < 2:
-        k = np.empty((x.shape[0],) * 2)
-    else:
-        # the profile runs once per pair on pdist's lags, which round as
-        # cdist's do, and squareform mirrors them, so k is exactly symmetric
-        k = squareform(_covariance(spec, pdist(x / np.asarray(spec.lengthscales))), checks=False)
-    np.fill_diagonal(k, spec.variance + noise_variance)
-    return k
+    n = x.shape[0]
+    scaled = x / np.asarray(spec.lengthscales)
+    s = np.zeros((n, n))
+    i = 0
+    while i < n:
+        rows = min(n - i, max(1, _LAG_BLOCK // (n - i)))
+        block = _covariance(spec, cdist(scaled[i:i + rows], scaled[i:]))
+        np.fill_diagonal(block, spec.variance + noise_variance)
+        if not np.isfinite(block).all():
+            raise InputError("matrix must be finite")
+        s[i:i + rows, i:] = block
+        if mirror:
+            s[i + rows:, i:i + rows] = block[:, rows:].T
+        i += rows
+    return s
+
+
+def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
+    """Assemble the observation covariance Sigma + sigma^2 I, full and exactly symmetric.
+
+    The noise sits on the diagonal only; off-diagonal entries are the pure
+    kernel values, so duplicated locations remain perfectly correlated.  A
+    non-finite entry is an input error.
+    """
+    return _observation_cov(spec, x, noise_variance, mirror=True)
 
 
 def semivariogram_of(spec: KernelSpec, tau):

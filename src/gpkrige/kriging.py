@@ -68,13 +68,20 @@ from .kernels import (
     _as_locations,
     _mean_vector,
     _nonnegative,
+    _observation_cov,
     _real,
     _rowdot,
     basis_matrix,
-    build_gram,
     kernel_matrix,
 )
-from .linalg import SpdFactor, _factor_constraint_gram, _whiten, solve_spd, spd_factor
+from .linalg import (
+    SpdFactor,
+    _factor_constraint_gram,
+    _factor_in_place,
+    _whiten,
+    solve_spd,
+    spd_factor,
+)
 
 _VARIANCE_TOL = 1e-9
 _COMPACT_TOL = 1e-9
@@ -124,14 +131,20 @@ def _clamped(value, scale: float):
 
 def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
                             max_jitter: float) -> SpdFactor:
-    """Factor S = Sigma + sigma^2 I; ``max_jitter`` is checked before S is built."""
+    """Factor S = Sigma + sigma^2 I where it is built; ``max_jitter`` is checked first.
+
+    S is assembled in the upper triangle of a row-major buffer, checked
+    finite block by block, whose column-major transpose LAPACK factors in
+    place: the factor is bit for bit ``spd_factor(build_gram(...))``'s,
+    without the mirror, the symmetry and finite scans or the copy.
+    """
     max_jitter = _nonnegative(max_jitter, "max_jitter")
     if kernel.dim != data.dim:
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
         )
-    gram = build_gram(kernel, data.x, data.noise_variance)
-    return spd_factor(gram, max_jitter)
+    upper = _observation_cov(kernel, data.x, data.noise_variance, mirror=False)
+    return _factor_in_place(upper.T, max_jitter)
 
 
 def _data_basis(mean: MeanSpec, data: Dataset) -> np.ndarray:

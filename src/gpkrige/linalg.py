@@ -5,7 +5,11 @@ covariance, optionally coupled to unbiasedness constraints through the
 p x p constraint Gram M^T Sigma^-1 M.  This module Cholesky-factors both
 (LAPACK ``potrf``, with an optional diagonal jitter), solves against the
 factors, and whitens against the lower factor L alone (L^-1 B, or L^-T B,
-by one BLAS ``dtrsm``); Sigma^-1 is never formed.  Routes that avoid these
+by one BLAS ``dtrsm``); Sigma^-1 is never formed.  Every factorization runs
+in place through :func:`_factor_in_place`: the engine hands it the buffer
+it built S in, already finite and read only in its lower triangle, so S is
+neither mirrored, scanned nor copied; :func:`spd_factor` checks a
+caller's matrix and hands it a copy.  Routes that avoid these
 factors (a dense LU of the bordered system, the partitioned inverse) live
 in :mod:`gpkrige.oracle`.
 """
@@ -56,15 +60,15 @@ def _check_symmetric(a):
 
 
 def _try_cholesky(a):
-    """Attempt a lower Cholesky of an exactly symmetric ``a``.
+    """Attempt a lower Cholesky of the column-major ``a`` in place.
 
-    Returns (L, None) or (None, failing pivot).  LAPACK reads the matrix in
-    column-major order, so it is handed the transposed view ``a.T``, the
-    same matrix by symmetry, which a row-major ``a`` stores without the
-    transposing copy ``a`` itself would need.
+    Returns (L, None), L being ``a`` itself, or (None, failing pivot).
+    LAPACK reads only the lower triangle, overwrites it with L and, with
+    ``clean``, zeroes the strict upper one; a failed attempt leaves ``a``
+    partly overwritten.
     """
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    c, info = potrf(a.T, lower=True, overwrite_a=False, clean=True)
+    c, info = potrf(a, lower=True, overwrite_a=True, clean=True)
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of Cholesky")
     if info > 0:
@@ -72,31 +76,28 @@ def _try_cholesky(a):
     return c, None
 
 
-def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
-    """Factor a symmetric positive-definite matrix.
+def _factor_in_place(a, max_jitter: float) -> SpdFactor:
+    """Factor the finite matrix held in the lower triangle of column-major ``a``, in ``a``.
 
     With ``max_jitter == 0`` the factorization must succeed as-is.  With
     ``max_jitter > 0`` a diagonal shift delta * I is added, with delta
     escalating in decade steps from ``1e-12 * trace(A)/n`` up to
     ``max_jitter``, until the shifted matrix factors; the shift actually
-    used is recorded in ``jitter_used``.  ``max_jitter`` must already be a
-    nonnegative finite float; callers validate it before building A.  A
-    matrix with a non-finite entry is rejected here, once, so the solves
-    against the factor need not rescan it.
+    used is recorded in ``jitter_used``.  The retries start from a copy of
+    ``a`` taken before the first attempt, so only a call that may jitter
+    pays for it.
     """
-    a = _check_symmetric(a)
-    if not np.isfinite(a).all():
-        raise InputError("matrix must be finite")
     n = a.shape[0]
+    untouched = np.array(a, order="F") if max_jitter > 0.0 else None
     chol, pivot = _try_cholesky(a)
     if chol is not None:
         return SpdFactor(chol=chol, jitter_used=0.0, n=n)
-    if max_jitter > 0.0:
-        delta = 1e-12 * np.trace(a) / n
+    if untouched is not None:
+        delta = 1e-12 * np.trace(untouched) / n
         if not delta > 0.0:
             delta = max_jitter
         while delta <= max_jitter:
-            chol, pivot = _try_cholesky(a + delta * np.eye(n))
+            chol, pivot = _try_cholesky(np.add(untouched, delta * np.eye(n), order="F"))
             if chol is not None:
                 return SpdFactor(chol=chol, jitter_used=delta, n=n)
             delta *= 10.0
@@ -104,6 +105,23 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
         f"matrix is not positive definite (Cholesky failed at pivot {pivot})",
         pivot=pivot,
     )
+
+
+def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
+    """Factor a symmetric positive-definite matrix.
+
+    ``a`` is checked square, symmetric to a relative 1e-10 (symmetrized if
+    not exactly) and finite, so the solves against the factor need not
+    rescan it; a copy is factored, and ``a`` is left as it is.  The jitter
+    escalation is :func:`_factor_in_place`'s; ``max_jitter`` must already
+    be a nonnegative finite float, validated by the caller before A is
+    built.
+    """
+    a = _check_symmetric(a)
+    if not np.isfinite(a).all():
+        raise InputError("matrix must be finite")
+    # a.T is column-major for a row-major a, and is A by symmetry
+    return _factor_in_place(np.array(a.T, order="F"), max_jitter)
 
 
 def _right_hand_side(factor: SpdFactor, b) -> np.ndarray:

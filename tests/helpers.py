@@ -1,10 +1,15 @@
 """Shared random-instance generators for the test suite."""
 
+import math
+
 import numpy as np
 
 from gpkrige import Dataset, KernelSpec, build_gram
+from gpkrige.kernels import _LAG_BLOCK
 
 FAMILIES = ("squared_exponential", "exponential", "matern32", "matern52")
+# the largest n whose whole Gram is one row block of the assembly
+ONE_BLOCK = math.isqrt(_LAG_BLOCK)
 
 
 def random_instance(rng, n=None, dim=None, noise=0.0, families=FAMILIES,

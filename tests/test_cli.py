@@ -15,7 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
-from gpkrige import kriging, linalg, oracle
+from gpkrige import cli, kriging, linalg, oracle
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -662,3 +662,59 @@ def test_input_error_exits_2_with_its_message(tmp_path, capsys, data, argv, mess
                  "--config", str(tmp_path / "c.json"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("family, code, out", [
+    ("matern52", 2, ""),
+    ("squared_exponential", 0,
+     "x1,mean,error_variance\n0.0,3.0,0.0\n1.0,2.1353352832366133,1.2308993852497687\n"),
+])
+def test_overflowing_gram_reports_only_the_finite_check(tmp_path, capsys, family, code, out):
+    # +-1e308 over a lengthscale of 0.5 overflows the scaled coordinates: the
+    # finite check alone speaks (matern52's inf * 0 is NaN), or nothing does
+    # (the squared exponential decays to 0); a numpy warning would be an error
+    data, config = tmp_path / "d.csv", tmp_path / "c.json"
+    write_csv(data, [-1e308, 1e308, 0.0], [1.0, 2.0, 3.0])
+    write_config(config, {**SE_CONFIG, "kernel": {"family": family, "variance": 1.0,
+                                                  "lengthscales": [0.5]}})
+    assert main(["predict", "--data", str(data), "--config", str(config),
+                 "--grid", "0:1:2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("error: matrix must be finite\n" if code else "")
+
+
+def test_reused_parser_matches_fresh_ones(tmp_path, capsys):
+    # main builds its parser once; back-to-back calls, an argparse exit and
+    # --grid appends between them, give what a freshly built parser gives
+    data, config = TestVerify.make_dataset(tmp_path)
+    study = tmp_path / "study.json"
+    write_config(study, TestStudy.STUDY)
+    out = tmp_path / "out.csv"
+    calls = [
+        ["predict", "--data", data, "--config", config, "--grid", "0:1:3", "--out", str(out)],
+        ["variogram", "--data", data, "--bins", "4", "--max-lag", "1"],
+        ["variogram", "--data", data, "--max-lag", "1"],  # argparse: --bins is required
+        ["predict", "--data", data, "--config", config, "--grid", "0.2:0.8:4"],
+        ["predict", "--data", data, "--config", config, "--grid", "0:1:2", "--grid", "0:1:2"],
+        ["study", "--config", str(study), "--seed", "3"],
+        ["verify", "--data", data, "--config", config, "--grid", "0.1:0.9:3"],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    cli._build_parser.cache_clear()
+    reused = [run(argv, fresh=False) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 2, 0, 0]
+    assert "need 1 --grid specs (one per dimension), got 2" in reused[4][2]
+    assert [run(argv, fresh=True) for argv in calls] == reused

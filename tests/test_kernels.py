@@ -29,6 +29,7 @@ from gpkrige.kernels import (
     _mean_vector,
     _real,
 )
+from helpers import ONE_BLOCK
 
 ALL_FAMILIES = sorted(KERNEL_FAMILIES)
 DECAYING = ["squared_exponential", "exponential", "matern32", "matern52"]
@@ -195,12 +196,13 @@ class TestBuildGram:
         g = build_gram(spec, rng.uniform(0.0, 3.0, (60, 3)), 0.2)
         np.testing.assert_array_equal(g, g.T)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 600])
+    @pytest.mark.parametrize("n", [0, 1, 2, ONE_BLOCK - 1, ONE_BLOCK + 1, 600])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_equals_kernel_matrix_with_diagonal(self, family, dim, n):
         # the pairwise Gram is the rectangular one with its diagonal filled
-        # in, bit for bit, anisotropic and with repeated points included
+        # in, bit for bit, anisotropic and with repeated points included; so
+        # it is exactly symmetric, whether its rows fill one block or several
         rng = np.random.default_rng(n + 10 * dim)
         x = rng.uniform(0.0, 3.0, (n, dim))
         if n > 2:
@@ -218,6 +220,28 @@ class TestBuildGram:
         g = build_gram(spec, [[0.0], [1.0]], 0.25)
         continuous_limit = kernel_matrix(spec, [[0.0]], [[1e-12]])[0, 0]
         assert g[0, 0] > continuous_limit + 0.2
+
+    # +-1e308 over a lengthscale of 0.5 overflows the scaled coordinates:
+    # lags between distinct points are inf, a point's lag to itself NaN
+    OVERFLOWING = [[-1e308], [1e308], [0.0]]
+
+    def test_overflowing_lags_report_only_the_finite_check(self):
+        # a NaN entry is the one report, with no numpy warning before it
+        with pytest.raises(InputError, match="matrix must be finite"):
+            build_gram(KernelSpec("matern52", 1.0, (0.5,)), self.OVERFLOWING, 0.0)
+
+    def test_infinite_lags_decay_without_warnings(self):
+        # squared exponential: inf lags give 0, the diagonal stays the variance
+        spec = KernelSpec("squared_exponential", 2.0, (0.5,))
+        np.testing.assert_array_equal(build_gram(spec, self.OVERFLOWING, 0.5),
+                                      np.diag([2.5, 2.5, 2.5]))
+        np.testing.assert_array_equal(kernel_matrix(spec, self.OVERFLOWING, [[1.0]]),
+                                      [[0.0], [0.0], [2.0 * math.exp(-2.0)]])
+
+    def test_overflowing_diagonal_rejected(self):
+        spec = KernelSpec("exponential", 1e308, (1.0,))
+        with pytest.raises(InputError, match="matrix must be finite"):
+            build_gram(spec, [[0.0], [1.0]], 1e308)
 
 
 class TestCrossCov:

@@ -1,5 +1,6 @@
 """Simple/Ordinary/Universal Kriging, GLS estimators, and path equivalences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gpkrige import (
     InputError,
     KernelSpec,
     MeanSpec,
+    NumericalError,
     SingularityError,
     build_gram,
     gls_beta,
@@ -23,7 +25,9 @@ from gpkrige import (
     universal_krige,
 )
 from gpkrige import kriging, linalg
+from gpkrige.kernels import KERNEL_FAMILIES
 from gpkrige.kriging import _Engine
+from gpkrige.linalg import spd_factor
 from gpkrige.oracle import (
     _direct_route,
     _plugin_route,
@@ -34,7 +38,7 @@ from gpkrige.oracle import (
     sk_mean_subtraction,
     sk_with_plugin_mean,
 )
-from helpers import random_instance
+from helpers import ONE_BLOCK, random_instance
 
 SE1 = KernelSpec("squared_exponential", 1.0, (1.0,))
 WHITE = KernelSpec("white_noise_only", 1.0, (1.0,))
@@ -347,13 +351,13 @@ def test_basis_size_checked_before_the_basis_is_built(monkeypatch, call):
 
 def test_engine_remembers_a_failed_factor(monkeypatch):
     # each use raises its own error, unchained, without refactoring S
-    orders, factor = [], kriging.spd_factor
+    orders, factor = [], kriging._factor_in_place
 
     def counted(a, *args, **kwargs):
         orders.append(len(a))
         return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(kriging, "spd_factor", counted)
+    monkeypatch.setattr(kriging, "_factor_in_place", counted)
     engine = _Engine(Dataset([[0.0], [0.0]], [1.0, 2.0]), SE1, np.array([[0.5]]))
     errors = []
     for observing in (False, False, True):
@@ -366,6 +370,61 @@ def test_engine_remembers_a_failed_factor(monkeypatch):
     for e in errors:
         assert (str(e), e.pivot) == (str(errors[0]), 1)
         assert e.__cause__ is None and e.__context__ is None
+
+
+@pytest.mark.parametrize("n", [1, 2, ONE_BLOCK - 1, ONE_BLOCK + 1, 600])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+def test_engine_factor_is_the_public_factor(family, dim, n):
+    # S factored in the buffer its upper triangle was built in is, bit for
+    # bit, spd_factor's factor of the mirrored, checked and copied Gram
+    rng = np.random.default_rng(n + 10 * dim)
+    data = Dataset(rng.uniform(0.0, 3.0, (n, dim)), rng.normal(size=n), 1e-3)
+    kernel = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 1.5, dim)))
+    factor = kriging._factor_observation_cov(data, kernel, 0.0)
+    public = spd_factor(build_gram(kernel, data.x, data.noise_variance))
+    assert factor.jitter_used == public.jitter_used == 0.0
+    assert factor.chol.flags.f_contiguous and public.chol.flags.f_contiguous
+    np.testing.assert_array_equal(factor.chol, public.chol)
+
+
+@pytest.mark.parametrize("refused", [0, 2])
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+def test_engine_jitter_retries_start_from_an_untouched_s(monkeypatch, family, refused):
+    # coincident points make the noise-free S singular; the first ``refused``
+    # jittered attempts are reported failed after LAPACK has overwritten
+    # their input, so the engine's factor is the public one only if every
+    # retry starts from an untouched S
+    cholesky, calls = linalg._try_cholesky, []
+
+    def refusing(a):
+        chol, pivot = cholesky(a)
+        calls.append(a.shape[0])
+        return (None, 0) if 1 < len(calls) <= 1 + refused else (chol, pivot)
+
+    monkeypatch.setattr(linalg, "_try_cholesky", refusing)
+    x = np.repeat(np.random.default_rng(4).uniform(0.0, 1.0, (40, 2)), 2, axis=0)
+    data, kernel = Dataset(x, np.zeros(80)), KernelSpec(family, 1.0, (0.3, 0.3))
+    factor = kriging._factor_observation_cov(data, kernel, 1e-6)
+    calls.clear()
+    public = spd_factor(build_gram(kernel, x, 0.0), max_jitter=1e-6)
+    assert factor.jitter_used == public.jitter_used == pytest.approx(1e-12 * 10.0 ** refused)
+    np.testing.assert_array_equal(factor.chol, public.chol)
+
+
+def test_compact_and_expanded_ok_variances_must_agree(monkeypatch):
+    # the OK weights check the engine's expanded variance against the
+    # classic compact form; a variance that drifts from it is an error
+    predict = _Engine.predict
+
+    def drifted(self, variant, mean=None):
+        batch = predict(self, variant, mean)
+        return dataclasses.replace(batch, variance=batch.variance + 1e-6)
+
+    monkeypatch.setattr(_Engine, "predict", drifted)
+    data = Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
+    with pytest.raises(NumericalError, match="expanded and compact OK variance forms disagree"):
+        ordinary_krige(data, SE1, [0.5])
 
 
 ENGINE_MEANS = {

@@ -6,8 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gpkrige import InputError, SingularityError
-from gpkrige.linalg import _check_symmetric, _whiten, solve_spd, spd_factor
+from gpkrige import InputError, SingularityError, linalg
+from gpkrige.linalg import (
+    _check_symmetric,
+    _factor_constraint_gram,
+    _try_cholesky,
+    _whiten,
+    solve_spd,
+    spd_factor,
+)
 from gpkrige.oracle import block_inverse, bordered_solve
 from helpers import random_spd
 
@@ -92,10 +99,36 @@ class TestSpdFactor:
         b = rng.normal(size=4)
         np.testing.assert_array_equal(solve_spd(f1, b), solve_spd(f2, b))
 
+    def test_cholesky_runs_in_place(self):
+        # LAPACK factors a column-major input where it lies, with no copy
+        a = np.asfortranarray(random_spd(np.random.default_rng(8), 5))
+        expected = np.linalg.cholesky(a)
+        chol, pivot = _try_cholesky(a)
+        assert chol is a and pivot is None
+        np.testing.assert_allclose(a, expected, rtol=1e-13, atol=1e-15)
+        assert not np.triu(a, 1).any()
+
+    def test_illegal_lapack_argument_is_an_input_error(self, monkeypatch):
+        def potrf(a, **kwargs):
+            return a, -4
+
+        monkeypatch.setattr(linalg, "get_lapack_funcs", lambda names, arrays: (potrf,))
+        with pytest.raises(InputError, match="illegal value in argument 4 of Cholesky"):
+            spd_factor(np.eye(2))
+
+    def test_constraint_gram_cholesky_failure_names_the_basis(self, monkeypatch):
+        # a Gram that passes the eigenvalue screen but fails to factor is
+        # reported as dependent basis functions, with the failing pivot
+        monkeypatch.setattr(linalg, "_try_cholesky", lambda a: (None, 1))
+        with pytest.raises(SingularityError, match="basis functions linearly dependent") as err:
+            _factor_constraint_gram(np.diag([2.0, 1.0]))
+        assert err.value.pivot == 1
+        assert isinstance(err.value.__cause__, SingularityError)
+
 
 class TestCheckSymmetric:
-    # 600 x 600 spans three 256-wide tiles a side; (10, 590) lies in the
-    # tile farthest from the diagonal
+    # a 600 x 600 SPD matrix; (10, 590) lies far from the diagonal, where an
+    # asymmetry must be seen as surely as next to it
     @staticmethod
     def spd600():
         x = np.random.default_rng(11).uniform(0.0, 1.0, (600, 2))

@@ -95,6 +95,14 @@ class TestSampleField:
         with pytest.raises(InputError):
             sample_field(SE_SHORT, MeanSpec.constant_unknown(), [[0.0]], 0.0, 1)
 
+    def test_indefinite_covariance_draws_nothing(self):
+        # the PSD check runs before any normal is drawn
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(SingularityError, match="not positive semidefinite"):
+            simulate._sample_zero_mean(np.array([[1.0, 2.0], [2.0, 1.0]]), rng)
+        assert rng.bit_generator.state == state
+
 
 class TestStudyConfig:
     def test_uk_needs_enough_training_points(self):
@@ -328,14 +336,14 @@ class TestReplicateSampler:
         # a noisy S that does not factor: the replicate draws the latent field
         # jointly, then the observation noise from the same stream
         cfg = self.config(0.05)
-        factor = kriging.spd_factor
+        factor = kriging._factor_in_place
 
         def singular_gram(a, *args, **kwargs):
             if len(a) == cfg.n_train:
                 raise SingularityError("forced", pivot=0)
             return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(kriging, "spd_factor", singular_gram)
+        monkeypatch.setattr(kriging, "_factor_in_place", singular_gram)
         rng = np.random.default_rng(9)
         x_train = rng.uniform(0.0, 1.0, (cfg.n_train, 2))
         x_test = rng.uniform(0.0, 1.0, (cfg.n_test, 2))
@@ -363,7 +371,7 @@ class TestReplicateSampler:
 
     def test_failed_factor_is_not_retried(self, monkeypatch):
         # the sampler's failed factor of S serves every predictor of its replicate
-        draw, factor, failed = simulate._draw_locations, kriging.spd_factor, []
+        draw, factor, failed = simulate._draw_locations, kriging._factor_in_place, []
 
         def pairs(rng, domain, count):
             return np.repeat(draw(rng, domain, (count + 1) // 2), 2, axis=0)[:count]
@@ -376,7 +384,7 @@ class TestReplicateSampler:
                 raise
 
         monkeypatch.setattr(simulate, "_draw_locations", pairs)
-        monkeypatch.setattr(kriging, "spd_factor", counted)
+        monkeypatch.setattr(kriging, "_factor_in_place", counted)
         report = run_study(self.config(0.0, n_train=40, predictors=PREDICTORS))
         assert failed == [40] * 3
         for name in ("sk", "ok", "uk", "gpr"):
