@@ -21,7 +21,6 @@ from .kernels import (
     MeanSpec,
     basis_matrix,
     build_gram,
-    cov_from_semivariogram,
     empirical_semivariogram,
     kernel_matrix,
     model_from_json,
@@ -65,7 +64,6 @@ __all__ = [
     "MeanSpec",
     "basis_matrix",
     "build_gram",
-    "cov_from_semivariogram",
     "empirical_semivariogram",
     "kernel_matrix",
     "model_from_json",

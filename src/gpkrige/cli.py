@@ -29,15 +29,14 @@ from .kernels import (
     Dataset,
     MeanSpec,
     _nonnegative,
-    basis_matrix,
     build_gram,
     empirical_semivariogram,
     kernel_matrix,
     model_from_json,
     semivariogram_of,
 )
-from .kriging import _Engine, _variant_mean
-from .oracle import _direct_route, _plugin_route, _subtraction_route, bordered_solve
+from .kriging import _Engine, _mean_parts, _variant_mean
+from .oracle import _direct_route, _plugin_route, bordered_solve
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -285,18 +284,22 @@ def cmd_verify(args) -> int:
             _plugin_route(data, kernel, constant, targets, max_jitter))
     compare("uk_vs_sk_plus_gls_beta", engine.predict("uk", basis),
             _plugin_route(data, kernel, basis, targets, max_jitter))
-    compare("gpr_vs_sk", engine.predict("gpr", known),
-            _subtraction_route(data, kernel, known, targets, max_jitter))
 
     # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target, by
-    # one dense LU of the matrix the engine factored, its jitter included
-    kstar, fstar = kernel_matrix(kernel, data.x, targets), basis_matrix(basis, targets).T
+    # one dense LU of the matrix the engine factored, its jitter included;
+    # a known mean borders S by no columns and enters as an offset
+    kstar = kernel_matrix(kernel, data.x, targets)
     sigma = build_gram(kernel, data.x, data.noise_variance)
     sigma[np.diag_indices(data.n)] += engine.factor.jitter_used
-    lam, nu = bordered_solve(sigma, basis_matrix(basis, data.x), kstar, fstar)
-    gpr_basis = engine.predict("gpr-basis", basis)
-    record("gpr_basis_vs_uk", gpr_basis.mean[:m], gpr_basis.variance[:m], data.y @ lam,
-           kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar, axis=0))
+    for name, variant, spec in (("gpr_vs_sk", "gpr", known),
+                                ("gpr_basis_vs_uk", "gpr-basis", basis)):
+        offset, design = _mean_parts(spec, data.x)
+        offset_star, fstar = _mean_parts(spec, targets)
+        lam, nu = bordered_solve(sigma, design, kstar, fstar.T)
+        batch = engine.predict(variant, spec)
+        record(name, batch.mean[:m], batch.variance[:m],
+               offset_star + (data.y - offset) @ lam,
+               kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar.T, axis=0))
 
     if noisy:
         results.append(("interpolation", None, "skipped (noisy)"))

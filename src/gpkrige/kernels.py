@@ -258,21 +258,6 @@ def semivariogram_of(spec: KernelSpec, tau):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def cov_from_semivariogram(variance: float, gamma_val: float) -> float:
-    """Invert the identity: C(tau) = variance - gamma(tau).
-
-    ``gamma_val`` must lie in [0, 2*variance] (covariances are bounded below
-    by -variance for a valid stationary field).
-    """
-    variance = _nonnegative(variance, "variance")
-    gamma_val = _nonnegative(gamma_val, "semivariogram value")
-    if gamma_val > 2.0 * variance:
-        raise InputError(
-            f"semivariogram value {gamma_val} outside [0, {2.0 * variance}]"
-        )
-    return variance - gamma_val
-
-
 def empirical_semivariogram(x, y, bins: int, max_lag: float):
     """Binned empirical semivariogram of scattered data.
 
@@ -314,7 +299,7 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError("need at least two points for an empirical semivariogram")
 
     edges = np.linspace(0.0, max_lag, bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # the sum overflows near the float max
     upper = np.append(edges[1:-1], np.inf)  # bin b holds edges[b] <= h < upper[b]
     counts = np.zeros(bins, dtype=np.intp)
     sums = np.zeros(bins)

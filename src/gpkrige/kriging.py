@@ -147,11 +147,21 @@ def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
     return _factor_in_place(upper.T, max_jitter)
 
 
-def _data_basis(mean: MeanSpec, data: Dataset) -> np.ndarray:
-    """The n x p basis matrix at the design points; p is checked against n first."""
+def _check_basis_size(mean: MeanSpec, data: Dataset) -> None:
+    """p basis functions need p observations; checked before any basis is built."""
     if mean.p > data.n:
         raise InputError(f"{mean.p} basis functions exceed {data.n} observations")
-    return basis_matrix(mean, data.x)
+
+
+def _mean_parts(mean: MeanSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How ``mean`` enters at the rows of ``x``: an offset and a basis.
+
+    A known mean is the offset m(x) with no basis columns; an unknown one
+    is its basis f(x) with a zero offset.
+    """
+    if mean.is_identified:
+        return _mean_vector(mean, x), np.empty((x.shape[0], 0))
+    return np.zeros(x.shape[0]), basis_matrix(mean, x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +215,9 @@ class _Fit:
 
 
 def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
-    if mean.is_identified:
-        offset = _mean_vector(mean, data.x)
-        m_mat = np.empty((data.n, 0))
-    else:
-        offset = np.zeros(data.n)
-        m_mat = _data_basis(mean, data)
+    if not mean.is_identified:
+        _check_basis_size(mean, data)
+    offset, m_mat = _mean_parts(mean, data.x)
     u = _whiten(factor, m_mat)
     z = _whiten(factor, data.y - offset)
     gram, rhs = u.T @ u, u.T @ z
@@ -317,11 +324,7 @@ class _Engine:
         """
         fit = _fit(self.data, _variant_mean(variant, mean), self.factor)
         vt = self._targets
-        m = vt.shape[0]
-        if fit.gram_factor is None:
-            offset, f = _mean_vector(fit.mean, self.xs), np.empty((m, 0))
-        else:
-            offset, f = np.zeros(m), basis_matrix(fit.mean, self.xs)
+        offset, f = _mean_parts(fit.mean, self.xs)
         gamma = f - np.einsum("ji,li->jl", vt, fit.u.T)
         h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
         mean = offset + _rowdot(f, fit.beta) + _rowdot(vt, fit.residual)
@@ -362,8 +365,8 @@ class _Route:
         ]
 
 
-def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[Prediction]:
-    """The engine's per-target records of ``variant`` with their Kriging weights."""
+def _engine_route(engine: _Engine, variant: str, mean: MeanSpec | None) -> _Route:
+    """The engine's predictions of ``variant`` with their Kriging weights."""
     batch = engine.predict(variant, mean)
     fit = batch.fit
     # lam = L^-T (v + U mu_tilde), so lam^T k* = (v + U mu_tilde)^T v and
@@ -384,7 +387,7 @@ def _predictions(engine: _Engine, variant: str, mean: MeanSpec | None) -> list[P
                 f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
             )
     return _Route(variant, batch.mean, batch.variance, estimator_var, lam, lam0,
-                  batch.h, engine.factor.jitter_used > 0.0).records()
+                  batch.h, engine.factor.jitter_used > 0.0)
 
 
 def _one_row(xstar) -> np.ndarray:
@@ -463,7 +466,8 @@ def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
 
     beta-LS = (M^T M)^-1 M^T Y; returns f(x*)^T beta-LS.
     """
-    m_mat = _data_basis(mean, data)
+    _check_basis_size(mean, data)
+    m_mat = basis_matrix(mean, data.x)
     gram_factor = _factor_constraint_gram(m_mat.T @ m_mat)
     beta = solve_spd(gram_factor, m_mat.T @ data.y)
     return float(basis_matrix(mean, _one_row(xstar))[0] @ beta)
@@ -487,4 +491,4 @@ def predict_points(data: Dataset, kernel: KernelSpec, xs, variant: str = "ok",
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     xs = _as_locations(xs, data.dim, "prediction points")
-    return _predictions(_Engine(data, kernel, xs, max_jitter), variant, mean)
+    return _engine_route(_Engine(data, kernel, xs, max_jitter), variant, mean).records()

@@ -1,11 +1,12 @@
 """Independent oracle routes for the classical Kriging and GP identities.
 
 Each function here computes a quantity the engine in :mod:`gpkrige.kriging`
-also computes, along a different route: Simple Kriging by subtracting the
-mean first, Ordinary Kriging by contracting the first block row instead of
-factoring the constraint Gram, SK around a GLS plug-in mean, the GLS
-constant in closed form, the bordered Kriging system by one dense LU, the
-joint prior over (Y, Z(X*)), and the partitioned inverse of a block matrix.
+also computes, along a different route: Simple Kriging as the engine's
+zero-mean SK of the residuals, Ordinary Kriging by contracting the first
+block row instead of factoring the constraint Gram, SK around a GLS
+plug-in mean, the GLS constant in closed form, the bordered Kriging
+system by one dense LU, the joint prior over (Y, Z(X*)), and the
+partitioned inverse of a block matrix.
 ``gpkrige verify`` and the tests compare the engine against these routes;
 no production path calls them.
 
@@ -13,9 +14,10 @@ Each block route (``_subtraction_route``, ``_direct_route``,
 ``_plugin_route``) factors its own Gram once per call, never the engine's
 nor another route's, and serves every target with one multi-right-hand-side
 solve; the one-point functions call that block form with a single row.
-The subtraction route whitens against its factor as the engine does; the
-direct and plug-in routes solve against S itself (``cho_solve``), so they
-share neither the factor nor the algorithm with the engine.
+The subtraction route is the engine itself on the residuals y - m(X), so
+it checks how the engine enters a known mean, not its algebra; the direct
+and plug-in routes solve against S itself (``cho_solve``), so they share
+neither the factor nor the algorithm with the engine.
 :func:`bordered_solve` shares no algorithm with the engine: one pivoted LU
 of the whole bordered matrix replaces its Cholesky factors.
 """
@@ -23,6 +25,7 @@ of the whole bordered matrix replaces its Cholesky factors.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -42,49 +45,39 @@ from .kernels import (
 )
 from .kriging import (
     Prediction,
+    _check_basis_size,
     _clamped,
-    _data_basis,
+    _engine_route,
+    _Engine,
     _factor_observation_cov,
     _one_row,
     _Route,
 )
-from .linalg import _factor_constraint_gram, _whiten, solve_spd
+from .linalg import _factor_constraint_gram, solve_spd
 
 
 def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
                         max_jitter: float = 0.0) -> Prediction:
     """Simple Kriging via the subtract-the-mean-first route.
 
-    Runs zero-mean SK on the residuals Y - m and adds m(x*) back; provably
-    identical to :func:`simple_krige`, kept as an independent code path.
+    Runs the engine's zero-mean SK on the residuals Y - m and adds m(x*)
+    back; provably identical to :func:`simple_krige`.  It shares the
+    engine's algorithm, so it checks only how a known mean enters.
     """
     return _subtraction_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
 
 
 def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
                        max_jitter: float) -> _Route:
-    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own factor.
+    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own engine.
 
-    Zero-mean SK of the residuals y - m, whitened by that factor L:
-    v = L^-1 k*, z = L^-1 (y - m), mean m(x*) + v^T z, variance
-    sigma*^2 - v^T v and weights lam = L^-T v.
+    The engine's zero-mean SK of the residuals y - m(X), with m(x*) added
+    to the mean and lam0 = m(x*) - lam . m(X).
     """
     m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    v = _whiten(factor, kernel_matrix(kernel, xs, data.x).T).T
-    mean_value = m_star + _rowdot(v, _whiten(factor, data.y - m_vec))
-    estimator_var = _rowdot(v, v)
-    lam = _whiten(factor, v.T, transpose=True).T  # consumes v
-    return _Route(
-        "sk",
-        mean=mean_value,
-        variance=_clamped(kernel.variance - estimator_var, kernel.variance),
-        estimator_variance=estimator_var,
-        lam=lam,
-        lam0=m_star - _rowdot(lam, m_vec),
-        mu_tilde=np.empty((lam.shape[0], 0)),
-        jitter=factor.jitter_used > 0.0,
-    )
+    residuals = _Engine(replace(data, y=data.y - m_vec), kernel, xs, max_jitter)
+    route = _engine_route(residuals, "sk", MeanSpec.known_constant(0.0))
+    return replace(route, mean=m_star + route.mean, lam0=m_star - _rowdot(route.lam, m_vec))
 
 
 def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
@@ -148,7 +141,8 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
 def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
                   max_jitter: float) -> _Route:
     """:func:`sk_with_plugin_mean` at every row of ``xs``, on its own factor."""
-    m_mat = _data_basis(mean, data)
+    _check_basis_size(mean, data)
+    m_mat = basis_matrix(mean, data.x)
     factor = _factor_observation_cov(data, kernel, max_jitter)
     w = solve_spd(factor, m_mat)
     gram_factor = _factor_constraint_gram(m_mat.T @ w)

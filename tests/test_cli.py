@@ -523,9 +523,10 @@ class TestVerify:
         assert rows == [7 if noise else 7 + 20]
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
-        # the engine and four routes Cholesky-factor the n x n Gram once each,
-        # and the bordered route LU-factors the (n + p) x (n + p) system once,
-        # however many targets share the call
+        # the engine and three routes Cholesky-factor the n x n Gram once
+        # each, and the bordered route LU-factors S once for the known mean
+        # and the (n + p) x (n + p) system once for the basis, however many
+        # targets share the call
         data, config = self.make_dataset(tmp_path)
         n, p = 20, 2
         orders, lu_orders = [], []
@@ -548,11 +549,11 @@ class TestVerify:
             assert main(["verify", "--data", data, "--config", config,
                          "--grid", f"0.05:0.95:{count}"]) == 0
             full[count] = (orders.count(n), lu_orders)
-        assert full == {3: (5, [n + p]), 9: (5, [n + p])}
+        assert full == {3: (4, [n, n + p]), 9: (4, [n, n + p])}
 
     def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):
-        # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answer and the dense
-        # LU of the bordered system disagree, and the row must say so
+        # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answers and the
+        # dense LU of S, bordered or not, disagree, and both rows must say so
         x = np.linspace(0.0, 1.0, 16)
         y = np.sin(6.0 * x) + 0.1 * np.random.default_rng(0).standard_normal(16)
         data, config = tmp_path / "d.csv", tmp_path / "c.json"
@@ -565,6 +566,7 @@ class TestVerify:
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
         assert status["gpr_basis_vs_uk"] == "fail"
+        assert status["gpr_vs_sk"] == "fail"
 
 
 @pytest.mark.parametrize("command", ["predict", "variogram", "study"])

@@ -14,7 +14,6 @@ from gpkrige import (
     MeanSpec,
     basis_matrix,
     build_gram,
-    cov_from_semivariogram,
     empirical_semivariogram,
     kernel_matrix,
     model_from_json,
@@ -303,25 +302,6 @@ class TestSemivariogram:
         with pytest.raises(InputError, match="nonnegative"):
             semivariogram_of(KernelSpec("matern32", 1.0, (1.0,)), [0.5, -0.1])
 
-    def test_cov_from_semivariogram_roundtrip(self):
-        spec = KernelSpec("matern32", 2.0, (1.0,))
-        for tau in (0.0, 0.3, 1.0, 4.0):
-            gam = semivariogram_of(spec, tau)
-            c = cov_from_semivariogram(2.0, gam)
-            assert abs(c - kernel_matrix(spec, [[0.0]], [[tau]])[0, 0]) <= 1e-15
-
-    def test_cov_from_semivariogram_values(self):
-        assert cov_from_semivariogram(1.0, 0.0) == 1.0
-        assert cov_from_semivariogram(1.0, 1.0) == 0.0
-        gam = 2.0 * (1.0 - math.exp(-0.5))
-        assert cov_from_semivariogram(2.0, gam) == pytest.approx(2.0 * math.exp(-0.5))
-
-    def test_cov_from_semivariogram_range_check(self):
-        with pytest.raises(InputError):
-            cov_from_semivariogram(1.0, -0.1)
-        with pytest.raises(InputError):
-            cov_from_semivariogram(1.0, 2.1)
-
 
 class TestEmpiricalSemivariogram:
     def test_constant_data_is_zero(self):
@@ -358,6 +338,15 @@ class TestEmpiricalSemivariogram:
         # linspace edges repeat or fall out of order below the normal range
         with pytest.raises(InputError, match="not a normal float"):
             empirical_semivariogram([[0.0], [0.0], [1.0]], [0.0, 1.0, 3.0], bins, max_lag)
+
+    @pytest.mark.parametrize("bins", [1, 4, 64])
+    @pytest.mark.parametrize("max_lag", [1.7e308, np.finfo(float).max])
+    def test_lag_centers_near_the_float_max(self, bins, max_lag):
+        # the sum of two edges overflows here; the sum of their halves does not
+        centers, counts, _ = empirical_semivariogram([[0.0], [1.0], [3.0]], [0.0, 1.0, 3.0],
+                                                     bins, max_lag)
+        assert np.all(np.isfinite(centers)) and np.all(np.diff(centers) > 0.0)
+        assert counts[0] == 3
 
     @pytest.mark.parametrize("bins", [2.7, math.nan, "3"])
     def test_non_integral_bins_rejected(self, bins):

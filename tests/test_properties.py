@@ -87,17 +87,28 @@ def test_gpr_basis_equals_uk(instance):
 @PROPERTY_SETTINGS
 @given(instances(min_n=4))
 def test_gpr_basis_equals_bordered_solve(instance):
+    # GPR with a basis, and with a known mean: that borders S by no columns
+    # and enters as the offset m(X)
     data, kernel, xs = instance
     basis = MeanSpec.polynomial(data.dim, 1)
     design = basis_matrix(basis, data.x)
     assume(np.linalg.cond(design) < MAX_COND)
-    post = gpr_predict_basis(data, kernel, basis, xs)
+    coefficients = np.linspace(2.0, -1.0, data.dim + 1)
+    known = MeanSpec.polynomial(data.dim, 1, coefficients=coefficients)
     kstar, fstar = kernel_matrix(kernel, data.x, xs), basis_matrix(basis, xs).T
-    lam, nu = bordered_solve(build_gram(kernel, data.x, data.noise_variance), design,
-                             kstar, fstar)
-    assert rel(post.mean, data.y @ lam) <= TOL
-    variance = kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar, axis=0)
-    assert rel(post.variance, variance) <= TOL
+    gram = build_gram(kernel, data.x, data.noise_variance)
+    m = xs.shape[0]
+    for post, offset, offset_star, border, border_star in [
+        (gpr_predict_basis(data, kernel, basis, xs), np.zeros(data.n), np.zeros(m),
+         design, fstar),
+        (gpr_predict(data, kernel, known, xs), design @ coefficients, fstar.T @ coefficients,
+         np.empty((data.n, 0)), np.empty((0, m))),
+    ]:
+        lam, nu = bordered_solve(gram, border, kstar, border_star)
+        assert rel(post.mean, offset_star + (data.y - offset) @ lam) <= TOL
+        variance = (kernel.variance - np.sum(lam * kstar, axis=0)
+                    - np.sum(nu * border_star, axis=0))
+        assert rel(post.variance, variance) <= TOL
 
 
 @PROPERTY_SETTINGS
