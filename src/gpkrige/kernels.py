@@ -243,11 +243,14 @@ def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     return _observation_cov(spec, x, noise_variance, mirror=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a far lag's overflow is mended below
 def semivariogram_of(spec: KernelSpec, tau):
     """Model semivariogram gamma(tau) = variance - C(tau) at scalar lag(s).
 
     Requires an isotropic spec; ``tau`` may be a scalar or an array of
-    nonnegative lags.
+    nonnegative lags.  Where the scaled lag is so large that a Matern
+    profile's polynomial overflows, exp(-s) has long underflowed to 0, so
+    C is 0 and gamma is the variance.
     """
     if not spec.is_isotropic:
         raise InputError("semivariogram requires an isotropic kernel")
@@ -255,6 +258,7 @@ def semivariogram_of(spec: KernelSpec, tau):
     if np.any(tau < 0.0):
         raise InputError("lags must be nonnegative")
     gamma = spec.variance - _covariance(spec, np.asarray(tau / spec.lengthscales[0]))
+    gamma = np.where(np.isnan(gamma) & ~np.isnan(tau), spec.variance, gamma)  # inf * 0
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -269,15 +273,24 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     h > max_lag counts nowhere.
 
     The pairs i < j are walked in row blocks of the condensed distance
-    matrix, each about ``_PAIR_BLOCK`` = 2^16 pairs (one row, if a row is
-    longer), so the working memory is a few arrays of max(2^16, n) entries
-    rather than of n(n-1)/2: a ``tracemalloc`` peak of 2.5 to 2.7 MB for n
-    from 3000 to 20 000.  Each kept pair's bin is floor(h * bins / max_lag),
-    clipped to the last bin and moved by one against the exact edges; that
-    is ``np.digitize``'s bin.  A max_lag / bins that is not a normal float
-    is rejected, because the edges can then repeat or fall out of order.
-    The per-bin sums carry over from block to block in pair order, so they
-    round as one pass over all pairs would.
+    matrix: rows [i, i + r) against columns [i + 1, n), about
+    ``_PAIR_BLOCK`` = 2^16 pairs and at most a quarter as many rows as
+    columns (one row, if a row is longer).  Three work buffers sized by the
+    largest block are allocated once per call and every block is computed
+    into them, so the working memory is a few arrays of max(2^16, n)
+    entries rather than of n(n-1)/2: a ``tracemalloc`` peak of 1.9 MB at
+    n = 3000 and 2.6 MB at n = 20 000.  No pair is dropped before binning.
+    An extra sentinel bin ``bins`` takes every lag beyond max_lag, and each
+    block's repeated lower-triangle square, whose lags are set to infinity;
+    its sum is never read.  A pair's bin is its estimate min(h / max_lag * bins, bins + 0.5)
+    truncated, which is already ``np.digitize``'s bin unless the estimate
+    lies within min(0.5, 16 eps (bins + 1)) of an integer, an edge; only
+    those pairs are tested against the exact edges and moved by one.  A
+    max_lag / bins that is not a normal float is rejected, because the
+    edges can then repeat or fall out of order.  The running per-bin sums
+    stand in front of each block's weights in one buffer, so one
+    ``bincount`` adds every bin in pair order and the sums round as one
+    pass over all pairs would.
 
     Returns
     -------
@@ -298,36 +311,64 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     if data.n < 2:
         raise InputError("need at least two points for an empirical semivariogram")
 
-    edges = np.linspace(0.0, max_lag, bins + 1)
-    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # the sum overflows near the float max
-    upper = np.append(edges[1:-1], np.inf)  # bin b holds edges[b] <= h < upper[b]
-    counts = np.zeros(bins, dtype=np.intp)
-    sums = np.zeros(bins)
-    carry = np.arange(bins)
     n = x.shape[0]
+    blocks = []  # (i, rows): rows [i, i + rows) x columns [i + 1, n); row r pairs with c >= r
     i = 0
     while i < n - 1:
-        # block rows [i, i + rows) x columns [i + 1, n): row r pairs with column c >= r
-        rows = min(n - 1 - i, max(1, _PAIR_BLOCK // (n - 1 - i)))
-        lag = cdist(x[i:i + rows], x[i + 1:])
-        sqdiff = y[i:i + rows, None] - y[None, i + 1:]
+        cols = n - 1 - i
+        blocks.append((i, max(1, min(_PAIR_BLOCK // cols, cols // 4))))
+        i += blocks[-1][1]
+    size = max(rows * (n - 1 - i) for i, rows in blocks)
+    with np.errstate(over="ignore"):  # at the float max the sentinel's edge is inf
+        beyond = np.nextafter(max_lag, np.inf)
+    too_many = f"cannot allocate {bins} bins"
+    if bins >= np.iinfo(np.intp).max // 8:  # bins + 1 floats exceed numpy's largest array
+        raise InputError(too_many)
+    try:
+        edges = np.linspace(0.0, max_lag, bins + 1)
+        # bin b holds bounds[b] <= h < bounds[b + 1]; the sentinel bin holds h > max_lag
+        bounds = np.concatenate((edges[:-1], [beyond, np.inf]))
+        counts = np.zeros(bins + 1, dtype=np.intp)
+        # the running sums stand at the head of the block's weights, under their bins
+        index = np.empty(bins + 1 + size, dtype=np.intp)
+        weights = np.empty(bins + 1 + size)
+        index[:bins + 1] = np.arange(bins + 1)
+        weights[:bins + 1] = 0.0
+    except MemoryError as err:
+        raise InputError(f"{too_many}: {err}") from None
+    lags = np.empty(size)
+    near = np.empty(size, dtype=bool)
+    # an estimate within min(0.5, 16 eps (bins + 1)) of an integer may be off by one bin
+    far = 0.5 - min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
+    tri = np.tri(max(rows for _, rows in blocks), dtype=bool, k=-1)
+    for i, rows in blocks:
+        cols = n - 1 - i
+        m = rows * cols
+        lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
+        lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
+        lag = lag.reshape(-1)
+        idx, est = index[bins + 1:bins + 1 + m], weights[bins + 1:bins + 1 + m]
+        with np.errstate(over="ignore"):  # only a lag far beyond max_lag overflows, to inf
+            np.divide(lag, max_lag, out=est)
+            est *= bins
+        np.minimum(est, bins + 0.5, out=est)
+        np.copyto(idx, est, casting="unsafe")  # truncates
+        est -= idx
+        est -= 0.5
+        np.abs(est, out=est)  # 0.5 less the distance to the nearest integer
+        edge = np.flatnonzero(np.greater_equal(est, far, out=near[:m]))
+        h, b = lag[edge], idx[edge]
+        b -= h < bounds[b]
+        b += h >= bounds[b + 1]
+        idx[edge] = b
+        sqdiff = np.subtract(y[i:i + rows, None], y[None, i + 1:], out=est.reshape(rows, cols))
         sqdiff *= sqdiff
-        keep = lag <= max_lag
-        keep[:, :rows] &= ~np.tri(rows, dtype=bool, k=-1)
-        keep = keep.ravel()
-        lag, sqdiff = np.compress(keep, lag.ravel()), np.compress(keep, sqdiff.ravel())
-        scaled = lag / max_lag
-        scaled *= bins
-        idx = scaled.astype(np.intp)
-        np.minimum(idx, bins - 1, out=idx)
-        idx -= lag < edges[idx]
-        idx += lag >= upper[idx]
-        counts += np.bincount(idx, minlength=bins)
-        # the running sums go first, so each bin keeps adding in pair order
-        sums = np.bincount(np.concatenate((carry, idx)),
-                           weights=np.concatenate((sums, sqdiff)), minlength=bins)
-        i += rows
+        counts += np.bincount(idx, minlength=bins + 1)
+        weights[:bins + 1] = np.bincount(index[:bins + 1 + m], weights=weights[:bins + 1 + m],
+                                         minlength=bins + 1)
 
+    counts, sums = counts[:bins], weights[:bins]
+    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # the sum overflows near the float max
     gamma = np.full(bins, np.nan)
     filled = counts > 0
     gamma[filled] = sums[filled] / (2.0 * counts[filled])

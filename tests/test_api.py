@@ -1,5 +1,5 @@
 """The public API: the names ``gpkrige`` exports, what importing it loads, the
-imports of its modules, and the README examples that use it."""
+imports of its modules and of the tests, and the README examples that use it."""
 
 import ast
 import json
@@ -59,9 +59,11 @@ def test_import_does_not_load_the_oracles():
 
 
 SOURCES = sorted(Path(gpkrige.__file__).resolve().parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_every_imported_name_is_used(path):
     # a name in __all__ counts as used: the package imports to re-export
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -307,7 +307,10 @@ class TestPredict:
 class TestVariogram:
     @pytest.mark.parametrize("bins, max_lag", [("0", "1"), ("2", "0"), ("2", "-1"),
                                                ("2", "nan"), ("2", "inf"),
-                                               ("64", "5e-322"), ("4", "5e-324")])
+                                               ("64", "5e-322"), ("4", "5e-324"),
+                                               # far beyond any memory: 8 PB, 32 EB of edges
+                                               ("1000000000000000", "1"),
+                                               ("4611686018427387904", "1")])
     def test_invalid_bins_or_max_lag_exit_2(self, tmp_path, capsys, bins, max_lag):
         data = tmp_path / "d.csv"
         write_csv(data, np.arange(3.0), np.arange(3.0))
@@ -361,6 +364,19 @@ class TestVariogram:
         kernel = KernelSpec("squared_exponential", 1.0, (1.0,))
         for row in rows:
             assert float(row[3]) == semivariogram_of(kernel, float(row[0]))
+
+    def test_model_at_lags_near_the_float_max(self, tmp_path, capsys):
+        # the scaled lag centers overflow; the model is the sill, silently
+        data = tmp_path / "d.csv"
+        config = tmp_path / "c.json"
+        write_csv(data, [0.0, 1.0, 3.0], [0.0, 1.0, 3.0])
+        write_config(config, {**SE_CONFIG, "kernel": {"family": "matern52", "variance": 1.0,
+                                                      "lengthscales": [0.5]}})
+        assert main(["variogram", "--data", str(data), "--bins", "4", "--max-lag", "1.7e308",
+                     "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["1.0"] * 4
 
 
 class TestStudy:

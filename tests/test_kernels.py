@@ -302,6 +302,18 @@ class TestSemivariogram:
         with pytest.raises(InputError, match="nonnegative"):
             semivariogram_of(KernelSpec("matern32", 1.0, (1.0,)), [0.5, -0.1])
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_sill_where_the_scaled_lag_overflows(self, family):
+        # tau / 0.5 overflows, and a Matern polynomial overflows against an
+        # exp(-s) of 0; C is 0 at every such lag, with no warning
+        spec = KernelSpec(family, 1.7, (0.5,))
+        taus = [1e200, 2.1e307, 1.5e308, np.finfo(float).max, math.inf]
+        assert semivariogram_of(spec, taus).tolist() == [1.7] * len(taus)
+        assert semivariogram_of(spec, 1.5e308) == 1.7
+
+    def test_nan_lag_stays_nan(self):
+        assert math.isnan(semivariogram_of(KernelSpec("matern52", 1.0, (0.5,)), math.nan))
+
 
 class TestEmpiricalSemivariogram:
     def test_constant_data_is_zero(self):

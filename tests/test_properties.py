@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from gpkrige import (
     Dataset,
@@ -166,6 +166,45 @@ def test_variogram_bin_is_digitize(case):
     if lag <= max_lag:
         expected[np.digitize(lag, edges[1:-1])] = 1
     assert counts.tolist() == expected.tolist()
+
+
+@st.composite
+def variogram_samples(draw):
+    """Points, responses, bins and max_lag; on a lattice, lags fall on edges and on max_lag.
+
+    n up to 600 makes several row blocks of many rows each; a power-of-two
+    scale moves every lag and edge by the same exact factor.
+    """
+    n, dim, bins = draw(st.integers(2, 600)), draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        x = rng.integers(0, 10, (n, dim)).astype(float)
+        max_lag = float(draw(st.sampled_from([bins, draw(st.integers(1, 12))])))
+    else:
+        x = rng.uniform(0.0, 10.0, (n, dim))
+        max_lag = draw(st.floats(0.5, 15.0))
+    return x * scale, rng.normal(size=n), bins, max_lag * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(variogram_samples())
+def test_variogram_rounds_as_one_pass(case):
+    # counts are np.digitize's, and each bin's sum is one sequential
+    # bincount over the kept pairs in pdist order, to the last bit
+    x, y, bins, max_lag = case
+    lags = pdist(x)
+    rows, cols = np.triu_indices(len(y), 1)
+    diff = y[rows] - y[cols]
+    keep = lags <= max_lag
+    idx = np.digitize(lags[keep], np.linspace(0.0, max_lag, bins + 1)[1:-1])
+    counts = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=(diff * diff)[keep], minlength=bins)
+    expected = np.full(bins, np.nan)
+    expected[counts > 0] = sums[counts > 0] / (2.0 * counts[counts > 0])
+    _, got_counts, got_gamma = empirical_semivariogram(x, y, bins, max_lag)
+    assert got_counts.tolist() == counts.tolist()
+    assert np.array_equal(got_gamma, expected, equal_nan=True)
 
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
