@@ -274,23 +274,26 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
 
     The pairs i < j are walked in row blocks of the condensed distance
     matrix: rows [i, i + r) against columns [i + 1, n), about
-    ``_PAIR_BLOCK`` = 2^16 pairs and at most a quarter as many rows as
-    columns (one row, if a row is longer).  Three work buffers sized by the
-    largest block are allocated once per call and every block is computed
-    into them, so the working memory is a few arrays of max(2^16, n)
-    entries rather than of n(n-1)/2: a ``tracemalloc`` peak of 1.9 MB at
-    n = 3000 and 2.6 MB at n = 20 000.  No pair is dropped before binning.
-    An extra sentinel bin ``bins`` takes every lag beyond max_lag, and each
-    block's repeated lower-triangle square, whose lags are set to infinity;
-    its sum is never read.  A pair's bin is its estimate min(h / max_lag * bins, bins + 0.5)
-    truncated, which is already ``np.digitize``'s bin unless the estimate
-    lies within min(0.5, 16 eps (bins + 1)) of an integer, an edge; only
-    those pairs are tested against the exact edges and moved by one.  A
-    max_lag / bins that is not a normal float is rejected, because the
-    edges can then repeat or fall out of order.  The running per-bin sums
-    stand in front of each block's weights in one buffer, so one
-    ``bincount`` adds every bin in pair order and the sums round as one
-    pass over all pairs would.
+    max(``_PAIR_BLOCK``, bins) pairs (one row, if a row is longer), so a
+    block's per-bin work never outweighs its pairs.  Four work buffers sized
+    by the largest block are allocated once per call and every block is
+    computed into them, so the working memory is a few arrays of
+    max(2^16, bins, n) entries rather than of n(n-1)/2: a ``tracemalloc``
+    peak of 2.9 to 3.7 MB for n from 3000 to 20 000 (bins 12).  An extra
+    sentinel bin ``bins`` takes every lag beyond max_lag, and each block's
+    repeated lower-triangle square, whose lags are set to infinity; its sum
+    is never read.  Where at least half of a block's pairs lie within
+    max_lag, all of them are binned, the rest in the sentinel; otherwise
+    the kept pairs are gathered first, because binning the others would
+    cost more than dropping them.  A pair's bin is its estimate
+    min(h / max_lag * bins, bins + 0.5) truncated, which is already
+    ``np.digitize``'s bin unless the estimate lies within
+    min(0.5, 16 eps (bins + 1)) of an integer, an edge; only those pairs
+    are tested against the exact edges and moved by one.  A max_lag / bins
+    that is not a normal float is rejected, because the edges can then
+    repeat or fall out of order.  The running per-bin sums stand in front
+    of each block's weights in one buffer, so one ``bincount`` adds every
+    bin in pair order and the sums round as one pass over all pairs would.
 
     Returns
     -------
@@ -303,6 +306,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError(f"bins must be positive, got {bins}")
     if max_lag == 0.0:
         raise InputError("max_lag must be positive, got 0.0")
+    if bins >= np.iinfo(np.intp).max // 8:  # bins + 1 floats: more bytes than numpy can count
+        raise InputError(f"bins must be below {np.iinfo(np.intp).max // 8}, got {bins}")
     if max_lag / bins < np.finfo(float).tiny:
         # subnormal edges repeat or fall out of order
         raise InputError(f"bin width max_lag / bins = {max_lag / bins!r} is not a normal float")
@@ -312,18 +317,16 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError("need at least two points for an empirical semivariogram")
 
     n = x.shape[0]
+    pairs = max(_PAIR_BLOCK, bins)  # so a block's per-bin work never outweighs its pairs
     blocks = []  # (i, rows): rows [i, i + rows) x columns [i + 1, n); row r pairs with c >= r
     i = 0
     while i < n - 1:
         cols = n - 1 - i
-        blocks.append((i, max(1, min(_PAIR_BLOCK // cols, cols // 4))))
+        blocks.append((i, min(cols, max(1, pairs // cols))))
         i += blocks[-1][1]
     size = max(rows * (n - 1 - i) for i, rows in blocks)
     with np.errstate(over="ignore"):  # at the float max the sentinel's edge is inf
         beyond = np.nextafter(max_lag, np.inf)
-    too_many = f"cannot allocate {bins} bins"
-    if bins >= np.iinfo(np.intp).max // 8:  # bins + 1 floats exceed numpy's largest array
-        raise InputError(too_many)
     try:
         edges = np.linspace(0.0, max_lag, bins + 1)
         # bin b holds bounds[b] <= h < bounds[b + 1]; the sentinel bin holds h > max_lag
@@ -332,14 +335,14 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         # the running sums stand at the head of the block's weights, under their bins
         index = np.empty(bins + 1 + size, dtype=np.intp)
         weights = np.empty(bins + 1 + size)
-        index[:bins + 1] = np.arange(bins + 1)
-        weights[:bins + 1] = 0.0
-    except MemoryError as err:
-        raise InputError(f"{too_many}: {err}") from None
-    lags = np.empty(size)
+    except (MemoryError, ValueError) as err:  # ValueError: numpy's own size limit
+        raise InputError(f"cannot allocate {bins} bins: {err}") from None
+    index[:bins + 1] = np.arange(bins + 1)
+    weights[:bins + 1] = 0.0
+    lags, diff, rounded = np.empty(size), np.empty(size), np.empty(size)
     near = np.empty(size, dtype=bool)
-    # an estimate within min(0.5, 16 eps (bins + 1)) of an integer may be off by one bin
-    far = 0.5 - min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
+    # an estimate within this distance of an integer may be off by one bin
+    tol = min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
     tri = np.tri(max(rows for _, rows in blocks), dtype=bool, k=-1)
     for i, rows in blocks:
         cols = n - 1 - i
@@ -347,24 +350,31 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
         lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
         lag = lag.reshape(-1)
-        idx, est = index[bins + 1:bins + 1 + m], weights[bins + 1:bins + 1 + m]
+        d = np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff[:m].reshape(rows, cols))
+        d = d.reshape(-1)
+        keep = np.less_equal(lag, max_lag, out=near[:m])
+        k = np.count_nonzero(keep)
+        if 2 * k < m:  # binning the rest in the sentinel would cost more than dropping it
+            sel = np.flatnonzero(keep)
+            lag, d = lag[sel], d[sel]
+        else:
+            k = m
+        idx, sqdiff, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k], diff[:k]
+        np.multiply(d, d, out=sqdiff)
         with np.errstate(over="ignore"):  # only a lag far beyond max_lag overflows, to inf
             np.divide(lag, max_lag, out=est)
             est *= bins
         np.minimum(est, bins + 0.5, out=est)
         np.copyto(idx, est, casting="unsafe")  # truncates
-        est -= idx
-        est -= 0.5
-        np.abs(est, out=est)  # 0.5 less the distance to the nearest integer
-        edge = np.flatnonzero(np.greater_equal(est, far, out=near[:m]))
+        np.subtract(est, np.rint(est, out=rounded[:k]), out=est)
+        np.abs(est, out=est)  # the distance to the nearest integer
+        edge = np.flatnonzero(np.less_equal(est, tol, out=near[:k]))
         h, b = lag[edge], idx[edge]
         b -= h < bounds[b]
         b += h >= bounds[b + 1]
         idx[edge] = b
-        sqdiff = np.subtract(y[i:i + rows, None], y[None, i + 1:], out=est.reshape(rows, cols))
-        sqdiff *= sqdiff
         counts += np.bincount(idx, minlength=bins + 1)
-        weights[:bins + 1] = np.bincount(index[:bins + 1 + m], weights=weights[:bins + 1 + m],
+        weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
                                          minlength=bins + 1)
 
     counts, sums = counts[:bins], weights[:bins]

@@ -308,9 +308,12 @@ class TestVariogram:
     @pytest.mark.parametrize("bins, max_lag", [("0", "1"), ("2", "0"), ("2", "-1"),
                                                ("2", "nan"), ("2", "inf"),
                                                ("64", "5e-322"), ("4", "5e-324"),
-                                               # far beyond any memory: 8 PB, 32 EB of edges
+                                               # 8 PB of edges, far beyond any memory
                                                ("1000000000000000", "1"),
-                                               ("4611686018427387904", "1")])
+                                               # at and beyond numpy's largest array
+                                               ("1152921504606846974", "1"),
+                                               ("4611686018427387904", "1"),
+                                               ("9223372036854775807", "1")])
     def test_invalid_bins_or_max_lag_exit_2(self, tmp_path, capsys, bins, max_lag):
         data = tmp_path / "d.csv"
         write_csv(data, np.arange(3.0), np.arange(3.0))
