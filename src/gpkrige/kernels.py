@@ -275,17 +275,18 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     The pairs i < j are walked in row blocks of the condensed distance
     matrix: rows [i, i + r) against columns [i + 1, n), about
     max(``_PAIR_BLOCK``, bins) pairs (one row, if a row is longer), so a
-    block's per-bin work never outweighs its pairs.  Four work buffers sized
-    by the largest block are allocated once per call and every block is
-    computed into them, so the working memory is a few arrays of
-    max(2^16, bins, n) entries rather than of n(n-1)/2: a ``tracemalloc``
-    peak of 2.9 to 3.7 MB for n from 3000 to 20 000 (bins 12).  An extra
-    sentinel bin ``bins`` takes every lag beyond max_lag, and each block's
-    repeated lower-triangle square, whose lags are set to infinity; its sum
-    is never read.  Where at least half of a block's pairs lie within
-    max_lag, all of them are binned, the rest in the sentinel; otherwise
-    the kept pairs are gathered first, because binning the others would
-    cost more than dropping them.  A pair's bin is its estimate
+    block's per-bin work never outweighs its pairs.  Three work buffers sized
+    by the largest block (lags, bin indices, weights) are allocated once per
+    call and every block is computed into them, so the working memory is a
+    few arrays of max(2^16, bins, n) entries rather than of n(n-1)/2: a
+    ``tracemalloc`` peak of 2.0 to 2.7 MB for n from 3000 to 20 000
+    (bins 12).  An extra sentinel bin ``bins`` takes every lag beyond
+    max_lag, and each block's repeated lower-triangle square, whose lags
+    are set to infinity; its sum is never read.  Where at least half of a
+    block's pairs lie within max_lag, all of them are binned, the rest in
+    the sentinel; otherwise the kept pairs are gathered first, because
+    binning the others would cost more than dropping them.  A pair's bin
+    is its estimate
     min(h / max_lag * bins, bins + 0.5) truncated, which is already
     ``np.digitize``'s bin unless the estimate lies within
     min(0.5, 16 eps (bins + 1)) of an integer, an edge; only those pairs
@@ -339,7 +340,7 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError(f"cannot allocate {bins} bins: {err}") from None
     index[:bins + 1] = np.arange(bins + 1)
     weights[:bins + 1] = 0.0
-    lags, diff, rounded = np.empty(size), np.empty(size), np.empty(size)
+    lags = np.empty(size)
     near = np.empty(size, dtype=bool)
     # an estimate within this distance of an integer may be off by one bin
     tol = min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
@@ -350,29 +351,34 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
         lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
         lag = lag.reshape(-1)
-        d = np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff[:m].reshape(rows, cols))
-        d = d.reshape(-1)
         keep = np.less_equal(lag, max_lag, out=near[:m])
-        k = np.count_nonzero(keep)
-        if 2 * k < m:  # binning the rest in the sentinel would cost more than dropping it
+        k, sel = np.count_nonzero(keep), None
+        if 2 * k < m:  # dropping the rest costs less than binning it in the sentinel
             sel = np.flatnonzero(keep)
-            lag, d = lag[sel], d[sel]
+            lag = lag[sel]
         else:
             k = m
-        idx, sqdiff, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k], diff[:k]
-        np.multiply(d, d, out=sqdiff)
+        idx, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k]
         with np.errstate(over="ignore"):  # only a lag far beyond max_lag overflows, to inf
             np.divide(lag, max_lag, out=est)
             est *= bins
         np.minimum(est, bins + 0.5, out=est)
         np.copyto(idx, est, casting="unsafe")  # truncates
-        np.subtract(est, np.rint(est, out=rounded[:k]), out=est)
-        np.abs(est, out=est)  # the distance to the nearest integer
-        edge = np.flatnonzero(np.less_equal(est, tol, out=near[:k]))
+        est -= idx
+        est -= 0.5
+        np.abs(est, out=est)  # 0.5 less the distance to the nearest integer
+        edge = np.flatnonzero(np.greater_equal(est, 0.5 - tol, out=near[:k]))
         h, b = lag[edge], idx[edge]
         b -= h < bounds[b]
         b += h >= bounds[b + 1]
         idx[edge] = b
+        # the estimates are spent: the block's (y_i - y_j)^2 take their place
+        diff = weights[bins + 1:bins + 1 + m]
+        np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
+        sqdiff = est
+        if sel is not None:
+            sqdiff[:] = diff[sel]
+        sqdiff *= sqdiff
         counts += np.bincount(idx, minlength=bins + 1)
         weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
                                          minlength=bins + 1)
