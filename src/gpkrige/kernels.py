@@ -286,9 +286,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     block's pairs lie within max_lag, all of them are binned, the rest in
     the sentinel; otherwise the kept pairs are gathered first, because
     binning the others would cost more than dropping them.  A pair's bin
-    is its estimate
-    min(h / max_lag * bins, bins + 0.5) truncated, which is already
-    ``np.digitize``'s bin unless the estimate lies within
+    is its estimate min(h / max_lag * bins, bins + 0.5) truncated, which
+    is already ``np.digitize``'s bin unless the estimate lies within
     min(0.5, 16 eps (bins + 1)) of an integer, an edge; only those pairs
     are tested against the exact edges and moved by one.  A max_lag / bins
     that is not a normal float is rejected, because the edges can then
