@@ -29,14 +29,12 @@ from .kernels import (
     Dataset,
     MeanSpec,
     _nonnegative,
-    build_gram,
     empirical_semivariogram,
-    kernel_matrix,
     model_from_json,
     semivariogram_of,
 )
-from .kriging import _Engine, _mean_parts, _variant_mean
-from .oracle import _direct_route, _plugin_route, bordered_solve
+from .kriging import _Engine, _variant_mean
+from .oracle import _bordered_route, _direct_route, _plugin_route
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -274,32 +272,22 @@ def cmd_verify(args) -> int:
     engine = _Engine(data, kernel, targets if noisy else np.vstack([targets, data.x]),
                      max_jitter)
 
-    def compare(name, batch, route):
-        record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
-
-    # every route below factors its own Gram once and serves all targets
+    # the Cholesky routes solve against the engine's factor with their own
+    # algebra; the LU routes build their own S and add the engine's jitter
     ok = engine.predict("ok")
-    compare("ok_vs_ok_direct", ok, _direct_route(data, kernel, targets, max_jitter))
-    compare("ok_vs_sk_plus_gls", ok,
-            _plugin_route(data, kernel, constant, targets, max_jitter))
-    compare("uk_vs_sk_plus_gls_beta", engine.predict("uk", basis),
-            _plugin_route(data, kernel, basis, targets, max_jitter))
-
-    # [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T), one column per target, by
-    # one dense LU of the matrix the engine factored, its jitter included;
-    # a known mean borders S by no columns and enters as an offset
-    kstar = kernel_matrix(kernel, data.x, targets)
-    sigma = build_gram(kernel, data.x, data.noise_variance)
-    sigma[np.diag_indices(data.n)] += engine.factor.jitter_used
-    for name, variant, spec in (("gpr_vs_sk", "gpr", known),
-                                ("gpr_basis_vs_uk", "gpr-basis", basis)):
-        offset, design = _mean_parts(spec, data.x)
-        offset_star, fstar = _mean_parts(spec, targets)
-        lam, nu = bordered_solve(sigma, design, kstar, fstar.T)
-        batch = engine.predict(variant, spec)
-        record(name, batch.mean[:m], batch.variance[:m],
-               offset_star + (data.y - offset) @ lam,
-               kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar.T, axis=0))
+    factor = engine.factor
+    rows = [
+        ("ok_vs_ok_direct", ok, _direct_route(data, kernel, targets, factor)),
+        ("ok_vs_sk_plus_gls", ok, _plugin_route(data, kernel, constant, targets, factor)),
+        ("uk_vs_sk_plus_gls_beta", engine.predict("uk", basis),
+         _plugin_route(data, kernel, basis, targets, factor)),
+        ("gpr_vs_sk", engine.predict("gpr", known),
+         _bordered_route(data, kernel, known, targets, factor.jitter_used)),
+        ("gpr_basis_vs_uk", engine.predict("gpr-basis", basis),
+         _bordered_route(data, kernel, basis, targets, factor.jitter_used)),
+    ]
+    for name, batch, route in rows:
+        record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
     if noisy:
         results.append(("interpolation", None, "skipped (noisy)"))

@@ -198,24 +198,19 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite check is the one report
-def _observation_cov(spec: KernelSpec, x, noise_variance: float,
-                     mirror: bool) -> np.ndarray:
+def _observation_cov(spec: KernelSpec, x: np.ndarray, noise_variance: float) -> np.ndarray:
     """S = Sigma + sigma^2 I in the upper triangle of a fresh C-ordered array.
 
-    That triangle is the lower one of the column-major transpose LAPACK
-    reads, so S can be factored where it is built.  Row blocks of about
-    ``_LAG_BLOCK`` lags bound the temporaries: rows [i, i + r) against
-    columns [i, n), each block's profile run in place on ``cdist``'s lags
-    and checked finite.  With ``mirror`` each block is also written below
-    the diagonal; its own r x r square holds both orders of each pair, and
-    cdist(a, b) rounds as cdist(b, a) does, so S comes out exactly
-    symmetric.  Without it the strict lower triangle holds zeros and the
-    lower halves of those squares, and is not to be read.  The diagonal is
-    variance + noise whatever a point's lag to itself computes to (NaN
-    where its scaled coordinates overflow).
+    The engine's S, from the checked locations and noise of a
+    :class:`Dataset`.  That triangle is the lower one of the column-major
+    transpose LAPACK reads, so S can be factored where it is built.  Row
+    blocks of about ``_LAG_BLOCK`` lags bound the temporaries: rows
+    [i, i + r) against columns [i, n), each block's profile run in place on
+    ``cdist``'s lags and checked finite.  The strict lower triangle holds
+    zeros and the lower halves of each block's r x r square, and is not to
+    be read.  The diagonal is variance + noise whatever a point's lag to
+    itself computes to (NaN where its scaled coordinates overflow).
     """
-    noise_variance = _nonnegative(noise_variance, "noise variance")
-    x = _as_locations(x, spec.dim)
     n = x.shape[0]
     scaled = x / np.asarray(spec.lengthscales)
     s = np.zeros((n, n))
@@ -227,8 +222,6 @@ def _observation_cov(spec: KernelSpec, x, noise_variance: float,
         if not np.isfinite(block).all():
             raise InputError("matrix must be finite")
         s[i:i + rows, i:] = block
-        if mirror:
-            s[i + rows:, i:i + rows] = block[:, rows:].T
         i += rows
     return s
 
@@ -236,11 +229,17 @@ def _observation_cov(spec: KernelSpec, x, noise_variance: float,
 def build_gram(spec: KernelSpec, x, noise_variance: float = 0.0) -> np.ndarray:
     """Assemble the observation covariance Sigma + sigma^2 I, full and exactly symmetric.
 
-    The noise sits on the diagonal only; off-diagonal entries are the pure
-    kernel values, so duplicated locations remain perfectly correlated.  A
+    ``kernel_matrix(spec, x, x)``, symmetric since cdist(a, b) rounds as
+    cdist(b, a) does, with variance + noise on its diagonal: the noise sits
+    there only, so duplicated locations remain perfectly correlated.  A
     non-finite entry is an input error.
     """
-    return _observation_cov(spec, x, noise_variance, mirror=True)
+    noise_variance = _nonnegative(noise_variance, "noise variance")
+    gram = kernel_matrix(spec, x, x)
+    np.fill_diagonal(gram, spec.variance + noise_variance)
+    if not np.isfinite(gram).all():
+        raise InputError("matrix must be finite")
+    return gram
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a far lag's overflow is mended below

@@ -136,14 +136,14 @@ def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
     S is assembled in the upper triangle of a row-major buffer, checked
     finite block by block, whose column-major transpose LAPACK factors in
     place: the factor is bit for bit ``spd_factor(build_gram(...))``'s,
-    without the mirror, the symmetry and finite scans or the copy.
+    without the lower triangle, the symmetry and finite scans or the copy.
     """
     max_jitter = _nonnegative(max_jitter, "max_jitter")
     if kernel.dim != data.dim:
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
         )
-    upper = _observation_cov(kernel, data.x, data.noise_variance, mirror=False)
+    upper = _observation_cov(kernel, data.x, data.noise_variance)
     return _factor_in_place(upper.T, max_jitter)
 
 

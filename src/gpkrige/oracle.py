@@ -10,21 +10,21 @@ partitioned inverse of a block matrix.
 ``gpkrige verify`` and the tests compare the engine against these routes;
 no production path calls them.
 
-Each block route (``_subtraction_route``, ``_direct_route``,
-``_plugin_route``) factors its own Gram once per call, never the engine's
-nor another route's, and serves every target with one multi-right-hand-side
-solve; the one-point functions call that block form with a single row.
-The subtraction route is the engine itself on the residuals y - m(X), so
-it checks how the engine enters a known mean, not its algebra; the direct
-and plug-in routes solve against S itself (``cho_solve``), so they share
-neither the factor nor the algorithm with the engine.
-:func:`bordered_solve` shares no algorithm with the engine: one pivoted LU
-of the whole bordered matrix replaces its Cholesky factors.
+Each block route serves every target with one multi-right-hand-side solve;
+the one-point functions call that block form with a single row.  The
+subtraction route is the engine itself on the residuals y - m(X), so it
+checks how the engine enters a known mean, not its algebra.  The direct
+and plug-in routes solve against a factor of S from the caller
+(``verify`` passes the engine's; a fresh one would repeat it bit for bit)
+with ``cho_solve``, so they share the factor but not the algorithm.  The
+bordered route shares nothing: its own S, from :func:`build_gram`, and one
+pivoted LU of the whole bordered matrix (:func:`bordered_solve`).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -50,10 +50,11 @@ from .kriging import (
     _engine_route,
     _Engine,
     _factor_observation_cov,
+    _mean_parts,
     _one_row,
     _Route,
 )
-from .linalg import _factor_constraint_gram, solve_spd
+from .linalg import SpdFactor, _factor_constraint_gram, solve_spd
 
 
 def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
@@ -88,12 +89,12 @@ def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
     the resulting scalar equation for the multiplier.  Must agree with
     :func:`ordinary_krige` to full working precision.
     """
-    return _direct_route(data, kernel, _one_row(xstar), max_jitter).records()[0]
+    return _direct_route(data, kernel, _one_row(xstar),
+                         _factor_observation_cov(data, kernel, max_jitter)).records()[0]
 
 
-def _direct_route(data: Dataset, kernel: KernelSpec, xs, max_jitter: float) -> _Route:
-    """:func:`ordinary_krige_direct` at every row of ``xs``, on its own factor."""
-    factor = _factor_observation_cov(data, kernel, max_jitter)
+def _direct_route(data: Dataset, kernel: KernelSpec, xs, factor: SpdFactor) -> _Route:
+    """:func:`ordinary_krige_direct` at every row of ``xs``, against ``factor`` of S."""
     kt = kernel_matrix(kernel, xs, data.x)
     ones = np.ones(data.n)
     s = solve_spd(factor, kt.T).T
@@ -135,15 +136,15 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     reported error variance is the one of that equivalent estimator, since
     the plug-in predictor is not conditioning on a truly known mean.
     """
-    return _plugin_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
+    _check_basis_size(mean, data)
+    return _plugin_route(data, kernel, mean, _one_row(xstar),
+                         _factor_observation_cov(data, kernel, max_jitter)).records()[0]
 
 
 def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                  max_jitter: float) -> _Route:
-    """:func:`sk_with_plugin_mean` at every row of ``xs``, on its own factor."""
-    _check_basis_size(mean, data)
+                  factor: SpdFactor) -> _Route:
+    """:func:`sk_with_plugin_mean` at every row of ``xs``, against ``factor`` of S."""
     m_mat = basis_matrix(mean, data.x)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
     w = solve_spd(factor, m_mat)
     gram_factor = _factor_constraint_gram(m_mat.T @ w)
     beta = solve_spd(gram_factor, w.T @ data.y)
@@ -204,6 +205,27 @@ def bordered_solve(sigma, m, r_top, r_bot):
     return solution[:n], solution[n:]
 
 
+_Moments = namedtuple("_Moments", ["mean", "variance"])  # per target, like a _Route's
+
+
+def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
+                    jitter: float) -> _Moments:
+    """GPR at every row of ``xs`` from [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T).
+
+    S comes from :func:`build_gram` plus ``jitter`` on its diagonal; a known
+    mean borders it by no columns and enters as the offset m(X).  The
+    variance is not clamped, so an ill-conditioned S fails a row, not the run.
+    """
+    kstar = kernel_matrix(kernel, data.x, xs)
+    sigma = build_gram(kernel, data.x, data.noise_variance)
+    sigma[np.diag_indices(data.n)] += jitter
+    offset, design = _mean_parts(mean, data.x)
+    offset_star, fstar = _mean_parts(mean, xs)
+    lam, nu = bordered_solve(sigma, design, kstar, fstar.T)
+    return _Moments(offset_star + (data.y - offset) @ lam,
+                    kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar.T, axis=0))
+
+
 def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
     """Joint prior over (Y, Z(X*)): mean vector and (n+m) x (n+m) covariance.
 
@@ -215,10 +237,8 @@ def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
             f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
         )
     mean_vec = np.concatenate([_mean_vector(mean, data.x), _mean_vector(mean, xs)])
-    train = build_gram(kernel, data.x, data.noise_variance)
-    cross = kernel_matrix(kernel, data.x, xs)
-    test = build_gram(kernel, xs, 0.0)
-    cov = np.block([[train, cross], [cross.T, test]])
+    cov = build_gram(kernel, np.vstack([data.x, xs]))
+    cov[np.diag_indices(data.n)] += data.noise_variance
     return mean_vec, cov
 
 

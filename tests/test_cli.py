@@ -542,10 +542,10 @@ class TestVerify:
         assert rows == [7 if noise else 7 + 20]
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
-        # the engine and three routes Cholesky-factor the n x n Gram once
-        # each, and the bordered route LU-factors S once for the known mean
-        # and the (n + p) x (n + p) system once for the basis, however many
-        # targets share the call
+        # the engine Cholesky-factors the n x n Gram once and the Cholesky
+        # routes solve against that factor; the bordered route LU-factors S
+        # once for the known mean and the (n + p) x (n + p) system once for
+        # the basis, however many targets share the call
         data, config = self.make_dataset(tmp_path)
         n, p = 20, 2
         orders, lu_orders = [], []
@@ -568,7 +568,7 @@ class TestVerify:
             assert main(["verify", "--data", data, "--config", config,
                          "--grid", f"0.05:0.95:{count}"]) == 0
             full[count] = (orders.count(n), lu_orders)
-        assert full == {3: (4, [n, n + p]), 9: (4, [n, n + p])}
+        assert full == {3: (1, [n, n + p]), 9: (1, [n, n + p])}
 
     def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):
         # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answers and the

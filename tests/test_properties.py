@@ -23,12 +23,12 @@ from gpkrige import (
     empirical_semivariogram,
     gpr_predict,
     gpr_predict_basis,
-    kernel_matrix,
     predict_points,
 )
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
-from gpkrige.oracle import _plugin_route, _subtraction_route, bordered_solve
+from gpkrige.kriging import _factor_observation_cov
+from gpkrige.oracle import _bordered_route, _plugin_route, _subtraction_route
 from helpers import FAMILIES
 
 TOL = 1e-8
@@ -66,7 +66,8 @@ def rel(a, b):
 def test_ok_equals_sk_plus_gls(instance):
     data, kernel, xs = instance
     ok = predict_points(data, kernel, xs, "ok")
-    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs, 0.0)
+    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs,
+                           _factor_observation_cov(data, kernel, 0.0))
     assert rel(np.array([p.mean for p in ok]), oracle.mean) <= TOL
     assert rel(np.array([p.error_variance for p in ok]), oracle.variance) <= TOL
 
@@ -79,7 +80,7 @@ def test_gpr_basis_equals_uk(instance):
     design = np.hstack([np.ones((data.n, 1)), data.x])
     assume(np.linalg.cond(design) < MAX_COND)
     post = gpr_predict_basis(data, kernel, basis, xs)
-    oracle = _plugin_route(data, kernel, basis, xs, 0.0)
+    oracle = _plugin_route(data, kernel, basis, xs, _factor_observation_cov(data, kernel, 0.0))
     assert rel(post.mean, oracle.mean) <= TOL
     assert rel(post.variance, oracle.variance) <= TOL
 
@@ -91,24 +92,13 @@ def test_gpr_basis_equals_bordered_solve(instance):
     # and enters as the offset m(X)
     data, kernel, xs = instance
     basis = MeanSpec.polynomial(data.dim, 1)
-    design = basis_matrix(basis, data.x)
-    assume(np.linalg.cond(design) < MAX_COND)
-    coefficients = np.linspace(2.0, -1.0, data.dim + 1)
-    known = MeanSpec.polynomial(data.dim, 1, coefficients=coefficients)
-    kstar, fstar = kernel_matrix(kernel, data.x, xs), basis_matrix(basis, xs).T
-    gram = build_gram(kernel, data.x, data.noise_variance)
-    m = xs.shape[0]
-    for post, offset, offset_star, border, border_star in [
-        (gpr_predict_basis(data, kernel, basis, xs), np.zeros(data.n), np.zeros(m),
-         design, fstar),
-        (gpr_predict(data, kernel, known, xs), design @ coefficients, fstar.T @ coefficients,
-         np.empty((data.n, 0)), np.empty((0, m))),
-    ]:
-        lam, nu = bordered_solve(gram, border, kstar, border_star)
-        assert rel(post.mean, offset_star + (data.y - offset) @ lam) <= TOL
-        variance = (kernel.variance - np.sum(lam * kstar, axis=0)
-                    - np.sum(nu * border_star, axis=0))
-        assert rel(post.variance, variance) <= TOL
+    assume(np.linalg.cond(basis_matrix(basis, data.x)) < MAX_COND)
+    known = MeanSpec.polynomial(data.dim, 1, coefficients=np.linspace(2.0, -1.0, data.dim + 1))
+    for post, spec in [(gpr_predict_basis(data, kernel, basis, xs), basis),
+                       (gpr_predict(data, kernel, known, xs), known)]:
+        route = _bordered_route(data, kernel, spec, xs, 0.0)
+        assert rel(post.mean, route.mean) <= TOL
+        assert rel(post.variance, route.variance) <= TOL
 
 
 @PROPERTY_SETTINGS
