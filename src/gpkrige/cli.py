@@ -255,6 +255,9 @@ def cmd_verify(args) -> int:
 
     constant = MeanSpec.constant_unknown()
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
+    # the default trend is checked only where it fits the data; a configured
+    # basis that does not fit is an input error, as in predict
+    trend_fits = mean.kind == "basis" or basis.p <= data.n
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 
     results: list[tuple[str, float | None, str]] = []
@@ -276,18 +279,26 @@ def cmd_verify(args) -> int:
     # algebra; the LU routes build their own S and add the engine's jitter
     ok = engine.predict("ok")
     factor = engine.factor
+
+    def trend(variant, route, last):
+        # the engine and ``route`` under the trend basis, if it fits
+        if not trend_fits:
+            return None, None
+        return engine.predict(variant, basis), route(data, kernel, basis, targets, last)
+
     rows = [
         ("ok_vs_ok_direct", ok, _direct_route(data, kernel, targets, factor)),
         ("ok_vs_sk_plus_gls", ok, _plugin_route(data, kernel, constant, targets, factor)),
-        ("uk_vs_sk_plus_gls_beta", engine.predict("uk", basis),
-         _plugin_route(data, kernel, basis, targets, factor)),
+        ("uk_vs_sk_plus_gls_beta", *trend("uk", _plugin_route, factor)),
         ("gpr_vs_sk", engine.predict("gpr", known),
          _bordered_route(data, kernel, known, targets, factor.jitter_used)),
-        ("gpr_basis_vs_uk", engine.predict("gpr-basis", basis),
-         _bordered_route(data, kernel, basis, targets, factor.jitter_used)),
+        ("gpr_basis_vs_uk", *trend("gpr-basis", _bordered_route, factor.jitter_used)),
     ]
     for name, batch, route in rows:
-        record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
+        if batch is None:
+            results.append((name, None, "skipped (p > n)"))
+        else:
+            record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
     if noisy:
         results.append(("interpolation", None, "skipped (noisy)"))

@@ -293,6 +293,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     repeat or fall out of order.  The running per-bin sums stand in front
     of each block's weights in one buffer, so one ``bincount`` adds every
     bin in pair order and the sums round as one pass over all pairs would.
+    Responses so far apart that a bin's sum overflows are an input error;
+    pairs beyond max_lag are never read, however far apart.
 
     Returns
     -------
@@ -343,45 +345,50 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     # an estimate within this distance of an integer may be off by one bin
     tol = min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
     tri = np.tri(max(rows for _, rows in blocks), dtype=bool, k=-1)
-    for i, rows in blocks:
-        cols = n - 1 - i
-        m = rows * cols
-        lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
-        lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
-        lag = lag.reshape(-1)
-        keep = np.less_equal(lag, max_lag, out=near[:m])
-        k, sel = np.count_nonzero(keep), None
-        if 2 * k < m:  # dropping the rest costs less than binning it in the sentinel
-            sel = np.flatnonzero(keep)
-            lag = lag[sel]
-        else:
-            k = m
-        idx, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k]
-        with np.errstate(over="ignore"):  # only a lag far beyond max_lag overflows, to inf
+    # an overflow is to inf: of a lag's estimate only far beyond max_lag, in
+    # the sentinel; of a response difference or its square, in the sums read
+    # below, or in the sentinel's, which is not read
+    with np.errstate(over="ignore"):
+        for i, rows in blocks:
+            cols = n - 1 - i
+            m = rows * cols
+            lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
+            lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
+            lag = lag.reshape(-1)
+            keep = np.less_equal(lag, max_lag, out=near[:m])
+            k, sel = np.count_nonzero(keep), None
+            if 2 * k < m:  # dropping the rest costs less than binning it in the sentinel
+                sel = np.flatnonzero(keep)
+                lag = lag[sel]
+            else:
+                k = m
+            idx, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k]
             np.divide(lag, max_lag, out=est)
             est *= bins
-        np.minimum(est, bins + 0.5, out=est)
-        np.copyto(idx, est, casting="unsafe")  # truncates
-        est -= idx
-        est -= 0.5
-        np.abs(est, out=est)  # 0.5 less the distance to the nearest integer
-        edge = np.flatnonzero(np.greater_equal(est, 0.5 - tol, out=near[:k]))
-        h, b = lag[edge], idx[edge]
-        b -= h < bounds[b]
-        b += h >= bounds[b + 1]
-        idx[edge] = b
-        # the estimates are spent: the block's (y_i - y_j)^2 take their place
-        diff = weights[bins + 1:bins + 1 + m]
-        np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
-        sqdiff = est
-        if sel is not None:
-            sqdiff[:] = diff[sel]
-        sqdiff *= sqdiff
-        counts += np.bincount(idx, minlength=bins + 1)
-        weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
-                                         minlength=bins + 1)
+            np.minimum(est, bins + 0.5, out=est)
+            np.copyto(idx, est, casting="unsafe")  # truncates
+            est -= idx
+            est -= 0.5
+            np.abs(est, out=est)  # 0.5 less the distance to the nearest integer
+            edge = np.flatnonzero(np.greater_equal(est, 0.5 - tol, out=near[:k]))
+            h, b = lag[edge], idx[edge]
+            b -= h < bounds[b]
+            b += h >= bounds[b + 1]
+            idx[edge] = b
+            # the estimates are spent: the block's (y_i - y_j)^2 take their place
+            diff = weights[bins + 1:bins + 1 + m]
+            np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
+            sqdiff = est
+            if sel is not None:
+                sqdiff[:] = diff[sel]
+            sqdiff *= sqdiff
+            counts += np.bincount(idx, minlength=bins + 1)
+            weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
+                                             minlength=bins + 1)
 
     counts, sums = counts[:bins], weights[:bins]
+    if not np.isfinite(sums).all():
+        raise InputError("responses too large: a sum of squared differences overflows")
     centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # the sum overflows near the float max
     gamma = np.full(bins, np.nan)
     filled = counts > 0

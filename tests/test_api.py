@@ -79,6 +79,28 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used - exported) == []
 
 
+def test_every_private_definition_is_read():
+    # a module-level _name (function, class or constant) that no module in
+    # src/ reads is left behind; tests alone do not keep one alive
+    defined, read = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined |= {(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in read) == []
+
+
 def test_readme_has_python_examples():
     assert README_BLOCKS
 

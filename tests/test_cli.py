@@ -15,7 +15,7 @@ from gpkrige import (
     semivariogram_of,
     simple_krige,
 )
-from gpkrige import cli, kriging, linalg, oracle
+from gpkrige import cli, kernels, kriging, linalg, oracle
 from gpkrige.cli import main
 
 SE_CONFIG = {
@@ -382,6 +382,17 @@ class TestVariogram:
         assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["1.0"] * 4
 
 
+    @pytest.mark.parametrize("y", [[0.0, 1e200, -1e200], [1e308, -1e308, 0.0]])
+    def test_overflowing_responses_exit_2(self, tmp_path, capsys, y):
+        data = tmp_path / "d.csv"
+        write_csv(data, [0.0, 1.0, 3.0], y)
+        assert main(["variogram", "--data", str(data), "--bins", "2", "--max-lag", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: responses too large: "
+                       "a sum of squared differences overflows\n")
+
+
 class TestStudy:
     STUDY = {
         "kernel": {"family": "squared_exponential", "variance": 1.0,
@@ -540,6 +551,58 @@ class TestVerify:
         assert main(["verify", "--data", data, "--config", config,
                      "--grid", "0.05:0.95:7"]) == 0
         assert rows == [7 if noise else 7 + 20]
+
+    @pytest.mark.parametrize("configured", [False, True])
+    def test_trend_beyond_the_data(self, tmp_path, capsys, configured):
+        # two 2-D points cannot fit a degree-1 trend (3 functions): the trend
+        # verify assumes for an ok config is skipped, a configured one is an
+        # input error, as predict makes it
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, [[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+        mean = POLY_MEAN if configured else SE_CONFIG["mean"]
+        write_config(config, {**SE_CONFIG, "variant": "uk" if configured else "ok",
+                              "mean": mean})
+        argv = ["--data", str(data), "--config", str(config),
+                "--grid", "0:1:2", "--grid", "0:1:2"]
+        code = main(["verify", *argv])
+        out, err = capsys.readouterr()
+        if configured:
+            assert (code, out, err) == (2, "", "error: 3 basis functions exceed 2 observations\n")
+            assert main(["predict", *argv]) == 2
+            assert capsys.readouterr().err == err
+            return
+        assert code == 0 and err == ""
+        rows = {line.split()[0]: line.split(None, 2)[1:] for line in out.splitlines()}
+        for name in ("uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"):
+            assert rows.pop(name) == ["-", "skipped (p > n)"]
+        assert {status for _, status in rows.values()} == {"pass"}
+        assert len(rows) == 4
+
+    def test_bordered_rows_see_their_own_s(self, tmp_path, capsys, monkeypatch):
+        # a 1e-6 shift of S[0, 1] in the engine's assembly moves the engine
+        # and the Cholesky routes, which solve against its factor, together;
+        # only the LU rows, whose S is built apart from it, can see it
+        assemble = kernels._observation_cov
+
+        def shifted(*args, **kwargs):
+            s = assemble(*args, **kwargs)
+            s[0, 1] += 1e-6
+            s[1, 0] += 1e-6
+            return s
+
+        monkeypatch.setattr(kernels, "_observation_cov", shifted)
+        monkeypatch.setattr(kriging, "_observation_cov", shifted)
+        # noisy, so the shifted engine is not asked to interpolate
+        data, config = self.make_dataset(tmp_path, noise=0.1)
+        code = main(["verify", "--data", data, "--config", config,
+                     "--grid", "0.05:0.95:7"])
+        status = {line.split()[0]: line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert code == 5
+        assert {name for name, s in status.items() if s == "fail"} == {
+            "gpr_vs_sk", "gpr_basis_vs_uk"}
+        for name in ("ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta"):
+            assert status[name] == "pass"
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
         # the engine Cholesky-factors the n x n Gram once and the Cholesky

@@ -445,6 +445,24 @@ class TestEmpiricalSemivariogram:
         with pytest.raises(InputError, match=f"{which} must be finite"):
             empirical_semivariogram(args["x"], args["y"], 3, 2.0)
 
+    # squares beyond the float max, and a difference beyond it
+    @pytest.mark.parametrize("x, y", [([0.0, 1.0, 3.0], [0.0, 1e200, -1e200]),
+                                      ([0.0, 1.0], [1e308, -1e308])])
+    def test_overflowing_responses_rejected(self, x, y):
+        with pytest.raises(InputError, match="responses too large"):
+            empirical_semivariogram(np.array(x)[:, None], y, 2, 4.0)
+
+    # an overflowing pair beyond max_lag: 2 of 4 block entries kept, so the
+    # block is binned with that pair in the sentinel; 1 of 4, so the kept
+    # pair is gathered and the others dropped
+    @pytest.mark.parametrize("x, y, gamma", [
+        ([0.0, 1.5, 4.5], [0.0, 1e154, 2e154], [5e307, 5e307]),
+        ([0.0, 1.0, 10.0], [1e308, 1e308, -1e308], [0.0, math.nan]),
+    ], ids=["sentinel", "gathered"])
+    def test_overflow_beyond_max_lag_is_not_read(self, x, y, gamma):
+        *_, got = empirical_semivariogram(np.array(x)[:, None], y, 2, 4.0)
+        np.testing.assert_array_equal(got, gamma)
+
 
 class TestMeanSpec:
     def test_known_zero(self):
