@@ -34,7 +34,7 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import _Engine, _variant_mean
-from .oracle import _bordered_route, _direct_route, _plugin_route
+from .oracle import _bordered_blocks, _bordered_route, _direct_route, _plugin_route
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -276,9 +276,10 @@ def cmd_verify(args) -> int:
                      max_jitter)
 
     # the Cholesky routes solve against the engine's factor with their own
-    # algebra; the LU routes build their own S and add the engine's jitter
+    # algebra; the LU routes share one S of their own, with the engine's jitter
     ok = engine.predict("ok")
     factor = engine.factor
+    blocks = _bordered_blocks(data, kernel, targets, factor.jitter_used)
 
     def trend(variant, route, last):
         # the engine and ``route`` under the trend basis, if it fits
@@ -291,8 +292,8 @@ def cmd_verify(args) -> int:
         ("ok_vs_sk_plus_gls", ok, _plugin_route(data, kernel, constant, targets, factor)),
         ("uk_vs_sk_plus_gls_beta", *trend("uk", _plugin_route, factor)),
         ("gpr_vs_sk", engine.predict("gpr", known),
-         _bordered_route(data, kernel, known, targets, factor.jitter_used)),
-        ("gpr_basis_vs_uk", *trend("gpr-basis", _bordered_route, factor.jitter_used)),
+         _bordered_route(data, kernel, known, targets, blocks)),
+        ("gpr_basis_vs_uk", *trend("gpr-basis", _bordered_route, blocks)),
     ]
     for name, batch, route in rows:
         if batch is None:

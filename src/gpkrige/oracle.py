@@ -17,8 +17,10 @@ checks how the engine enters a known mean, not its algebra.  The direct
 and plug-in routes solve against a factor of S from the caller
 (``verify`` passes the engine's; a fresh one would repeat it bit for bit)
 with ``cho_solve``, so they share the factor but not the algorithm.  The
-bordered route shares nothing: its own S, from :func:`build_gram`, and one
-pivoted LU of the whole bordered matrix (:func:`bordered_solve`).
+bordered route shares nothing with the engine: an S of its own, built once
+per ``verify`` run by :func:`build_gram` and read by both of its calls, and
+per call one pivoted LU of the whole bordered matrix, factored in the
+buffer it is assembled in (:func:`bordered_solve`).
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ def bordered_solve(sigma, m, r_top, r_bot):
     one factorization; the solution has the same shape.  Returns
     ``(lambda, mu)`` with ``mu`` in the block-system sign convention
     (Sigma lambda + M mu = r_top).  Rank deficiency of M is checked on M
-    itself, so it is found without solving against Sigma.
+    itself, so it is found without solving against Sigma.  The bordered
+    matrix is assembled in a Fortran-ordered buffer of its own and
+    LU-factored in place, so the caller's arrays are never written.
     """
     sigma, m = np.asarray(sigma, dtype=float), np.asarray(m, dtype=float)
     if m.ndim != 2 or sigma.shape != (m.shape[0], m.shape[0]):
@@ -192,13 +196,20 @@ def bordered_solve(sigma, m, r_top, r_bot):
         r_top, r_bot = r_top.reshape(-1), r_bot.reshape(-1)
     if r_top.ndim > 2 or r_top.shape[0] != n or r_bot.shape != (p,) + r_top.shape[1:]:
         raise InputError("right-hand side does not match the block shapes")
+    for name, block in (("Sigma", sigma), ("M", m), ("r_top", r_top), ("r_bot", r_bot)):
+        if not np.isfinite(block).all():
+            raise InputError(f"{name} contains infs or NaNs")
     if np.linalg.matrix_rank(m) < p:
         raise SingularityError("basis functions linearly dependent at the design points")
-    bordered = np.block([[sigma, m], [m.T, np.zeros((p, p))]])
+    bordered = np.empty((n + p, n + p), order="F")
+    bordered[:n, :n] = sigma
+    bordered[:n, n:] = m
+    bordered[n:, :n] = m.T
+    bordered[n:, n:] = 0.0
     with warnings.catch_warnings():
         # an exact zero pivot only warns; it is raised as a SingularityError below
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(bordered)
+        lu, piv = lu_factor(bordered, overwrite_a=True, check_finite=False)
     if not np.all(np.diag(lu)):
         raise SingularityError("bordered Kriging matrix is singular")
     solution = lu_solve((lu, piv), np.concatenate([r_top, r_bot]))
@@ -208,17 +219,29 @@ def bordered_solve(sigma, m, r_top, r_bot):
 _Moments = namedtuple("_Moments", ["mean", "variance"])  # per target, like a _Route's
 
 
-def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                    jitter: float) -> _Moments:
-    """GPR at every row of ``xs`` from [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T).
+def _bordered_blocks(data: Dataset, kernel: KernelSpec, xs, jitter: float):
+    """The (S, K*) pair every :func:`_bordered_route` call of one run shares.
 
-    S comes from :func:`build_gram` plus ``jitter`` on its diagonal; a known
-    mean borders it by no columns and enters as the offset m(X).  The
-    variance is not clamped, so an ill-conditioned S fails a row, not the run.
+    S comes from :func:`build_gram` plus ``jitter`` on its diagonal, apart
+    from the engine's, which the engine factors in place; K* is the n x m
+    block k(X, X*).
     """
-    kstar = kernel_matrix(kernel, data.x, xs)
     sigma = build_gram(kernel, data.x, data.noise_variance)
     sigma[np.diag_indices(data.n)] += jitter
+    return sigma, kernel_matrix(kernel, data.x, xs)
+
+
+def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
+                    blocks) -> _Moments:
+    """GPR at every row of ``xs`` from [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T).
+
+    ``blocks`` is the (S, K*) pair of :func:`_bordered_blocks`, read but not
+    written, so one pair serves every call; each call LU-factors its own
+    bordered matrix.  A known mean borders S by no columns and enters as the
+    offset m(X).  The variance is not clamped, so an ill-conditioned S fails
+    a row, not the run.
+    """
+    sigma, kstar = blocks
     offset, design = _mean_parts(mean, data.x)
     offset_star, fstar = _mean_parts(mean, xs)
     lam, nu = bordered_solve(sigma, design, kstar, fstar.T)

@@ -37,6 +37,18 @@ def random_instance(rng, n=None, dim=None, noise=0.0, families=FAMILIES,
     raise RuntimeError("could not draw a well-conditioned instance")
 
 
+def counted(fn, orders):
+    """``fn``, appending the order of its first argument to ``orders`` per call.
+
+    The order is the argument's first dimension, or None if it has no
+    shape.  Every argument is passed on as given, by position or keyword.
+    """
+    def wrapper(*args, **kwargs):
+        orders.append(getattr(args[0], "shape", (None,))[0])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def random_spd(rng, n, jitter=0.5):
     """Random symmetric positive-definite matrix."""
     a = rng.normal(size=(n, n))

@@ -17,6 +17,7 @@ from gpkrige import (
 )
 from gpkrige import cli, kernels, kriging, linalg, oracle
 from gpkrige.cli import main
+from helpers import counted
 
 SE_CONFIG = {
     "variant": "ok",
@@ -606,32 +607,25 @@ class TestVerify:
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
         # the engine Cholesky-factors the n x n Gram once and the Cholesky
-        # routes solve against that factor; the bordered route LU-factors S
-        # once for the known mean and the (n + p) x (n + p) system once for
-        # the basis, however many targets share the call
+        # routes solve against that factor; the bordered route builds its S
+        # once and LU-factors it once for the known mean and the
+        # (n + p) x (n + p) system once for the basis, however many targets
+        # share the call
         data, config = self.make_dataset(tmp_path)
         n, p = 20, 2
-        orders, lu_orders = [], []
-        cholesky, lu_factor = linalg._try_cholesky, oracle.lu_factor
-
-        def counted(a):
-            orders.append(a.shape[0])
-            return cholesky(a)
-
-        def lu_counted(a):
-            lu_orders.append(a.shape[0])
-            return lu_factor(a)
-
-        monkeypatch.setattr(linalg, "_try_cholesky", counted)
-        monkeypatch.setattr(oracle, "lu_factor", lu_counted)
+        orders, lu_orders, grams = [], [], []
+        monkeypatch.setattr(linalg, "_try_cholesky", counted(linalg._try_cholesky, orders))
+        monkeypatch.setattr(oracle, "lu_factor", counted(oracle.lu_factor, lu_orders))
+        monkeypatch.setattr(oracle, "build_gram", counted(oracle.build_gram, grams))
         full = {}
         for count in (3, 9):
             orders.clear()
             lu_orders.clear()
+            grams.clear()
             assert main(["verify", "--data", data, "--config", config,
                          "--grid", f"0.05:0.95:{count}"]) == 0
-            full[count] = (orders.count(n), lu_orders)
-        assert full == {3: (1, [n, n + p]), 9: (1, [n, n + p])}
+            full[count] = (orders.count(n), lu_orders, len(grams))
+        assert full == {3: (1, [n, n + p], 1), 9: (1, [n, n + p], 1)}
 
     def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):
         # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answers and the

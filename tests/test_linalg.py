@@ -354,6 +354,25 @@ class TestSolveSaddle:
         with pytest.raises(InputError):
             bordered_solve(np.eye(2), np.ones((2, 3)), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["Sigma", "M", "r_top", "r_bot"])
+    def test_non_finite_blocks_rejected(self, block, bad):
+        blocks = {"Sigma": np.eye(3), "M": np.ones((3, 1)),
+                  "r_top": np.zeros(3), "r_bot": np.ones(1)}
+        blocks[block][0] = bad
+        with pytest.raises(InputError, match=f"{block} contains infs or NaNs"):
+            bordered_solve(*blocks.values())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_left_unchanged(self, order):
+        rng = np.random.default_rng(14)
+        sigma = np.asarray(random_spd(rng, 6), order=order)
+        m = np.asarray(rng.normal(size=(6, 2)), order=order)
+        assert sigma.flags[f"{order}_CONTIGUOUS"] and m.flags[f"{order}_CONTIGUOUS"]
+        before = sigma.tobytes(), m.tobytes()
+        bordered_solve(sigma, m, rng.normal(size=(6, 3)), rng.normal(size=(2, 3)))
+        assert (sigma.tobytes(), m.tobytes()) == before
+
     def test_singular_bordered_matrix_raises_without_warning(self):
         # M has full rank, but the rows of [Sigma, M] repeat
         with warnings.catch_warnings():

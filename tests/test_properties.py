@@ -28,7 +28,7 @@ from gpkrige import (
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
 from gpkrige.kriging import _factor_observation_cov
-from gpkrige.oracle import _bordered_route, _plugin_route, _subtraction_route
+from gpkrige.oracle import _bordered_blocks, _bordered_route, _plugin_route, _subtraction_route
 from helpers import FAMILIES
 
 TOL = 1e-8
@@ -94,9 +94,10 @@ def test_gpr_basis_equals_bordered_solve(instance):
     basis = MeanSpec.polynomial(data.dim, 1)
     assume(np.linalg.cond(basis_matrix(basis, data.x)) < MAX_COND)
     known = MeanSpec.polynomial(data.dim, 1, coefficients=np.linspace(2.0, -1.0, data.dim + 1))
+    blocks = _bordered_blocks(data, kernel, xs, 0.0)
     for post, spec in [(gpr_predict_basis(data, kernel, basis, xs), basis),
                        (gpr_predict(data, kernel, known, xs), known)]:
-        route = _bordered_route(data, kernel, spec, xs, 0.0)
+        route = _bordered_route(data, kernel, spec, xs, blocks)
         assert rel(post.mean, route.mean) <= TOL
         assert rel(post.variance, route.variance) <= TOL
 
