@@ -251,13 +251,15 @@ def cmd_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data, _, kernel, mean, max_jitter, targets = _load_problem(args)
+    data, config, kernel, mean, max_jitter, targets = _load_problem(args)
 
     constant = MeanSpec.constant_unknown()
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
-    # the default trend is checked only where it fits the data; a configured
-    # basis that does not fit is an input error, as in predict
-    trend_fits = mean.kind == "basis" or basis.p <= data.n
+    # the trend is checked only where it fits the data; a configured basis
+    # that does not fit is an input error where the configured variant fits
+    # it, raised by the engine as in predict
+    trend_fits = basis.p <= data.n or (
+        mean.kind == "basis" and config.get("variant") in ("uk", "gpr-basis"))
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 
     results: list[tuple[str, float | None, str]] = []

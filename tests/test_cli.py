@@ -579,6 +579,31 @@ class TestVerify:
         assert {status for _, status in rows.values()} == {"pass"}
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("variant", ["ok", "uk", "gpr-basis"])
+    def test_configured_trend_beyond_the_data(self, tmp_path, capsys, variant):
+        # a configured degree-1 basis on two 2-D points: ok does not fit it,
+        # so verify skips the trend rows and exits 0, as predict does; uk and
+        # gpr-basis fit it, so both commands exit 2 with the same error
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, [[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+        write_config(config, {**SE_CONFIG, "variant": variant, "mean": POLY_MEAN})
+        argv = ["--data", str(data), "--config", str(config),
+                "--grid", "0:1:2", "--grid", "0:1:2"]
+        code = main(["verify", *argv])
+        out, err = capsys.readouterr()
+        if variant != "ok":
+            assert (code, out, err) == (2, "", "error: 3 basis functions exceed 2 observations\n")
+            assert main(["predict", *argv]) == 2
+            assert capsys.readouterr().err == err
+            return
+        assert code == 0 and err == ""
+        rows = {line.split()[0]: line.split(None, 2)[1:] for line in out.splitlines()}
+        for name in ("uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"):
+            assert rows.pop(name) == ["-", "skipped (p > n)"]
+        assert {status for _, status in rows.values()} == {"pass"}
+        assert len(rows) == 4
+        assert main(["predict", *argv]) == 0
+
     def test_bordered_rows_see_their_own_s(self, tmp_path, capsys, monkeypatch):
         # a 1e-6 shift of S[0, 1] in the engine's assembly moves the engine
         # and the Cholesky routes, which solve against its factor, together;
