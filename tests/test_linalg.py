@@ -363,14 +363,16 @@ class TestSolveSaddle:
         with pytest.raises(InputError, match=f"{block} contains infs or NaNs"):
             bordered_solve(*blocks.values())
 
+    @pytest.mark.parametrize("p", [0, 2])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_inputs_left_unchanged(self, order):
+    def test_inputs_left_unchanged(self, order, p):
+        # with p = 0 the bordered matrix is Sigma itself, in the order given
         rng = np.random.default_rng(14)
         sigma = np.asarray(random_spd(rng, 6), order=order)
-        m = np.asarray(rng.normal(size=(6, 2)), order=order)
+        m = np.asarray(rng.normal(size=(6, p)), order=order)
         assert sigma.flags[f"{order}_CONTIGUOUS"] and m.flags[f"{order}_CONTIGUOUS"]
         before = sigma.tobytes(), m.tobytes()
-        bordered_solve(sigma, m, rng.normal(size=(6, 3)), rng.normal(size=(2, 3)))
+        bordered_solve(sigma, m, rng.normal(size=(6, 3)), rng.normal(size=(p, 3)))
         assert (sigma.tobytes(), m.tobytes()) == before
 
     def test_singular_bordered_matrix_raises_without_warning(self):
