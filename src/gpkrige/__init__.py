@@ -48,7 +48,6 @@ from .simulate import (
     run_study,
     sample_field,
     study_config_from_json,
-    study_config_to_json,
 )
 
 __version__ = "0.1.0"
@@ -85,5 +84,4 @@ __all__ = [
     "run_study",
     "sample_field",
     "study_config_from_json",
-    "study_config_to_json",
 ]

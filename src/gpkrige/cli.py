@@ -26,6 +26,7 @@ import numpy as np
 
 from .exceptions import InputError, NumericalError, SingularityError, StudyError
 from .kernels import (
+    _MAX_FLOATS,
     Dataset,
     MeanSpec,
     _nonnegative,
@@ -139,8 +140,10 @@ def _parse_grid(specs: list[str], dim: int) -> np.ndarray:
             raise InputError(f"bad grid spec {spec!r}: count must be positive")
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError(f"bad grid spec {spec!r}: bounds must be finite")
-        axes.append(np.linspace(lo, hi, count))
-    mesh = np.meshgrid(*axes, indexing="ij")
+        axes.append((lo, hi, count))
+    if math.prod(count for _, _, count in axes) * dim >= _MAX_FLOATS:
+        raise InputError(f"grid point count x dimension must be below {_MAX_FLOATS}")
+    mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
@@ -390,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_STUDY
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:
+        print(f"error: cannot allocate: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -32,6 +32,7 @@ _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 _PAIR_BLOCK = 1 << 16  # pairs per block of the empirical semivariogram
 _LAG_BLOCK = 1 << 14  # lags per profile call: 128 KiB temporaries, at glibc's mmap threshold
+_MAX_FLOATS = np.iinfo(np.intp).max // 8  # this many floats take more bytes than numpy can count
 
 
 def _se_profile(u):
@@ -307,8 +308,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError(f"bins must be positive, got {bins}")
     if max_lag == 0.0:
         raise InputError("max_lag must be positive, got 0.0")
-    if bins >= np.iinfo(np.intp).max // 8:  # bins + 1 floats: more bytes than numpy can count
-        raise InputError(f"bins must be below {np.iinfo(np.intp).max // 8}, got {bins}")
+    if bins >= _MAX_FLOATS:  # the bins + 1 edges
+        raise InputError(f"bins must be below {_MAX_FLOATS}, got {bins}")
     if max_lag / bins < np.finfo(float).tiny:
         # subnormal edges repeat or fall out of order
         raise InputError(f"bin width max_lag / bins = {max_lag / bins!r} is not a normal float")
@@ -706,9 +707,8 @@ def _fields(doc, what: str, *keys) -> list:
 def model_from_json(doc: dict, dim: int | None = None):
     """Parse the interchange document into (KernelSpec, MeanSpec, noise).
 
-    ``dim`` (e.g. taken from a dataset) broadcasts an isotropic lengthscale;
-    the document may also carry an explicit ``"dimension"`` key.  Values go
-    to the constructors as they are, whose validators reject non-numbers.
+    ``dim`` (e.g. taken from a dataset) broadcasts an isotropic lengthscale.
+    Values go to the constructors as they are, whose validators reject non-numbers.
     """
     kdoc, mdoc, noise = _fields(doc, "model document", "kernel", "mean", "noise_variance")
     kernel = _kernel_from_json(kdoc, dim)
@@ -717,9 +717,8 @@ def model_from_json(doc: dict, dim: int | None = None):
 
 def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
     """Parse a kernel document; ``dim`` broadcasts an isotropic lengthscale."""
-    family, variance, lengthscales = _fields(kdoc, "kernel document",
-                                             "family", "variance", "lengthscales")
-    return KernelSpec(family, variance, lengthscales, dim=kdoc.get("dimension", dim))
+    return KernelSpec(*_fields(kdoc, "kernel document", "family", "variance", "lengthscales"),
+                      dim=dim)
 
 
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:

@@ -5,8 +5,7 @@ also computes, along a different route: Simple Kriging as the engine's
 zero-mean SK of the residuals, Ordinary Kriging by contracting the first
 block row instead of factoring the constraint Gram, SK around a GLS
 plug-in mean, the GLS constant in closed form, the bordered Kriging
-system by one dense LU, the joint prior over (Y, Z(X*)), and the
-partitioned inverse of a block matrix.
+system by one dense LU, and the joint prior over (Y, Z(X*)).
 ``gpkrige verify`` and the tests compare the engine against these routes;
 no production path calls them.
 
@@ -263,43 +262,3 @@ def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):
     cov = build_gram(kernel, np.vstack([data.x, xs]))
     cov[np.diag_indices(data.n)] += data.noise_variance
     return mean_vec, cov
-
-
-def block_inverse(a, b, c, d) -> np.ndarray:
-    """Invert [[A, B], [C, D]] via the Schur complement of A.
-
-    Implements the partitioned-inverse identity
-
-        [[A^-1 + A^-1 B W C A^-1,  -A^-1 B W],
-         [-W C A^-1,                W]],   W = (D - C A^-1 B)^-1.
-
-    A must be invertible and so must the Schur complement; the error says
-    which one failed.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    b = b[:, None] if b.ndim == 1 else b
-    c = c[None, :] if c.ndim == 1 else c
-    d = np.atleast_2d(d)
-    n, p = b.shape
-    if a.shape != (n, n) or c.shape != (p, n) or d.shape != (p, p):
-        raise InputError(
-            f"inconsistent block shapes: A{a.shape} B{b.shape} C{c.shape} D{d.shape}"
-        )
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError("block A is singular") from err
-    schur = d - c @ a_inv @ b
-    try:
-        w = np.linalg.inv(schur)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError("Schur complement D - C A^-1 B is singular") from err
-    ab = a_inv @ b
-    ca = c @ a_inv
-    return np.block([
-        [a_inv + ab @ w @ ca, -ab @ w],
-        [-w @ ca, w],
-    ])

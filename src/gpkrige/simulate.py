@@ -29,6 +29,7 @@ from scipy.special import ndtri
 
 from .exceptions import GpKrigeError, InputError, SingularityError, StudyError
 from .kernels import (
+    _MAX_FLOATS,
     Dataset,
     KernelSpec,
     MeanSpec,
@@ -37,9 +38,7 @@ from .kernels import (
     _frozen,
     _integer,
     _kernel_from_json,
-    _kernel_to_json,
     _mean_from_json,
-    _mean_to_json,
     _mean_vector,
     _nonnegative,
     _real,
@@ -75,8 +74,9 @@ class StudyConfig:
     def __post_init__(self):
         preds = self.predictors
         if not (isinstance(preds, (list, tuple)) and preds
-                and all(p in PREDICTORS for p in preds)):
-            raise InputError(f"predictors must be a nonempty list of {PREDICTORS}, got {preds!r}")
+                and all(p in PREDICTORS for p in preds) and len(set(preds)) == len(preds)):
+            raise InputError(f"predictors must be a nonempty list of distinct names from "
+                             f"{PREDICTORS}, got {preds!r}")
         object.__setattr__(self, "predictors", tuple(preds))
         if not self.true_mean.is_identified:
             raise InputError("true_mean must have fixed parameters")
@@ -91,6 +91,8 @@ class StudyConfig:
             v = _integer(getattr(self, name), name)
             if v < least:
                 raise InputError(f"{name} must be at least {least}, got {v}")
+            if name.startswith("n_") and v * self.kernel.dim >= _MAX_FLOATS:  # x is n x d
+                raise InputError(f"{name} x dimension must be below {_MAX_FLOATS}, got {v}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "noise_variance",
                            _nonnegative(self.noise_variance, "noise_variance"))
@@ -261,20 +263,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
-
-
-def study_config_to_json(cfg: StudyConfig) -> dict:
-    return {
-        "kernel": _kernel_to_json(cfg.kernel),
-        "true_mean": _mean_to_json(cfg.true_mean),
-        "noise_variance": cfg.noise_variance,
-        "n_train": cfg.n_train,
-        "n_test": cfg.n_test,
-        "domain": [list(interval) for interval in cfg.domain],
-        "replicates": cfg.replicates,
-        "seed": cfg.seed,
-        "predictors": list(cfg.predictors),
-    }
 
 
 def study_config_from_json(doc: dict) -> StudyConfig:

@@ -42,8 +42,6 @@ MALFORMED_CONFIGS = {
                          "mean": {**POLY_MEAN, "coefficients": [float("nan"), 1]}},
     "prior-cov-string": {**SE_CONFIG, "variant": "gpr-basis",
                          "mean": {**POLY_MEAN, "prior_cov": [[1.0, "x"], [0.0, 1.0]]}},
-    "dimension-string": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "dimension": "two"}},
-    "dimension-zero": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "dimension": 0}},
     "variance-inf": {**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "variance": float("inf")}},
     "lengthscales-inf": {**SE_CONFIG,
                          "kernel": {**SE_CONFIG["kernel"], "lengthscales": [float("inf")]}},
@@ -689,8 +687,7 @@ def test_stdout_is_the_out_file(demo, capsys, command):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-@pytest.mark.parametrize("field, value", [("degree", 1.5), ("dimension", 1.5),
-                                          ("n_train", 10.9), ("n_test", 5.5),
+@pytest.mark.parametrize("field, value", [("degree", 1.5), ("n_train", 10.9), ("n_test", 5.5),
                                           ("replicates", 1.5), ("seed", 77.5),
                                           ("seed", True)])
 def test_non_integral_field_exits_2(tmp_path, capsys, field, value):
@@ -699,10 +696,7 @@ def test_non_integral_field_exits_2(tmp_path, capsys, field, value):
         write_config(config, {**TestStudy.STUDY, field: value})
         argv = ["study", "--config", str(config)]
     else:
-        model = {**SE_CONFIG, "variant": "uk", "mean": POLY_MEAN}
-        part = "mean" if field == "degree" else "kernel"
-        model[part] = {**model[part], field: value}
-        write_config(config, model)
+        write_config(config, {**SE_CONFIG, "variant": "uk", "mean": {**POLY_MEAN, field: value}})
         data = tmp_path / "d.csv"
         write_csv(data, np.arange(5.0), np.sin(np.arange(5.0)))
         argv = ["predict", "--data", str(data), "--config", str(config), "--grid", "0:4:3"]
@@ -766,6 +760,46 @@ def test_input_error_exits_2_with_its_message(tmp_path, capsys, data, argv, mess
                  "--config", str(tmp_path / "c.json"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("data, grid", [
+    (DATA_1D, ["0:1:100000000000000000000"]),
+    ("x1,x2,x3,y\n0.0,0.0,0.0,1.0\n1.0,0.5,0.2,2.0\n", ["0:1:2097152"] * 3),
+], ids=["1d", "3d"])
+def test_grid_numpy_cannot_hold_exits_2(tmp_path, capsys, data, grid):
+    (tmp_path / "data.csv").write_text(data)
+    write_config(tmp_path / "c.json", SE_CONFIG)
+    argv = ["predict", "--data", str(tmp_path / "data.csv"), "--config", str(tmp_path / "c.json")]
+    assert main([*argv, *(f"--grid={spec}" for spec in grid)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: grid point count x dimension must be below {(2 ** 63 - 1) // 8}\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, command):
+    def load_problem(args):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr(cli, "_load_problem", load_problem)
+    data, config = TestVerify.make_dataset(tmp_path)
+    assert main([command, "--data", data, "--config", config, "--grid", "0:1:2"]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate: Unable to allocate 72.8 TiB\n"
+
+
+@pytest.mark.parametrize("field", ["n_train", "n_test"])
+def test_study_size_numpy_cannot_hold_exits_2(tmp_path, capsys, field):
+    config = tmp_path / "s.json"
+    write_config(config, {**TestStudy.STUDY, field: 10 ** 20})
+    assert main(["study", "--config", str(config)]) == 2
+    assert f"error: {field} x dimension must be below" in capsys.readouterr().err
+
+
+def test_repeated_study_predictor_exits_2(tmp_path, capsys):
+    config, out = tmp_path / "s.json", tmp_path / "r.json"
+    write_config(config, {**TestStudy.STUDY, "replicates": 3, "predictors": ["ok", "ok", "gpr"]})
+    assert main(["study", "--config", str(config), "--out", str(out)]) == 2
+    assert "nonempty list of distinct names" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family, code, out", [

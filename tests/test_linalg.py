@@ -1,4 +1,4 @@
-"""SPD factorization, the partitioned inverse, and the bordered (saddle-point) solve."""
+"""SPD factorization and the bordered (saddle-point) solve."""
 
 import math
 import warnings
@@ -15,7 +15,7 @@ from gpkrige.linalg import (
     solve_spd,
     spd_factor,
 )
-from gpkrige.oracle import block_inverse, bordered_solve
+from gpkrige.oracle import bordered_solve
 from helpers import random_spd
 
 
@@ -221,52 +221,6 @@ class TestSolveSpd:
         f = spd_factor(np.eye(3))
         with pytest.raises(InputError):
             solve_spd(f, np.ones(4))
-
-
-class TestBlockInverse:
-    def test_identity_blocks(self):
-        out = block_inverse(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(out, np.eye(4), atol=1e-14)
-
-    def test_saddle_blocks_against_dense_inverse(self):
-        a = np.eye(2)
-        b = np.ones((2, 1))
-        c = np.ones((1, 2))
-        d = np.zeros((1, 1))
-        s = np.block([[a, b], [c, d]])
-        np.testing.assert_allclose(block_inverse(a, b, c, d), np.linalg.inv(s),
-                                   atol=1e-12)
-
-    def test_scaled_case_against_dense_inverse(self):
-        a = np.diag([2.0, 2.0])
-        b = np.array([[1.0], [1.0]])
-        c = b.T
-        d = np.zeros((1, 1))
-        s = np.block([[a, b], [c, d]])
-        np.testing.assert_allclose(block_inverse(a, b, c, d), np.linalg.inv(s),
-                                   atol=1e-12)
-
-    def test_composition_is_identity(self):
-        rng = np.random.default_rng(9)
-        a = random_spd(rng, 5)
-        b = rng.normal(size=(5, 2))
-        c = rng.normal(size=(2, 5))
-        d = rng.normal(size=(2, 2)) + 4.0 * np.eye(2)
-        s = np.block([[a, b], [c, d]])
-        np.testing.assert_allclose(s @ block_inverse(a, b, c, d), np.eye(7), atol=1e-10)
-
-    def test_singular_a_identified(self):
-        with pytest.raises(SingularityError, match="block A"):
-            block_inverse(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2))
-
-    def test_inconsistent_block_shapes_rejected(self):
-        with pytest.raises(InputError, match="inconsistent block shapes"):
-            block_inverse(np.eye(3), np.ones((2, 1)), np.ones((1, 2)), np.eye(1))
-
-    def test_singular_schur_identified(self):
-        # D - C A^-1 B = 0 here
-        with pytest.raises(SingularityError, match="Schur"):
-            block_inverse(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
 
 
 class TestSolveSaddle:

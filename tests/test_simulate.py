@@ -16,7 +16,6 @@ from gpkrige import (
     run_study,
     sample_field,
     study_config_from_json,
-    study_config_to_json,
 )
 from gpkrige import kriging, simulate
 from gpkrige.oracle import joint_prior
@@ -117,6 +116,15 @@ class TestStudyConfig:
         with pytest.raises(InputError):
             make_config(predictors=())
 
+    def test_repeated_predictor_rejected(self):
+        with pytest.raises(InputError, match="nonempty list of distinct names"):
+            make_config(predictors=("ok", "ok", "gpr"))
+
+    @pytest.mark.parametrize("field", ["n_train", "n_test"])
+    def test_size_numpy_cannot_hold_rejected(self, field):
+        with pytest.raises(InputError, match=f"{field} x dimension must be below"):
+            make_config(**{field: 10 ** 20})
+
     def test_unidentified_true_mean_rejected(self):
         with pytest.raises(InputError):
             make_config(true_mean=MeanSpec.constant_unknown())
@@ -125,28 +133,39 @@ class TestStudyConfig:
         with pytest.raises(InputError):
             make_config(domain=((0.0, 1.0), (0.0, 1.0)))
 
-    @pytest.mark.parametrize("true_mean", [
-        CONST5,
-        MeanSpec.polynomial(1, 1, coefficients=np.array([5.0, -0.5])),
+    # make_config(predictors=("ls", "ok", "gpr")) as a study document
+    STUDY_DOC = {
+        "kernel": {"family": "squared_exponential", "variance": 1.0, "lengthscales": [0.2]},
+        "true_mean": {"type": "known", "constant": 5.0},
+        "noise_variance": 0.01,
+        "n_train": 12,
+        "n_test": 6,
+        "domain": [[0.0, 1.0]],
+        "replicates": 3,
+        "seed": 123,
+        "predictors": ["ls", "ok", "gpr"],
+    }
+
+    @pytest.mark.parametrize("mdoc, true_mean", [
+        ({"type": "known", "constant": 5.0}, CONST5),
+        ({"type": "basis", "basis": "polynomial", "degree": 1, "coefficients": [5.0, -0.5]},
+         MeanSpec.polynomial(1, 1, coefficients=np.array([5.0, -0.5]))),
     ], ids=["known-constant", "polynomial"])
-    def test_json_roundtrip(self, true_mean):
-        cfg = make_config(predictors=("ls", "ok", "gpr"), true_mean=true_mean)
-        doc = study_config_to_json(cfg)
-        back = study_config_from_json(doc)
-        assert back == cfg
-        assert study_config_to_json(back) == doc
-        assert back.kernel == cfg.kernel
-        assert back.predictors == cfg.predictors
-        assert back.seed == cfg.seed
+    def test_json_roundtrip(self, mdoc, true_mean):
+        cfg = study_config_from_json(dict(self.STUDY_DOC, true_mean=mdoc))
+        assert cfg == make_config(predictors=("ls", "ok", "gpr"), true_mean=true_mean)
+        assert cfg.kernel == SE_SHORT
+        assert cfg.predictors == ("ls", "ok", "gpr")
+        assert cfg.seed == 123
 
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):
             study_config_from_json({"kernel": {}})
         with pytest.raises(InputError):
-            study_config_from_json(dict(study_config_to_json(make_config()), true_mean=5.0))
+            study_config_from_json(dict(self.STUDY_DOC, true_mean=5.0))
         for domain in ([[0.0, math.inf]], [[math.nan, 1.0]]):
             with pytest.raises(InputError, match="finite lo < hi"):
-                study_config_from_json(dict(study_config_to_json(make_config()), domain=domain))
+                study_config_from_json(dict(self.STUDY_DOC, domain=domain))
 
 
 class TestRunStudy:
