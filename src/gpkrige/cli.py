@@ -3,9 +3,10 @@
 Datasets are CSV files with a header row naming the coordinate columns
 ``x1..xd`` followed by the response column ``y``.  Model configuration is a
 JSON document carrying the kernel/mean/noise description plus a ``variant``
-key (sk, ok, uk, gpr, gpr-basis).  Prediction targets come either from
-repeated ``--grid lo:hi:count`` flags (one per dimension, expanded in
-row-major order) or from a ``--points`` CSV file.
+key (sk, ok, uk, gpr, gpr-basis); ``verify`` runs that model as ``predict``
+does before its checks, so the two reject and warn alike.  Prediction
+targets come either from repeated ``--grid lo:hi:count`` flags (one per
+dimension, expanded in row-major order) or from a ``--points`` CSV file.
 
 Numbers are emitted in shortest round-trip decimal form, so every value in
 an output file equals the corresponding library result exactly.  Exit
@@ -191,13 +192,18 @@ def _load_problem(args):
     return data, config, kernel, mean, max_jitter, _resolve_targets(args, data.dim)
 
 
-def cmd_predict(args) -> int:
-    data, config, kernel, mean, max_jitter, targets = _load_problem(args)
-    engine = _Engine(data, kernel, targets, max_jitter)
+def _run_configured(engine: _Engine, config: dict, mean: MeanSpec):
+    """The configured variant's batch on ``engine``, warning on stderr if S was jittered."""
     batch = engine.predict(config.get("variant"), mean)
     if engine.factor.jitter_used > 0.0:
         print("warning: diagonal jitter was added to factor the covariance",
               file=sys.stderr)
+    return batch
+
+
+def cmd_predict(args) -> int:
+    data, config, kernel, mean, max_jitter, targets = _load_problem(args)
+    batch = _run_configured(_Engine(data, kernel, targets, max_jitter), config, mean)
 
     header = [f"x{i + 1}" for i in range(data.dim)] + ["mean", "error_variance"]
     table = np.column_stack([targets, batch.mean, batch.variance]).tolist()
@@ -244,7 +250,8 @@ def cmd_study(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_study(cfg)
-    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2, sort_keys=True)])
+    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2, sort_keys=True,
+                                       allow_nan=False)])
     return EXIT_OK
 
 
@@ -256,13 +263,23 @@ def cmd_study(args) -> int:
 def cmd_verify(args) -> int:
     data, config, kernel, mean, max_jitter, targets = _load_problem(args)
 
-    constant = MeanSpec.constant_unknown()
+    # one engine target stage serves every variant below; on noise-free data
+    # the rows after the m targets are the data points, for the interpolation row
+    m, noisy = targets.shape[0], data.noise_variance > 0.0
+    engine = _Engine(data, kernel, targets if noisy else np.vstack([targets, data.x]),
+                     max_jitter)
+    # the configured model runs first, as in predict; a batch depends only on
+    # the mean assumption its variant resolves to, which is fitted once
+    configured = _run_configured(engine, config, mean)
+    batches = {configured.fit.mean: configured}
+
+    def fitted(variant, spec):
+        key = _variant_mean(variant, spec)
+        if key not in batches:
+            batches[key] = engine.predict(variant, spec)
+        return batches[key]
+
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
-    # the trend is checked only where it fits the data; a configured basis
-    # that does not fit is an input error where the configured variant fits
-    # it, raised by the engine as in predict
-    trend_fits = basis.p <= data.n or (
-        mean.kind == "basis" and config.get("variant") in ("uk", "gpr-basis"))
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 
     results: list[tuple[str, float | None, str]] = []
@@ -274,37 +291,34 @@ def cmd_verify(args) -> int:
         deviation = float(np.max(np.maximum(dev_mean, dev_var)))
         results.append((name, deviation, "pass" if deviation <= VERIFY_TOL else "fail"))
 
-    # one engine target stage serves every variant below; on noise-free data
-    # the rows after the m targets are the data points, for the interpolation row
-    m, noisy = targets.shape[0], data.noise_variance > 0.0
-    engine = _Engine(data, kernel, targets if noisy else np.vstack([targets, data.x]),
-                     max_jitter)
+    def row(name, batch, route, *route_args):
+        # ``batch`` is the engine's, checked against ``route``, or why the row is skipped
+        if isinstance(batch, str):
+            results.append((name, None, batch))
+        else:
+            route = route(data, kernel, *route_args)
+            record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
     # the Cholesky routes solve against the engine's factor with their own
     # algebra; the LU routes share one S of their own, with the engine's jitter
-    ok = engine.predict("ok")
+    ok = fitted("ok", None)
     factor = engine.factor
     blocks = _bordered_blocks(data, kernel, targets, factor.jitter_used)
 
-    def trend(variant, route, last):
-        # the engine and ``route`` under the trend basis, if it fits
-        if not trend_fits:
-            return None, None
-        return engine.predict(variant, basis), route(data, kernel, basis, targets, last)
-
-    rows = [
-        ("ok_vs_ok_direct", ok, _direct_route(data, kernel, targets, factor)),
-        ("ok_vs_sk_plus_gls", ok, _plugin_route(data, kernel, constant, targets, factor)),
-        ("uk_vs_sk_plus_gls_beta", *trend("uk", _plugin_route, factor)),
-        ("gpr_vs_sk", engine.predict("gpr", known),
-         _bordered_route(data, kernel, known, targets, blocks)),
-        ("gpr_basis_vs_uk", *trend("gpr-basis", _bordered_route, blocks)),
-    ]
-    for name, batch, route in rows:
-        if batch is None:
-            results.append((name, None, "skipped (p > n)"))
-        else:
-            record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
+    row("ok_vs_ok_direct", ok, _direct_route, targets, factor)
+    row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, factor)
+    # a trend row runs where the engine can fit the trend basis, whatever the
+    # configured variant; uk and gpr-basis resolve it to one assumption
+    if basis.p > data.n:
+        trend = "skipped (p > n)"
+    else:
+        try:
+            trend = fitted("uk", basis)
+        except SingularityError:  # S is factored, so only the basis Gram can fail
+            trend = "skipped (rank < p)"
+    row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, factor)
+    row("gpr_vs_sk", fitted("gpr", known), _bordered_route, known, targets, blocks)
+    row("gpr_basis_vs_uk", trend, _bordered_route, basis, targets, blocks)
 
     if noisy:
         results.append(("interpolation", None, "skipped (noisy)"))

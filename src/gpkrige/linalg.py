@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs, issymmetric
+from scipy.linalg import cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
@@ -37,25 +37,6 @@ class SpdFactor:
     chol: np.ndarray
     jitter_used: float
     n: int
-
-
-def _check_symmetric(a):
-    """``a`` as an exactly symmetric float matrix.
-
-    An input that is already exactly symmetric (``scipy.linalg.issymmetric``
-    with no tolerance: +0 equals -0, an off-diagonal NaN equals nothing)
-    comes back as itself, not copied: 0.5 * (a + a^T) would reproduce it
-    bit for bit.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    if issymmetric(a):
-        return a
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > _SYM_RTOL * scale:
-        raise InputError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
 
 
 def _try_cholesky(a):
@@ -107,20 +88,23 @@ def _factor_in_place(a, max_jitter: float) -> SpdFactor:
 
 
 def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
-    """Factor a symmetric positive-definite matrix.
+    """Factor a symmetric positive-definite matrix, leaving ``a`` as it is.
 
-    ``a`` is checked square, symmetric to a relative 1e-10 (symmetrized if
-    not exactly) and finite, so the solves against the factor need not
-    rescan it; a copy is factored, and ``a`` is left as it is.  The jitter
-    escalation is :func:`_factor_in_place`'s; ``max_jitter`` must already
-    be a nonnegative finite float, validated by the caller before A is
-    built.
+    ``a`` must be square, finite (so solves need not rescan it) and
+    symmetric to a relative 1e-10; a column-major copy of 0.5 * (a + a^T),
+    ``a`` bit for bit if exactly symmetric, is factored with
+    :func:`_factor_in_place`'s jitter escalation.  ``max_jitter`` must
+    already be a nonnegative finite float, validated by the caller.
     """
-    a = _check_symmetric(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputError("matrix must be finite")
-    # a.T is column-major for a row-major a, and is A by symmetry
-    return _factor_in_place(np.array(a.T, order="F"), max_jitter)
+    scale = max(1.0, np.abs(a).max(initial=0.0))
+    if np.abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
+        raise InputError("matrix is not symmetric")
+    return _factor_in_place(np.asfortranarray(0.5 * (a + a.T)), max_jitter)
 
 
 def _right_hand_side(factor: SpdFactor, b) -> np.ndarray:

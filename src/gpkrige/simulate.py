@@ -121,9 +121,10 @@ class StudyReport:
     predictors: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """``dataclasses.asdict`` with None fields left out and tuples as lists."""
+        """``dataclasses.asdict`` with None and NaN (not JSON) fields left out, tuples as lists."""
         return asdict(self, dict_factory=lambda items: {
-            k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in items if not (v is None or isinstance(v, float) and np.isnan(v))
         })
 
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -470,6 +473,26 @@ class TestStudy:
         })
         assert main(["study", "--config", str(config)]) == 4
 
+    def test_predictor_failing_every_replicate_leaves_strict_json(self, tmp_path):
+        # 60 points under an SE kernel of lengthscale 2 make S singular, so ok
+        # fails in both replicates while ls succeeds: its MSE fields, NaN in
+        # the library report, are left out, as JSON has no NaN
+        config, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_config(config, {
+            **self.STUDY,
+            "kernel": {"family": "squared_exponential", "variance": 1.0,
+                       "lengthscales": [2.0]},
+            "noise_variance": 0.0, "n_train": 60, "seed": 3,
+        })
+        assert main(["study", "--config", str(config), "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["predictors"]["ok"] == {"failures": 2, "mse_replicates": []}
+        assert report["predictors"]["ls"]["failures"] == 0
+
 
 class TestVerify:
     @staticmethod
@@ -667,6 +690,92 @@ class TestVerify:
         assert code == 5
         assert status["gpr_basis_vs_uk"] == "fail"
         assert status["gpr_vs_sk"] == "fail"
+
+    # verify runs the configured model before any row, on the data predict reads
+    MATERN = {**SE_CONFIG, "kernel": {"family": "matern52", "variance": 1.0,
+                                      "lengthscales": [0.5]}}
+    FOUR = ([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, 0.0, 1.0])
+    CONFIGURED = {
+        "variant-unknown": (FOUR, {**MATERN, "variant": "bogus"}),
+        "variant-missing": (FOUR, {k: v for k, v in MATERN.items() if k != "variant"}),
+        "sk-constant-unknown": (FOUR, {**MATERN, "variant": "sk"}),
+        "gpr-constant-unknown": (FOUR, {**MATERN, "variant": "gpr"}),
+        "gpr-basis-indefinite-prior": (FOUR, {**MATERN, "variant": "gpr-basis", "mean": {
+            **POLY_MEAN, "prior_cov": [[1.0, 0.0], [0.0, -1.0]]}}),
+        "jitter": (([0.0, 0.0, 1.0], [1.0, 2.0, 0.0]), {**MATERN, "max_jitter": 1e-3}),
+        "collinear-ok": (([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]], FOUR[1]), MATERN),
+        **{name: (([0.0, 1.0], [1.0, 2.0]), doc) for name, doc in MALFORMED_CONFIGS.items()},
+    }
+
+    @staticmethod
+    def both_commands(tmp_path, capsys, points, doc):
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, *points)
+        write_config(config, doc)
+        argv = ["--data", str(data), "--config", str(config),
+                *["--grid", "0:1:3"] * np.ndim(points[0])]
+        return [(main([command, *argv]), *capsys.readouterr())
+                for command in ("predict", "verify")]
+
+    @pytest.mark.parametrize("points, doc", CONFIGURED.values(), ids=CONFIGURED.keys())
+    def test_rejects_and_warns_as_predict(self, tmp_path, capsys, points, doc):
+        predicted, verified = self.both_commands(tmp_path, capsys, points, doc)
+        if predicted[0]:
+            assert verified == (predicted[0], "", predicted[2])
+        else:
+            warnings = [ln for ln in verified[2].splitlines() if ln.startswith("warning: ")]
+            assert warnings == predicted[2].splitlines()
+
+    def test_trend_of_rank_below_p_skipped(self, tmp_path, capsys):
+        # x1 is 0 at every point, so the degree-1 trend verify assumes for an
+        # ok config has rank 2 < p = 3 at the data: both its rows are skipped
+        predicted, verified = self.both_commands(tmp_path, capsys,
+                                                 *self.CONFIGURED["collinear-ok"])
+        code, out, err = verified
+        assert predicted[0] == 0 and code == 0 and err == ""
+        rows = {line.split()[0]: line.split(None, 2)[1:] for line in out.splitlines()}
+        for name in ("uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"):
+            assert rows.pop(name) == ["-", "skipped (rank < p)"]
+        assert {status for _, status in rows.values()} == {"pass"}
+
+    @pytest.mark.parametrize("variant, mean, fits", [
+        ("uk", POLY_MEAN, 3),
+        ("ok", {"type": "constant_unknown"}, 3),
+        ("sk", {"type": "known", "constant": 5.0}, 3),
+        ("gpr-basis", {**POLY_MEAN, "prior_cov": [[1.0, 0.0], [0.0, 1.0]]}, 4),
+    ])
+    def test_each_mean_assumption_fitted_once(self, tmp_path, capsys, monkeypatch,
+                                              variant, mean, fits):
+        # ok, the degree-1 trend (shared by uk and gpr-basis) and the known
+        # mean, plus the configured assumption where it is none of these
+        data, config = self.make_dataset(tmp_path)
+        with open(config) as fh:
+            doc = json.load(fh)
+        write_config(config, {**doc, "variant": variant, "mean": mean})
+        calls = []
+        monkeypatch.setattr(kriging, "_fit", counted(kriging._fit, calls))
+        assert main(["verify", "--data", data, "--config", config,
+                     "--grid", "0.05:0.95:7"]) == 0
+        assert len(calls) == fits
+
+
+@pytest.mark.parametrize("data, code", [(None, 2), (([0.0, 0.0, 1.0], [1.0, 2.0, 0.0]), 5)],
+                         ids=["missing-data", "failing-verify"])
+def test_entrypoint_exits_with_the_status_of_main(tmp_path, data, code):
+    # python -m gpkrige.cli runs the console script's entry point in a fresh
+    # interpreter; two jittered duplicates fail verify's rows
+    path, config = tmp_path / "d.csv", tmp_path / "c.json"
+    if data is not None:
+        write_csv(path, *data)
+    write_config(config, {**TestVerify.MATERN, "max_jitter": 1e-3})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "gpkrige.cli", "verify", "--data", str(path),
+                           "--config", str(config), "--grid", "0:1:3"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("warning: diagonal jitter" if data else "error: ")
 
 
 @pytest.mark.parametrize("command", ["predict", "variogram", "study"])

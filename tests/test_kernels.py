@@ -153,6 +153,10 @@ class TestKernelSpecValidation:
         with pytest.raises(InputError, match="must be numeric"):
             KernelSpec("exponential", 1.0, [1.0, 10**400])
 
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(InputError, match="dimension must be positive"):
+            KernelSpec("squared_exponential", 1.0, (1.0,), dim=0)
+
     def test_isotropic_broadcast(self):
         spec = KernelSpec("exponential", 1.0, (2.0,), dim=3)
         assert spec.lengthscales == (2.0, 2.0, 2.0)
@@ -548,6 +552,12 @@ class TestMeanSpec:
     def test_polynomial_matrix_reads_1d_input_as_one_point(self):
         mean = MeanSpec.polynomial(2, 1)
         np.testing.assert_array_equal(basis_matrix(mean, [2.0, 3.0]), [[1.0, 2.0, 3.0]])
+
+    def test_function_matrix_reads_1d_input_as_a_column(self):
+        # unlike a polynomial's, a hand-built basis reads a 1-D x as n 1-D points
+        mean = MeanSpec.basis([lambda x: 1.0, lambda x: x[0]])
+        np.testing.assert_array_equal(basis_matrix(mean, [0.0, 0.5, 2.0]),
+                                      [[1.0, 0.0], [1.0, 0.5], [1.0, 2.0]])
 
     def test_polynomial_matrix_rejects_wrong_dimension(self):
         with pytest.raises(InputError):

@@ -8,7 +8,6 @@ import pytest
 
 from gpkrige import InputError, SingularityError, linalg
 from gpkrige.linalg import (
-    _check_symmetric,
     _factor_constraint_gram,
     _try_cholesky,
     _whiten,
@@ -138,27 +137,21 @@ class TestCheckSymmetric:
     @pytest.mark.parametrize("shape", [(2, 3), (4,)])
     def test_non_square_rejected(self, shape):
         with pytest.raises(InputError, match="square matrix"):
-            _check_symmetric(np.ones(shape))
-
-    def test_exactly_symmetric_returned_uncopied(self):
-        a = self.spd600()
-        assert _check_symmetric(a) is a
+            spd_factor(np.ones(shape))
 
     def test_far_tile_asymmetry_beyond_tolerance_raises(self):
         a = self.spd600()
         a[10, 590] += 2e-10 * np.abs(a).max()
         with pytest.raises(InputError, match="not symmetric"):
-            _check_symmetric(a)
+            spd_factor(a)
 
     def test_far_tile_asymmetry_within_tolerance_symmetrized(self):
         a = self.spd600()
         a[10, 590] += 5e-11 * np.abs(a).max()
         before = a.copy()
-        got = _check_symmetric(a)
-        assert got is not a
+        got = spd_factor(a)
         np.testing.assert_array_equal(a, before)
-        np.testing.assert_array_equal(got, got.T)
-        np.testing.assert_array_equal(got, 0.5 * (a + a.T))
+        np.testing.assert_array_equal(got.chol, spd_factor(0.5 * (a + a.T)).chol)
 
 
 class TestWhiten:
