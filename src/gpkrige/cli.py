@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -67,21 +68,52 @@ def _plain(kind):
 _float, _int = _plain(float), _plain(int)
 
 
+def _first_bad_row(path: str, body, ncols: int) -> None:
+    """Raise the error of the first row of ``body`` that fails a check.
+
+    ``body`` holds (line number, stripped line) pairs; an empty line is
+    skipped, and each other row is checked for its field count, then for a
+    ``_``, then parsed, then checked for finite values.
+    """
+    for lineno, line in body:
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != ncols:
+            raise InputError(
+                f"{path}: line {lineno}: expected {ncols} fields, got {len(fields)}"
+            )
+        if "_" in line:  # _plain's rule, checked once per line rather than per field
+            raise InputError(f"{path}: line {lineno}: digit-group underscores are not accepted")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as err:
+            raise InputError(f"{path}: line {lineno}: {err}") from err
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{path}: line {lineno}: non-finite value")
+
+
 def read_point_table(path: str, expect_response: bool = True):
     """Read a coordinates(+response) CSV; returns (X, y or None).
 
-    Blank lines are skipped.  Errors cite the offending line's 1-based
-    number in the file; each row is checked for its field count, then
-    parsed, then checked for finite values.  Fields are plain decimals:
-    ``float()`` reads each, padding and all, and a line holding a ``_`` is
-    refused.
+    Blank lines are skipped.  Fields are plain decimals: ``float()`` reads
+    each, padding and all, and a line holding a ``_`` is refused.  The file
+    is read in one piece: the field counts, the ``_`` rule and finiteness
+    are checked over the whole table, and every field is parsed by one
+    ``map(float, ...)``.  Only once a whole-table check has failed are the
+    rows checked one by one, so that the error cites the first bad row's
+    1-based line number in the file, and its first failing check in the
+    order: field count, ``_``, parse, finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if not ln.isspace()]
-    if not lines:
+        # text mode reads "\r\n" and "\r" as "\n", so these are the lines
+        # iterating the file gives; stripped, a blank one is empty
+        lines = list(map(str.strip, fh.read().split("\n")))
+    start = next((k for k, line in enumerate(lines) if line), None)
+    if start is None:
         raise InputError(f"{path}: empty file")
-    (header_lineno, header_line), body = lines[0], lines[1:]
-    header = [f.strip() for f in header_line.split(",")]
+    header_lineno = start + 1
+    header = [f.strip() for f in lines[start].split(",")]
     # a trailing response column is tolerated (and ignored) in points files
     has_response = len(header) > 1 and header[-1] == "y"
     if expect_response and not has_response:
@@ -95,25 +127,18 @@ def read_point_table(path: str, expect_response: bool = True):
             f"{','.join(expected)}, got {','.join(coord_names)}"
         )
     ncols = len(header)
-    rows = []
-    for lineno, line in body:
-        fields = line.strip().split(",")
-        if len(fields) != ncols:
-            raise InputError(
-                f"{path}: line {lineno}: expected {ncols} fields, got {len(fields)}"
-            )
-        if "_" in line:  # _plain's rule, checked once per line rather than per field
-            raise InputError(f"{path}: line {lineno}: digit-group underscores are not accepted")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as err:
-            raise InputError(f"{path}: line {lineno}: {err}") from err
-        if not all(map(math.isfinite, values)):
-            raise InputError(f"{path}: line {lineno}: non-finite value")
-        rows.append(values)
+    rows = list(filter(None, lines[start + 1:]))
     if not rows:
         raise InputError(f"{path}: no data rows")
-    table = np.asarray(rows)
+    text = ",".join(rows)
+    table = None
+    if set(map(str.count, rows, itertools.repeat(","))) == {ncols - 1} and "_" not in text:
+        try:
+            table = np.fromiter(map(float, text.split(",")), float).reshape(len(rows), ncols)
+        except ValueError:
+            pass
+    if table is None or not np.isfinite(table).all():
+        _first_bad_row(path, enumerate(lines[start + 1:], start=start + 2), ncols)
     return table[:, :dim], (table[:, dim] if expect_response else None)
 
 
@@ -268,17 +293,9 @@ def cmd_verify(args) -> int:
     m, noisy = targets.shape[0], data.noise_variance > 0.0
     engine = _Engine(data, kernel, targets if noisy else np.vstack([targets, data.x]),
                      max_jitter)
-    # the configured model runs first, as in predict; a batch depends only on
-    # the mean assumption its variant resolves to, which is fitted once
-    configured = _run_configured(engine, config, mean)
-    batches = {configured.fit.mean: configured}
-
-    def fitted(variant, spec):
-        key = _variant_mean(variant, spec)
-        if key not in batches:
-            batches[key] = engine.predict(variant, spec)
-        return batches[key]
-
+    # the configured model runs first, as in predict; the engine fits each
+    # mean assumption once, whichever rows share it
+    _run_configured(engine, config, mean)
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 
@@ -301,7 +318,7 @@ def cmd_verify(args) -> int:
 
     # the Cholesky routes solve against the engine's factor with their own
     # algebra; the LU routes share one S of their own, with the engine's jitter
-    ok = fitted("ok", None)
+    ok = engine.predict("ok")
     factor = engine.factor
     blocks = _bordered_blocks(data, kernel, targets, factor.jitter_used)
 
@@ -313,11 +330,11 @@ def cmd_verify(args) -> int:
         trend = "skipped (p > n)"
     else:
         try:
-            trend = fitted("uk", basis)
+            trend = engine.predict("uk", basis)
         except SingularityError:  # S is factored, so only the basis Gram can fail
             trend = "skipped (rank < p)"
     row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, factor)
-    row("gpr_vs_sk", fitted("gpr", known), _bordered_route, known, targets, blocks)
+    row("gpr_vs_sk", engine.predict("gpr", known), _bordered_route, known, targets, blocks)
     row("gpr_basis_vs_uk", trend, _bordered_route, basis, targets, blocks)
 
     if noisy:

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .exceptions import InputError
 
@@ -262,6 +262,28 @@ def semivariogram_of(spec: KernelSpec, tau):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
+def _pair_plan(n: int, pairs: int) -> list[tuple[int, int, int]]:
+    """The row blocks (i, rows, lags) that walk the pairs i < j of n points.
+
+    The last block is the tail: the most rows [i, n) whose r(r - 1)/2 pairs
+    number at most ``pairs``, evaluated as exactly those pairs.  Each
+    earlier block evaluates rows [i, i + rows) against columns [i + 1, n),
+    its repeated lower-triangle square included, with about ``pairs``
+    lags (one row, if a row is longer) and never a row of the tail.
+    """
+    tail = max(0, n - (1 + math.isqrt(8 * pairs + 1)) // 2)
+    blocks = []
+    i = 0
+    while i < tail:
+        cols = n - 1 - i
+        rows = min(tail - i, max(1, pairs // cols))
+        blocks.append((i, rows, rows * cols))
+        i += rows
+    r = n - tail
+    blocks.append((tail, r, r * (r - 1) // 2))
+    return blocks
+
+
 def empirical_semivariogram(x, y, bins: int, max_lag: float):
     """Binned empirical semivariogram of scattered data.
 
@@ -272,28 +294,35 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     the last bin includes its right edge ``max_lag``, and a pair with
     h > max_lag counts nowhere.
 
-    The pairs i < j are walked in row blocks of the condensed distance
-    matrix: rows [i, i + r) against columns [i + 1, n), about
-    max(``_PAIR_BLOCK``, bins) pairs (one row, if a row is longer), so a
-    block's per-bin work never outweighs its pairs.  Three work buffers sized
-    by the largest block (lags, bin indices, weights) are allocated once per
-    call and every block is computed into them, so the working memory is a
-    few arrays of max(2^16, bins, n) entries rather than of n(n-1)/2: a
-    ``tracemalloc`` peak of 2.0 to 2.7 MB for n from 3000 to 20 000
-    (bins 12).  An extra sentinel bin ``bins`` takes every lag beyond
-    max_lag, and each block's repeated lower-triangle square, whose lags
-    are set to infinity; its sum is never read.  Where at least half of a
-    block's pairs lie within max_lag, all of them are binned, the rest in
-    the sentinel; otherwise the kept pairs are gathered first, because
-    binning the others would cost more than dropping them.  A pair's bin
-    is its estimate min(h / max_lag * bins, bins + 0.5) truncated, which
-    is already ``np.digitize``'s bin unless the estimate lies within
-    min(0.5, 16 eps (bins + 1)) of an integer, an edge; only those pairs
-    are tested against the exact edges and moved by one.  A max_lag / bins
-    that is not a normal float is rejected, because the edges can then
-    repeat or fall out of order.  The running per-bin sums stand in front
-    of each block's weights in one buffer, so one ``bincount`` adds every
-    bin in pair order and the sums round as one pass over all pairs would.
+    The pairs i < j are walked in the blocks of :func:`_pair_plan`, of
+    about max(``_PAIR_BLOCK``, bins) pairs each, so a block's per-bin work
+    never outweighs its pairs.  Once the rows left hold at most that many
+    pairs, they are one tail block, taken from ``pdist`` in its condensed
+    order: the lags from ``pdist(x[i:])`` and the squared response
+    differences, already squared, from ``pdist(y[i:, None], "sqeuclidean")``.
+    Each earlier block is rows [i, i + r) against columns [i + 1, n) from
+    ``cdist`` (one row, if a row is longer), and its repeated lower-triangle
+    square is evaluated too; for n up to 6000 the plan evaluates at most
+    1.08 lags per pair.  Three work buffers sized by the plan's largest
+    block (lags, bin indices, weights) are allocated once per call and
+    every block is computed into them, so the working memory is a few
+    arrays of max(2^16, bins, n) entries rather than of n(n-1)/2: a
+    ``tracemalloc`` peak of 1.9 to 3.3 MB for n from 3000 to 20 000 (bins
+    12, max_lag 0.5 or 2 on the unit square).  An extra sentinel bin
+    ``bins`` takes every lag beyond max_lag, and the repeated squares,
+    whose lags are set to infinity; its sum is never read.  Where at least
+    half of a block's pairs lie within max_lag, all of them are binned, the
+    rest in the sentinel; otherwise the kept pairs are gathered first,
+    because binning the others would cost more than dropping them.  A
+    pair's bin is its estimate min(h * (bins / max_lag), bins + 0.5)
+    truncated, which is already ``np.digitize``'s bin unless the estimate
+    lies within min(0.5, 16 eps (bins + 1)) of an integer, an edge; only
+    those pairs are tested against the exact edges and moved by one.  A
+    max_lag / bins that is not a normal float is rejected, because the
+    edges can then repeat or fall out of order.  The running per-bin sums
+    stand in front of each block's weights in one buffer, so one
+    ``bincount`` adds every bin in pair order and the sums round as one
+    pass over all pairs would.
     Responses so far apart that a bin's sum overflows are an input error;
     pairs beyond max_lag are never read, however far apart.
 
@@ -319,14 +348,10 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         raise InputError("need at least two points for an empirical semivariogram")
 
     n = x.shape[0]
-    pairs = max(_PAIR_BLOCK, bins)  # so a block's per-bin work never outweighs its pairs
-    blocks = []  # (i, rows): rows [i, i + rows) x columns [i + 1, n); row r pairs with c >= r
-    i = 0
-    while i < n - 1:
-        cols = n - 1 - i
-        blocks.append((i, min(cols, max(1, pairs // cols))))
-        i += blocks[-1][1]
-    size = max(rows * (n - 1 - i) for i, rows in blocks)
+    # so a block's per-bin work never outweighs its pairs
+    blocks = _pair_plan(n, max(_PAIR_BLOCK, bins))
+    tail = blocks[-1][0]
+    size = max(lags for _, _, lags in blocks)
     with np.errstate(over="ignore"):  # at the float max the sentinel's edge is inf
         beyond = np.nextafter(max_lag, np.inf)
     try:
@@ -345,17 +370,19 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     near = np.empty(size, dtype=bool)
     # an estimate within this distance of an integer may be off by one bin
     tol = min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
-    tri = np.tri(max(rows for _, rows in blocks), dtype=bool, k=-1)
+    tri = np.tri(max((rows for _, rows, _ in blocks[:-1]), default=0), dtype=bool, k=-1)
     # an overflow is to inf: of a lag's estimate only far beyond max_lag, in
     # the sentinel; of a response difference or its square, in the sums read
     # below, or in the sentinel's, which is not read
     with np.errstate(over="ignore"):
-        for i, rows in blocks:
+        for i, rows, m in blocks:
             cols = n - 1 - i
-            m = rows * cols
-            lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
-            lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
-            lag = lag.reshape(-1)
+            if i == tail:  # the rest of the triangle, in pdist's condensed order
+                lag = pdist(x[i:], out=lags[:m])
+            else:
+                lag = cdist(x[i:i + rows], x[i + 1:], out=lags[:m].reshape(rows, cols))
+                lag[:, :rows][tri[:rows, :rows]] = np.inf  # the square's repeated pairs: sentinel
+                lag = lag.reshape(-1)
             keep = np.less_equal(lag, max_lag, out=near[:m])
             k, sel = np.count_nonzero(keep), None
             if 2 * k < m:  # dropping the rest costs less than binning it in the sentinel
@@ -364,8 +391,7 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
             else:
                 k = m
             idx, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k]
-            np.divide(lag, max_lag, out=est)
-            est *= bins
+            np.multiply(lag, bins / max_lag, out=est)
             np.minimum(est, bins + 0.5, out=est)
             np.copyto(idx, est, casting="unsafe")  # truncates
             est -= idx
@@ -377,12 +403,18 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
             b += h >= bounds[b + 1]
             idx[edge] = b
             # the estimates are spent: the block's (y_i - y_j)^2 take their place
-            diff = weights[bins + 1:bins + 1 + m]
-            np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
             sqdiff = est
-            if sel is not None:
-                sqdiff[:] = diff[sel]
-            sqdiff *= sqdiff
+            if i == tail:  # squared already; the lags are spent too
+                diff = pdist(y[i:, None], "sqeuclidean",
+                             out=weights[bins + 1:bins + 1 + m] if sel is None else lags[:m])
+                if sel is not None:
+                    np.take(diff, sel, out=sqdiff)
+            else:
+                diff = weights[bins + 1:bins + 1 + m]
+                np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
+                if sel is not None:
+                    sqdiff[:] = diff[sel]
+                sqdiff *= sqdiff
             counts += np.bincount(idx, minlength=bins + 1)
             weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
                                              minlength=bins + 1)

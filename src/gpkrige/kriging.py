@@ -267,9 +267,12 @@ class _Engine:
     ``dtrsm`` over every target) is computed on first use and shared by
     every later :meth:`predict`, whose mean stage adds U = L^-1 M,
     z = L^-1 (y - m(X)), G = U^T U and Gamma = F* - V^T U for its mean
-    assumption.  Being lazy, the target stage lets a bad variant or mean be
-    rejected before anything is factored.  A factorization that fails is
-    remembered too: every later use raises a fresh
+    assumption.  A batch depends only on the mean assumption its variant
+    resolves to, so each assumption's batch is computed once and returned
+    to every later call that resolves to it; its arrays are shared and
+    are not to be written.  Being lazy, the target stage lets a bad variant
+    or mean be rejected before anything is factored.  A factorization that
+    fails is remembered too: every later use raises a fresh
     :class:`SingularityError` with the same message and pivot instead of
     retrying it.
     """
@@ -305,7 +308,7 @@ class _Engine:
 
         The target stage depends on the locations only, so whatever of it is
         already computed, a failed factorization included, carries over to
-        the copy.
+        the copy; the batches depend on y and do not.
         """
         engine = replace(self, data=replace(self.data, y=y))
         for name in ("_factor_or_error", "_targets"):
@@ -322,15 +325,23 @@ class _Engine:
         variance:  sigma*^2 - v^T v + Gamma^T G^-1 Gamma, clamped,
                    Gamma = f(x*) - U^T v and G = U^T U (+ B^-1)
         """
-        fit = _fit(self.data, _variant_mean(variant, mean), self.factor)
+        assumption = _variant_mean(variant, mean)
+        if assumption in self._batches:
+            return self._batches[assumption]
+        fit = _fit(self.data, assumption, self.factor)
         vt = self._targets
         offset, f = _mean_parts(fit.mean, self.xs)
         gamma = f - np.einsum("ji,li->jl", vt, fit.u.T)
         h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
         mean = offset + _rowdot(f, fit.beta) + _rowdot(vt, fit.residual)
         raw = self.kernel.variance - _rowdot(vt, vt) + _rowdot(gamma, h)
-        return _Batch(fit, mean, _clamped(raw, self.kernel.variance), vt, f, gamma, h,
-                      offset)
+        batch = _Batch(fit, mean, _clamped(raw, self.kernel.variance), vt, f, gamma, h, offset)
+        self._batches[assumption] = batch
+        return batch
+
+    @cached_property
+    def _batches(self) -> dict[MeanSpec, _Batch]:
+        return {}
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     observation covariance and its target solve serve first the sampler,
     which draws the observations and then the test values from their exact
     conditional, and then every Kriging and GP predictor, which adds only
-    its mean stage.  A predictor that fails inside a replicate with a
+    its mean stage; sk and gpr, which assume the same known mean, share
+    one.  A predictor that fails inside a replicate with a
     :class:`GpKrigeError` is recorded and skipped for that replicate; any
     other exception is a bug and propagates.  The study itself fails only
     when no replicate yields any usable result.

@@ -139,20 +139,20 @@ class TestPredict:
             assert float(row[1]) == lib.mean
             assert float(row[2]) == lib.error_variance
 
-    @pytest.mark.parametrize("text, line", [
-        ("x1,y\n0.0,1.0\noops,2.0\n", 3),
-        ("x1,y\n\n0.0,1.0\noops,2.0\n", 4),
-        ("x1,y\n0.0,1.0\n\n\n1.0\n", 5),
-        ("x1,y\n0.0,1.0\n\nnan,2.0\n", 4),
-        ("\nx1,z\n0.0,1.0\n", 2),
+    @pytest.mark.parametrize("text, line, message", [
+        ("x1,y\n0.0,1.0\noops,2.0\n", 3, "could not convert string to float: 'oops'"),
+        ("x1,y\n\n0.0,1.0\noops,2.0\n", 4, "could not convert string to float: 'oops'"),
+        ("x1,y\n0.0,1.0\n\n\n1.0\n", 5, "expected 2 fields, got 1"),
+        ("x1,y\n0.0,1.0\n\nnan,2.0\n", 4, "non-finite value"),
+        ("\nx1,z\n0.0,1.0\n", 2, "header must end with a 'y' column"),
         # checked in file order: the non-finite row is reported, not the short one
-        ("x1,y\n0.0,1.0\ninf,2.0\n1.0\n", 3),
+        ("x1,y\n0.0,1.0\ninf,2.0\n1.0\n", 3, "non-finite value"),
         # float() alone reads 1_0 as 10
-        ("x1,y\n0.0,1.0\n1_0,2.0\n", 3),
+        ("x1,y\n0.0,1.0\n1_0,2.0\n", 3, "digit-group underscores are not accepted"),
     ], ids=["unparsable", "unparsable-after-blank", "short-after-two-blanks",
             "nan-after-blank", "header-after-blank", "non-finite-before-short",
             "digit-group-underscore"])
-    def test_malformed_row_cites_line(self, tmp_path, capsys, text, line):
+    def test_malformed_row_cites_line(self, tmp_path, capsys, text, line, message):
         data = tmp_path / "bad.csv"
         data.write_text(text)
         config = tmp_path / "c.json"
@@ -160,7 +160,7 @@ class TestPredict:
         code = main(["predict", "--data", str(data), "--config", str(config),
                      "--grid", "0:1:2"])
         assert code == 2
-        assert f"line {line}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {data}: line {line}: {message}\n"
 
     def test_bad_variant_exits_2(self, demo):
         tmp, data, config = demo

@@ -26,6 +26,7 @@ from gpkrige.kernels import (
     KERNEL_FAMILIES,
     _mean_from_json,
     _mean_vector,
+    _pair_plan,
     _real,
 )
 from helpers import ONE_BLOCK
@@ -426,6 +427,22 @@ class TestEmpiricalSemivariogram:
         expected = sums / (2.0 * counts)
         assert np.all(np.abs(got_gamma - expected) <= 1e-12 * np.abs(expected))
 
+    @pytest.mark.parametrize("pairs", [_PAIR_BLOCK, 10**6])
+    def test_pair_plan_evaluates_each_pair_about_once(self, pairs):
+        # the blocks run through the rows in order, the largest tail that
+        # holds at most ``pairs`` pairs last; the earlier blocks' repeated
+        # squares keep the lags evaluated within 1.1 per pair (row blocks
+        # without the tail evaluate up to 1.99 per pair, at n = 257)
+        for n in range(2, 6001 if pairs == _PAIR_BLOCK else 3001):
+            blocks = _pair_plan(n, pairs)
+            starts = [i for i, _, _ in blocks]
+            assert starts == [0] + list(np.cumsum([rows for _, rows, _ in blocks[:-1]]))
+            tail, r, lags = blocks[-1]
+            assert tail + r == n and lags == r * (r - 1) // 2 <= pairs
+            assert r == n or (r + 1) * r // 2 > pairs
+            assert all(lags == rows * (n - 1 - i) for i, rows, lags in blocks[:-1])
+            assert sum(lags for _, _, lags in blocks) <= 1.1 * (n * (n - 1) / 2)
+
     def test_memory_is_bounded_by_the_pair_block(self):
         # 4000 points make about 8 million pairs; holding them at once takes
         # well over 100 MB
@@ -456,8 +473,8 @@ class TestEmpiricalSemivariogram:
         with pytest.raises(InputError, match="responses too large"):
             empirical_semivariogram(np.array(x)[:, None], y, 2, 4.0)
 
-    # an overflowing pair beyond max_lag: 2 of 4 block entries kept, so the
-    # block is binned with that pair in the sentinel; 1 of 4, so the kept
+    # an overflowing pair beyond max_lag: 2 of the tail's 3 pairs kept, so
+    # the tail is binned with that pair in the sentinel; 1 of 3, so the kept
     # pair is gathered and the others dropped
     @pytest.mark.parametrize("x, y, gamma", [
         ([0.0, 1.5, 4.5], [0.0, 1e154, 2e154], [5e307, 5e307]),

@@ -372,6 +372,24 @@ def test_engine_remembers_a_failed_factor(monkeypatch):
         assert e.__cause__ is None and e.__context__ is None
 
 
+def test_engine_batches_follow_the_responses():
+    # a mean assumption is fitted once per engine, whichever variant
+    # resolves to it; a copy observing other responses fits it afresh
+    data = Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
+    xs = np.array([[0.5], [1.5]])
+    engine = _Engine(data, SE1, xs)
+    known = MeanSpec.known_constant(0.25)
+    sk = engine.predict("sk", known)
+    assert engine.predict("gpr", known) is sk
+    assert engine.predict("ok") is engine.predict("uk", MeanSpec.constant_unknown())
+    y = np.array([-1.0, 0.0, 3.0])
+    observed = engine.observing(y).predict("sk", known)
+    fresh = _Engine(dataclasses.replace(data, y=y), SE1, xs).predict("sk", known)
+    assert observed is not sk
+    np.testing.assert_array_equal(observed.mean, fresh.mean)
+    assert not np.array_equal(observed.mean, sk.mean)
+
+
 @pytest.mark.parametrize("n", [1, 2, ONE_BLOCK - 1, ONE_BLOCK + 1, 600])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))

@@ -1,11 +1,14 @@
 """Property-based checks of the identities between the engine and the oracles,
-of the empirical semivariogram's bin rule, and of the number validators.
+of the empirical semivariogram's bin rule, of the number validators and of
+the CSV point reader.
 
 Points are drawn on distinct cells of a unit lattice with an offset below
 one half, so no two lie closer than 0.5.  Draws whose observation
 covariance or trend design is ill-conditioned are skipped with ``assume``;
 the data are never shrunk to hide them.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from gpkrige import (
     gpr_predict_basis,
     predict_points,
 )
+from gpkrige.cli import read_point_table
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
 from gpkrige.kriging import _factor_observation_cov
@@ -181,21 +185,51 @@ def variogram_samples(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(variogram_samples())
 def test_variogram_rounds_as_one_pass(case):
+    assert_one_pass(*case)
+
+
+def assert_one_pass(x, y, bins, max_lag):
     # counts are np.digitize's, and each bin's sum is one sequential
     # bincount over the kept pairs in pdist order, to the last bit
-    x, y, bins, max_lag = case
     lags = pdist(x)
     rows, cols = np.triu_indices(len(y), 1)
-    diff = y[rows] - y[cols]
+    with np.errstate(over="ignore"):  # pairs beyond max_lag may overflow
+        sq = (y[rows] - y[cols]) ** 2
     keep = lags <= max_lag
     idx = np.digitize(lags[keep], np.linspace(0.0, max_lag, bins + 1)[1:-1])
     counts = np.bincount(idx, minlength=bins)
-    sums = np.bincount(idx, weights=(diff * diff)[keep], minlength=bins)
+    sums = np.bincount(idx, weights=sq[keep], minlength=bins)
     expected = np.full(bins, np.nan)
     expected[counts > 0] = sums[counts > 0] / (2.0 * counts[counts > 0])
     _, got_counts, got_gamma = empirical_semivariogram(x, y, bins, max_lag)
     assert got_counts.tolist() == counts.tolist()
     assert np.array_equal(got_gamma, expected, equal_nan=True)
+
+
+def _far_pair(n):
+    # two points far from the unit square and from each other, with
+    # responses whose difference overflows; every pair they make lies
+    # beyond max_lag 2, so the tail is binned whole and their overflows
+    # land in the sentinel
+    rng = np.random.default_rng(n)
+    x = np.vstack([rng.uniform(0.0, 1.0, (n - 2, 2)), [[-100.0, -100.0], [100.0, 100.0]]])
+    y = np.concatenate([rng.normal(size=n - 2), [-1e308, 1e308]])
+    return x, y, 12, 2.0
+
+
+def _unit_square(n, max_lag, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, (n, 2)), rng.normal(size=n), 12, max_lag
+
+
+@pytest.mark.parametrize("case", [
+    _unit_square(362, 1.0),  # the tail alone holds every pair
+    _unit_square(363, 1.0),  # one row, then a tail of 362 rows
+    _unit_square(363, 0.1),  # a gathered tail: about 3% of its pairs kept
+    _far_pair(300),  # an overflowing difference in the tail, binned in its sentinel
+], ids=["tail-only", "block-and-tail", "gathered-tail", "overflow-in-tail"])
+def test_variogram_tail_rounds_as_one_pass(case):
+    assert_one_pass(*case)
 
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -245,3 +279,88 @@ def test_validators_return_numbers(v):
     else:
         with pytest.raises(InputError):
             _integer(v, "v")
+
+
+#: padding that str.strip and float() both read as whitespace, none of it a line end
+PADS = st.text(alphabet=" \t\x0b\x0c\x85\xa0\u2003", max_size=2)
+FIELDS = st.one_of(FINITE_FLOATS.map(repr), FINITE_FLOATS.map("{:.3e}".format),
+                   st.integers(-10**20, 10**20).map(str))
+#: a field that fails a row: unparsable, digit-grouped, non-finite or empty
+BAD_FIELDS = st.sampled_from(["oops", "1_0", "0x1p3", "nan", "inf", "-inf", ""])
+
+
+@st.composite
+def point_tables(draw):
+    """CSV text of a point table and the reader's ``expect_response``.
+
+    Fields are padded, blank and whitespace-only lines fall anywhere, lines
+    end in LF, CRLF or CR and the last may end in none; a points table
+    (``expect_response`` False) may carry a trailing y column.  Some tables
+    hold bad rows: a bad field, or one field too many or too few.
+    """
+    dim, expect_response = draw(st.integers(1, 3)), draw(st.booleans())
+    names = [f"x{i + 1}" for i in range(dim)] + ["y"] * (expect_response or draw(st.booleans()))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=12))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)):
+        kind = draw(st.sampled_from(["field", "longer", "shorter"]))
+        if kind == "field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_FIELDS)
+        elif kind == "longer":
+            row.append(draw(FIELDS))
+        else:
+            row.pop()
+    lines = [",".join(draw(PADS) + f + draw(PADS) for f in fields) for fields in [names, *rows]]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PADS))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), expect_response
+
+
+def _per_line_reference(path, expect_response):
+    """A table read one line at a time, or the error of its first bad row."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(k, line) for k, line in enumerate(fh, start=1) if not line.isspace()]
+    header = [f.strip() for f in lines[0][1].split(",")]
+    dim = len(header) - (len(header) > 1 and header[-1] == "y")
+    rows = []
+    for k, line in lines[1:]:
+        fields = line.strip().split(",")
+        if len(fields) != len(header):
+            return f"{path}: line {k}: expected {len(header)} fields, got {len(fields)}"
+        if "_" in line:
+            return f"{path}: line {k}: digit-group underscores are not accepted"
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as err:
+            return f"{path}: line {k}: {err}"
+        if not all(map(math.isfinite, values)):
+            return f"{path}: line {k}: non-finite value"
+        rows.append(values)
+    table = np.array(rows)
+    return table[:, :dim], (table[:, dim] if expect_response else None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(point_tables())
+def test_reader_matches_per_line_reference(tmp_path, case):
+    # the same arrays bit for bit, or the same error for the same line
+    text, expect_response = case
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _per_line_reference(path, expect_response)
+    try:
+        got = read_point_table(str(path), expect_response)
+    except InputError as err:
+        assert str(err) == expected
+        return
+    assert not isinstance(expected, str)
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

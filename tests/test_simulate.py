@@ -266,6 +266,19 @@ class TestRunStudy:
         run_study(make_config(predictors=("sk", "ok", "uk", "gpr"), replicates=3))
         assert len(calls) == 3
 
+    def test_sk_and_gpr_share_one_mean_stage(self, monkeypatch):
+        # both condition on the true mean, so each replicate fits it once
+        calls, fit = [], kriging._fit
+
+        def counted(*args):
+            calls.append(args[1])
+            return fit(*args)
+
+        monkeypatch.setattr(kriging, "_fit", counted)
+        cfg = make_config(predictors=("sk", "gpr"), replicates=3)
+        run_study(cfg)
+        assert calls == [cfg.true_mean] * 3
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only library errors count as replicate failures; a bug must surface
         def broken(self, variant, mean=None):
