@@ -296,6 +296,7 @@ def cmd_verify(args) -> int:
     # the configured model runs first, as in predict; the engine fits each
     # mean assumption once, whichever rows share it
     _run_configured(engine, config, mean)
+
     basis = _variant_mean("uk", mean) if mean.kind == "basis" else MeanSpec.polynomial(data.dim, 1)
     known = mean if mean.is_identified else MeanSpec.known_constant(0.0)
 

@@ -265,8 +265,9 @@ def semivariogram_of(spec: KernelSpec, tau):
 def _pair_plan(n: int, pairs: int) -> list[tuple[int, int, int]]:
     """The row blocks (i, rows, lags) that walk the pairs i < j of n points.
 
-    The last block is the tail: the most rows [i, n) whose r(r - 1)/2 pairs
-    number at most ``pairs``, evaluated as exactly those pairs.  Each
+    The last block is the tail: the longest run of final rows [i, n) whose
+    r(r - 1)/2 pairs number at most ``pairs``, evaluated as exactly those
+    pairs.  Each
     earlier block evaluates rows [i, i + rows) against columns [i + 1, n),
     its repeated lower-triangle square included, with about ``pairs``
     lags (one row, if a row is longer) and never a row of the tail.
@@ -299,7 +300,8 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     never outweighs its pairs.  Once the rows left hold at most that many
     pairs, they are one tail block, taken from ``pdist`` in its condensed
     order: the lags from ``pdist(x[i:])`` and the squared response
-    differences, already squared, from ``pdist(y[i:, None], "sqeuclidean")``.
+    differences from ``pdist(y[i:, None], "sqeuclidean")``, not squared
+    again.
     Each earlier block is rows [i, i + r) against columns [i + 1, n) from
     ``cdist`` (one row, if a row is longer), and its repeated lower-triangle
     square is evaluated too; for n up to 6000 the plan evaluates at most
