@@ -93,22 +93,34 @@ def _first_bad_row(path: str, body, ncols: int) -> None:
             raise InputError(f"{path}: line {lineno}: non-finite value")
 
 
+def _read_text(path: str) -> str:
+    """The whole text of the file at ``path``: UTF-8, after an optional BOM.
+
+    Text mode reads "\r\n" and "\r" as "\n".  Bytes that are not UTF-8
+    raise an :class:`InputError` naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not valid UTF-8 ({err.reason})") from err
+
+
 def read_point_table(path: str, expect_response: bool = True):
     """Read a coordinates(+response) CSV; returns (X, y or None).
 
-    Blank lines are skipped.  Fields are plain decimals: ``float()`` reads
-    each, padding and all, and a line holding a ``_`` is refused.  The file
-    is read in one piece: the field counts, the ``_`` rule and finiteness
-    are checked over the whole table, and every field is parsed by one
-    ``map(float, ...)``.  Only once a whole-table check has failed are the
-    rows checked one by one, so that the error cites the first bad row's
-    1-based line number in the file, and its first failing check in the
-    order: field count, ``_``, parse, finite.
+    The file is UTF-8, optionally after a byte-order mark, which is
+    skipped.  Blank lines are skipped.  Fields are plain decimals:
+    ``float()`` reads each, padding and all, and a line holding a ``_`` is
+    refused.  The file is read in one piece: the field counts, the ``_``
+    rule and finiteness are checked over the whole table, and every field
+    is parsed by one ``map(float, ...)``.  Only once a whole-table check
+    has failed are the rows checked one by one, so that the error cites the
+    first bad row's 1-based line number in the file, and its first failing
+    check in the order: field count, ``_``, parse, finite.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        # text mode reads "\r\n" and "\r" as "\n", so these are the lines
-        # iterating the file gives; stripped, a blank one is empty
-        lines = list(map(str.strip, fh.read().split("\n")))
+    # these are the lines iterating the file gives; stripped, a blank one is empty
+    lines = list(map(str.strip, _read_text(path).split("\n")))
     start = next((k for k, line in enumerate(lines) if line), None)
     if start is None:
         raise InputError(f"{path}: empty file")
@@ -143,11 +155,10 @@ def read_point_table(path: str, expect_response: bool = True):
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from err
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as err:
+        raise InputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from err
 
 
 def _parse_grid(specs: list[str], dim: int) -> np.ndarray:

@@ -40,10 +40,12 @@ this module never imports them.
 Rows, not columns: every per-target reduction in the engine and in the
 oracle routes runs along a contiguous row of an (m, k) array that holds one
 target per row.  Matrix products and column reductions round differently
-depending on how many targets share the call; row reductions and the
-columns of a multi-right-hand-side BLAS triangular solve do not.  A target's
-numbers are therefore bit-identical whether it is predicted alone or in a
-batch.
+depending on how many targets share the call; row reductions do not.  A
+target's numbers are therefore bit-identical whether it is predicted alone
+or in a batch wherever the columns of a multi-right-hand-side BLAS ``dtrsm``
+round alike in any block.  That holds for some BLAS kernels and orders n,
+not all: OpenBLAS 0.3.31 (Haswell) keeps it for n from 250 to 384 and at
+the multiples of 8 tried, and breaks it in the last bits at other n >= 385.
 
 The classical definitions of OK/UK are noise-free; a dataset with
 ``noise_variance > 0`` is accepted for every variant by using

@@ -129,11 +129,14 @@ def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
     """L^-1 B (L^-T B with ``transpose``) by one BLAS ``dtrsm`` on the factor.
 
     B is an n-vector or an n x k matrix; a column-major float B is
-    overwritten with the result instead of copied.  The engine relies on
-    each column of the result rounding the same whether it is solved alone
-    or inside a block: ``dtrsm`` does (the tests check it), LAPACK
-    ``trtrs`` behind ``scipy.linalg.solve_triangular`` does not.  A
-    jittered factor whitens against A + jitter * I.
+    overwritten with the result instead of copied.  The engine's batch
+    and one-target results agree bit for bit where each column of the
+    result rounds the same whether it is solved alone or inside a block.
+    ``dtrsm`` does so on the orders the tests check, though not on every
+    BLAS kernel and order (OpenBLAS 0.3.31 on Haswell fails at n >= 385
+    unless n is a multiple of 8); LAPACK ``trtrs`` behind
+    ``scipy.linalg.solve_triangular`` does not.  A jittered factor
+    whitens against A + jitter * I.
     """
     b = _right_hand_side(factor, b)
     if b.size == 0:

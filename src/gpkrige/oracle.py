@@ -1,18 +1,15 @@
 """Independent oracle routes for the classical Kriging and GP identities.
 
 Each function here computes a quantity the engine in :mod:`gpkrige.kriging`
-also computes, along a different route: Simple Kriging as the engine's
-zero-mean SK of the residuals, Ordinary Kriging by contracting the first
-block row instead of factoring the constraint Gram, SK around a GLS
-plug-in mean, the GLS constant in closed form, the bordered Kriging
+also computes, along a different route: Ordinary Kriging by contracting
+the first block row instead of factoring the constraint Gram, SK around a
+GLS plug-in mean, the GLS constant in closed form, the bordered Kriging
 system by one dense LU, and the joint prior over (Y, Z(X*)).
 ``gpkrige verify`` and the tests compare the engine against these routes;
-no production path calls them.
+no production path calls them, and no route runs the engine.
 
 Each block route serves every target with one multi-right-hand-side solve;
-the one-point functions call that block form with a single row.  The
-subtraction route is the engine itself on the residuals y - m(X), so it
-checks how the engine enters a known mean, not its algebra.  The direct
+the one-point functions call that block form with a single row.  The direct
 and plug-in routes solve against a factor of S from the caller
 (``verify`` passes the engine's; a fresh one would repeat it bit for bit)
 with ``cho_solve``, so they share the factor but not the algorithm.  The
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -48,38 +44,12 @@ from .kriging import (
     Prediction,
     _check_basis_size,
     _clamped,
-    _engine_route,
-    _Engine,
     _factor_observation_cov,
     _mean_parts,
     _one_row,
     _Route,
 )
 from .linalg import SpdFactor, _factor_constraint_gram, solve_spd
-
-
-def sk_mean_subtraction(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
-                        max_jitter: float = 0.0) -> Prediction:
-    """Simple Kriging via the subtract-the-mean-first route.
-
-    Runs the engine's zero-mean SK on the residuals Y - m and adds m(x*)
-    back; provably identical to :func:`simple_krige`.  It shares the
-    engine's algorithm, so it checks only how a known mean enters.
-    """
-    return _subtraction_route(data, kernel, mean, _one_row(xstar), max_jitter).records()[0]
-
-
-def _subtraction_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                       max_jitter: float) -> _Route:
-    """:func:`sk_mean_subtraction` at every row of ``xs``, on its own engine.
-
-    The engine's zero-mean SK of the residuals y - m(X), with m(x*) added
-    to the mean and lam0 = m(x*) - lam . m(X).
-    """
-    m_vec, m_star = _mean_vector(mean, data.x), _mean_vector(mean, xs)
-    residuals = _Engine(replace(data, y=data.y - m_vec), kernel, xs, max_jitter)
-    route = _engine_route(residuals, "sk", MeanSpec.known_constant(0.0))
-    return replace(route, mean=m_star + route.mean, lam0=m_star - _rowdot(route.lam, m_vec))
 
 
 def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,

@@ -34,7 +34,6 @@ from gpkrige.oracle import (
     gls_constant,
     joint_prior,
     ordinary_krige_direct,
-    sk_mean_subtraction,
     sk_with_plugin_mean,
 )
 from helpers import random_instance
@@ -185,7 +184,6 @@ def test_criterion_06_exact_interpolation():
             xi, yi = data.x[i], data.y[i]
             preds = [
                 simple_krige(data, kernel, ZERO_MEAN, xi),
-                sk_mean_subtraction(data, kernel, ZERO_MEAN, xi),
                 ordinary_krige(data, kernel, xi),
                 ordinary_krige_direct(data, kernel, xi),
                 universal_krige(data, kernel, basis, xi),

@@ -126,6 +126,20 @@ def test_every_oracle_function_has_a_reader():
     assert sorted(set(ORACLE_FUNCTIONS) - read) == []
 
 
+def test_no_oracle_route_runs_the_engine():
+    # a route that runs the engine checks the engine against itself
+    names = set()
+    for node in ast.walk(ast.parse(ORACLE.read_text(), filename=str(ORACLE))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "bordered_solve" in names
+    assert sorted(names & {"_Engine", "_engine_route"}) == []
+
+
 def test_readme_function_table_matches_the_code():
     from gpkrige import oracle
 

@@ -965,3 +965,50 @@ def test_reused_parser_matches_fresh_ones(tmp_path, capsys):
     assert [r[0] for r in reused] == [0, 0, 2, 0, 2, 0, 0]
     assert "need 1 --grid specs (one per dimension), got 2" in reused[4][2]
     assert [run(argv, fresh=True) for argv in calls] == reused
+
+
+READER_FILES = {
+    "data": b"x1,y\n0.0,1.0\n1.0,2.0\n",
+    "points": b"x1\n0.25\n0.5\n",
+    "config": json.dumps(SE_CONFIG).encode(),
+    "study": json.dumps(TestStudy.STUDY).encode(),
+}
+READER_ARGV = {
+    "predict": ["predict", "--data", "DATA", "--config", "CONFIG", "--points", "POINTS"],
+    "verify": ["verify", "--data", "DATA", "--config", "CONFIG", "--points", "POINTS"],
+    "variogram": ["variogram", "--data", "DATA", "--bins", "2", "--max-lag", "1",
+                  "--config", "CONFIG"],
+    "study": ["study", "--config", "STUDY"],
+}
+
+
+def reader_argv(tmp_path, command, contents):
+    """``command``'s argv, reading files written with ``contents`` (name -> bytes)."""
+    paths = {}
+    for name, text in {**READER_FILES, **contents}.items():
+        paths[name.upper()] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(text)
+    return [paths.get(arg, arg) for arg in READER_ARGV[command]]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("predict", "data"), ("predict", "points"), ("predict", "config"),
+    ("verify", "config"), ("variogram", "config"), ("study", "study"),
+])
+def test_undecodable_file_exits_2_naming_it(tmp_path, capsys, command, name):
+    bad = {"data": b"x1,y\n0.0,1.0\n\xff,2.0\n", "points": b"x1\n\xff\n",
+           "config": b'{"kernel": "\xff"}', "study": b'{"kernel": "\xff"}'}[name]
+    assert main(reader_argv(tmp_path, command, {name: bad})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["data", "points", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, name):
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        argv = reader_argv(tmp_path, "predict", {name: prefix + READER_FILES[name]})
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        outputs.append((tmp_path / "out").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -31,11 +31,9 @@ from gpkrige.linalg import spd_factor
 from gpkrige.oracle import (
     _direct_route,
     _plugin_route,
-    _subtraction_route,
     gls_constant,
     joint_prior,
     ordinary_krige_direct,
-    sk_mean_subtraction,
     sk_with_plugin_mean,
 )
 from helpers import ONE_BLOCK, random_instance
@@ -142,33 +140,35 @@ class TestSimpleKrige:
         assert np.isfinite(p.mean)
 
 
-class TestMeanSubtractionRoute:
-    def test_identical_on_examples(self):
-        mean = MeanSpec.known(lambda x: 1.0 + x[0])
-        data = Dataset([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
-        for xstar in ([0.5], [2.0], [3.0]):
-            a = simple_krige(data, SE1, mean, xstar)
-            b = sk_mean_subtraction(data, SE1, mean, xstar)
-            assert abs(a.mean - b.mean) <= 1e-12
-            assert abs(a.error_variance - b.error_variance) <= 1e-12
-            np.testing.assert_allclose(a.weights.lam, b.weights.lam, atol=1e-12)
-            assert abs(a.weights.lam0 - b.weights.lam0) <= 1e-12
+def test_sk_is_zero_mean_sk_of_the_residuals():
+    # SK with a known mean m is zero-mean SK of the residuals y - m(X) with
+    # m(x*) added back, and lam0 = m(x*) - lam . m(X)
+    def both(data, kernel, mean, xstar):
+        m = mean.function or (lambda x: mean.constant)
+        m_vec = np.array([m(row) for row in data.x])
+        a = simple_krige(data, kernel, mean, xstar)
+        b = simple_krige(dataclasses.replace(data, y=data.y - m_vec), kernel, ZERO_MEAN, xstar)
+        return a, b, m(np.atleast_1d(xstar)), m_vec
 
-    def test_zero_mean_trivially_identical(self):
-        data = Dataset([[0.0], [2.0]], [1.0, -1.0])
-        a = simple_krige(data, SE1, ZERO_MEAN, [1.0])
-        b = sk_mean_subtraction(data, SE1, ZERO_MEAN, [1.0])
-        assert a.mean == b.mean
+    mean = MeanSpec.known(lambda x: 1.0 + x[0])
+    data = Dataset([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
+    for xstar in ([0.5], [2.0], [3.0]):
+        a, b, m_star, m_vec = both(data, SE1, mean, xstar)
+        assert abs(a.mean - (m_star + b.mean)) <= 1e-12
+        assert abs(a.error_variance - b.error_variance) <= 1e-12
+        np.testing.assert_allclose(a.weights.lam, b.weights.lam, atol=1e-12)
+        assert abs(a.weights.lam0 - (m_star - b.weights.lam @ m_vec)) <= 1e-12
 
-    def test_random_instances(self):
-        rng = np.random.default_rng(22)
-        mean = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
-        for _ in range(10):
-            data, kernel, xstar = random_instance(rng, n=5, dim=1)
-            a = simple_krige(data, kernel, mean, xstar)
-            b = sk_mean_subtraction(data, kernel, mean, xstar)
-            assert abs(a.mean - b.mean) <= 1e-12
-            assert abs(a.error_variance - b.error_variance) <= 1e-12
+    a, b, m_star, _ = both(Dataset([[0.0], [2.0]], [1.0, -1.0]), SE1, ZERO_MEAN, [1.0])
+    assert a.mean == m_star + b.mean
+
+    rng = np.random.default_rng(22)
+    mean = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
+    for _ in range(10):
+        data, kernel, xstar = random_instance(rng, n=5, dim=1)
+        a, b, m_star, _ = both(data, kernel, mean, xstar)
+        assert abs(a.mean - (m_star + b.mean)) <= 1e-12
+        assert abs(a.error_variance - b.error_variance) <= 1e-12
 
 
 class TestOrdinaryKrige:
@@ -299,13 +299,12 @@ class TestGls:
     lambda data, known, unknown: sk_with_plugin_mean(data, SE1, known, [0.5]),
     lambda data, known, unknown: gls_beta(data, SE1, known),
     lambda data, known, unknown: ls_predict(data, known, [0.5]),
-    lambda data, known, unknown: sk_mean_subtraction(data, SE1, unknown, [0.5]),
     lambda data, known, unknown: joint_prior(data, SE1, unknown, [[0.5]]),
     lambda data, known, unknown: sample_field(SE1, unknown, data.x, 0.0, 1),
     lambda data, known, unknown: predict_points(data, SE1, [[0.5]], "sk", unknown),
     lambda data, known, unknown: gpr_predict(data, SE1, unknown, [[0.5]]),
-], ids=["sk_with_plugin_mean", "gls_beta", "ls_predict", "sk_mean_subtraction",
-        "joint_prior", "sample_field", "predict_points_sk", "gpr_predict"])
+], ids=["sk_with_plugin_mean", "gls_beta", "ls_predict", "joint_prior", "sample_field",
+        "predict_points_sk", "gpr_predict"])
 def test_bad_mean_rejected_before_factoring(call):
     # the Gram of two identical noise-free points is singular, so only a
     # mean check that runs before any factorization can raise InputError
@@ -528,9 +527,6 @@ class TestPluginRoute:
             assert abs(a.error_variance - b.error_variance) <= 1e-10
 
 
-TREND = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
-
-
 class TestOracleBlocks:
     """Each oracle's block form, row by row, is its public one-point function."""
 
@@ -541,7 +537,6 @@ class TestOracleBlocks:
                             lambda data: MeanSpec.constant_unknown()),
         "plugin_basis": (_plugin_route, sk_with_plugin_mean,
                          lambda data: MeanSpec.polynomial(data.dim, 1)),
-        "mean_subtraction": (_subtraction_route, sk_mean_subtraction, lambda data: TREND),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -552,10 +547,8 @@ class TestOracleBlocks:
             data, kernel, _ = random_instance(rng, n=9, noise=0.2 * (i % 2))
             spec = () if mean_for is None else (mean_for(data),)
             xs = rng.uniform(0.0, 6.0, (7, data.dim))
-            # the subtraction route runs its own engine; the others take a factor
-            last = (0.0 if block is _subtraction_route
-                    else kriging._factor_observation_cov(data, kernel, 0.0))
-            for row, rec in zip(xs, block(data, kernel, *spec, xs, last).records()):
+            factor = kriging._factor_observation_cov(data, kernel, 0.0)
+            for row, rec in zip(xs, block(data, kernel, *spec, xs, factor).records()):
                 one = single(data, kernel, *spec, row)
                 assert rec.mean == one.mean
                 assert rec.error_variance == one.error_variance

@@ -32,7 +32,7 @@ from gpkrige.cli import read_point_table
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
 from gpkrige.kriging import _factor_observation_cov
-from gpkrige.oracle import _bordered_blocks, _bordered_route, _plugin_route, _subtraction_route
+from gpkrige.oracle import _bordered_blocks, _bordered_route, _plugin_route
 from helpers import FAMILIES
 
 TOL = 1e-8
@@ -115,17 +115,6 @@ def test_uk_with_constant_basis_equals_ok(instance):
     assert rel(np.array([p.mean for p in uk]), np.array([p.mean for p in ok])) <= TOL
     assert rel(np.array([p.error_variance for p in uk]),
                np.array([p.error_variance for p in ok])) <= TOL
-
-
-@PROPERTY_SETTINGS
-@given(instances())
-def test_gpr_equals_sk_by_mean_subtraction(instance):
-    data, kernel, xs = instance
-    mean = MeanSpec.polynomial(data.dim, 1, coefficients=np.linspace(2.0, -1.0, data.dim + 1))
-    post = gpr_predict(data, kernel, mean, xs)
-    oracle = _subtraction_route(data, kernel, mean, xs, 0.0)
-    assert rel(post.mean, oracle.mean) <= TOL
-    assert rel(post.variance, oracle.variance) <= TOL
 
 
 @PROPERTY_SETTINGS
