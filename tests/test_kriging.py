@@ -140,35 +140,41 @@ class TestSimpleKrige:
         assert np.isfinite(p.mean)
 
 
-def test_sk_is_zero_mean_sk_of_the_residuals():
+def residual_sk(data, kernel, mean, xstar):
+    """Run SK with a known mean and zero-mean SK of the residuals y - m(X)."""
+    m = mean.function or (lambda x: mean.constant)
+    m_vec = np.array([m(row) for row in data.x])
+    a = simple_krige(data, kernel, mean, xstar)
+    b = simple_krige(dataclasses.replace(data, y=data.y - m_vec), kernel, ZERO_MEAN, xstar)
+    return a, b, m(np.atleast_1d(xstar)), m_vec
+
+
+class TestMeanSubtractionRoute:
     # SK with a known mean m is zero-mean SK of the residuals y - m(X) with
     # m(x*) added back, and lam0 = m(x*) - lam . m(X)
-    def both(data, kernel, mean, xstar):
-        m = mean.function or (lambda x: mean.constant)
-        m_vec = np.array([m(row) for row in data.x])
-        a = simple_krige(data, kernel, mean, xstar)
-        b = simple_krige(dataclasses.replace(data, y=data.y - m_vec), kernel, ZERO_MEAN, xstar)
-        return a, b, m(np.atleast_1d(xstar)), m_vec
+    def test_identical_on_examples(self):
+        mean = MeanSpec.known(lambda x: 1.0 + x[0])
+        data = Dataset([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
+        for xstar in ([0.5], [2.0], [3.0]):
+            a, b, m_star, m_vec = residual_sk(data, SE1, mean, xstar)
+            assert abs(a.mean - (m_star + b.mean)) <= 1e-12
+            assert abs(a.error_variance - b.error_variance) <= 1e-12
+            np.testing.assert_allclose(a.weights.lam, b.weights.lam, atol=1e-12)
+            assert abs(a.weights.lam0 - (m_star - b.weights.lam @ m_vec)) <= 1e-12
 
-    mean = MeanSpec.known(lambda x: 1.0 + x[0])
-    data = Dataset([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
-    for xstar in ([0.5], [2.0], [3.0]):
-        a, b, m_star, m_vec = both(data, SE1, mean, xstar)
-        assert abs(a.mean - (m_star + b.mean)) <= 1e-12
-        assert abs(a.error_variance - b.error_variance) <= 1e-12
-        np.testing.assert_allclose(a.weights.lam, b.weights.lam, atol=1e-12)
-        assert abs(a.weights.lam0 - (m_star - b.weights.lam @ m_vec)) <= 1e-12
+    def test_zero_mean_trivially_identical(self):
+        data = Dataset([[0.0], [2.0]], [1.0, -1.0])
+        a, b, m_star, _ = residual_sk(data, SE1, ZERO_MEAN, [1.0])
+        assert a.mean == m_star + b.mean
 
-    a, b, m_star, _ = both(Dataset([[0.0], [2.0]], [1.0, -1.0]), SE1, ZERO_MEAN, [1.0])
-    assert a.mean == m_star + b.mean
-
-    rng = np.random.default_rng(22)
-    mean = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
-    for _ in range(10):
-        data, kernel, xstar = random_instance(rng, n=5, dim=1)
-        a, b, m_star, _ = both(data, kernel, mean, xstar)
-        assert abs(a.mean - (m_star + b.mean)) <= 1e-12
-        assert abs(a.error_variance - b.error_variance) <= 1e-12
+    def test_random_instances(self):
+        rng = np.random.default_rng(22)
+        mean = MeanSpec.known(lambda x: 2.0 - 0.3 * x[0])
+        for _ in range(10):
+            data, kernel, xstar = random_instance(rng, n=5, dim=1)
+            a, b, m_star, _ = residual_sk(data, kernel, mean, xstar)
+            assert abs(a.mean - (m_star + b.mean)) <= 1e-12
+            assert abs(a.error_variance - b.error_variance) <= 1e-12
 
 
 class TestOrdinaryKrige:
