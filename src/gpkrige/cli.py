@@ -37,7 +37,13 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import _Engine, _variant_mean
-from .oracle import _bordered_blocks, _bordered_route, _direct_route, _plugin_route
+from .oracle import (
+    _bordered_blocks,
+    _bordered_route,
+    _cholesky_blocks,
+    _direct_route,
+    _plugin_route,
+)
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -329,13 +335,14 @@ def cmd_verify(args) -> int:
             record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
     # the Cholesky routes solve against the engine's factor with their own
-    # algebra; the LU routes share one S of their own, with the engine's jitter
+    # algebra and share one K* solve; the LDL^T routes share one S of their
+    # own, with the engine's jitter
     ok = engine.predict("ok")
-    factor = engine.factor
-    blocks = _bordered_blocks(data, kernel, targets, factor.jitter_used)
+    chol = _cholesky_blocks(data, kernel, targets, engine.factor)
+    blocks = _bordered_blocks(data, kernel, targets, engine.factor.jitter_used)
 
-    row("ok_vs_ok_direct", ok, _direct_route, targets, factor)
-    row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, factor)
+    row("ok_vs_ok_direct", ok, _direct_route, chol)
+    row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, chol)
     # a trend row runs where the engine can fit the trend basis, whatever the
     # configured variant; uk and gpr-basis resolve it to one assumption
     if basis.p > data.n:
@@ -345,7 +352,7 @@ def cmd_verify(args) -> int:
             trend = engine.predict("uk", basis)
         except SingularityError:  # S is factored, so only the basis Gram can fail
             trend = "skipped (rank < p)"
-    row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, factor)
+    row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, chol)
     row("gpr_vs_sk", engine.predict("gpr", known), _bordered_route, known, targets, blocks)
     row("gpr_basis_vs_uk", trend, _bordered_route, basis, targets, blocks)
 

@@ -10,7 +10,8 @@ in place through :func:`_factor_in_place`: the engine hands it the buffer
 it built S in, already finite and read only in its lower triangle, so S is
 neither mirrored, scanned nor copied; :func:`spd_factor` checks a
 caller's matrix and hands it a copy.  The route that avoids these
-factors (a dense LU of the bordered system) lives in :mod:`gpkrige.oracle`.
+factors (a symmetric-indefinite LDL^T of the bordered system) lives in
+:mod:`gpkrige.oracle`.
 """
 
 from __future__ import annotations

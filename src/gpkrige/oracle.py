@@ -4,28 +4,30 @@ Each function here computes a quantity the engine in :mod:`gpkrige.kriging`
 also computes, along a different route: Ordinary Kriging by contracting
 the first block row instead of factoring the constraint Gram, SK around a
 GLS plug-in mean, the GLS constant in closed form, the bordered Kriging
-system by one dense LU, and the joint prior over (Y, Z(X*)).
-``gpkrige verify`` and the tests compare the engine against these routes;
-no production path calls them, and no route runs the engine.
+system by one symmetric-indefinite LDL^T, and the joint prior over
+(Y, Z(X*)).  ``gpkrige verify`` and the tests compare the engine against
+these routes; no production path calls them, and no route runs the engine.
 
 Each block route serves every target with one multi-right-hand-side solve;
 the one-point functions call that block form with a single row.  The direct
 and plug-in routes solve against a factor of S from the caller
 (``verify`` passes the engine's; a fresh one would repeat it bit for bit)
-with ``cho_solve``, so they share the factor but not the algorithm.  The
-bordered route shares nothing with the engine: an S of its own, built once
-per ``verify`` run by :func:`build_gram` and read by both of its calls, and
-per call one pivoted LU of the whole bordered matrix, factored in the
-buffer it is assembled in (:func:`bordered_solve`).
+with ``cho_solve``, so they share the factor but not the algorithm; the
+K* block and its solve against S, which both need, come once per run from
+:func:`_cholesky_blocks`.  The bordered route shares nothing with the
+engine: an S of its own, built once per ``verify`` run by
+:func:`build_gram` and read by both of its calls, and per call one
+Bunch-Kaufman LDL^T of the whole bordered matrix, which pivots
+symmetrically in 1x1 and 2x2 blocks and is factored in the buffer it is
+assembled in (:func:`bordered_solve`).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .exceptions import InputError, SingularityError
 from .kernels import (
@@ -60,15 +62,26 @@ def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
     the resulting scalar equation for the multiplier.  Must agree with
     :func:`ordinary_krige` to full working precision.
     """
-    return _direct_route(data, kernel, _one_row(xstar),
-                         _factor_observation_cov(data, kernel, max_jitter)).records()[0]
+    xs = _one_row(xstar)
+    factor = _factor_observation_cov(data, kernel, max_jitter)
+    return _direct_route(data, kernel, _cholesky_blocks(data, kernel, xs, factor)).records()[0]
 
 
-def _direct_route(data: Dataset, kernel: KernelSpec, xs, factor: SpdFactor) -> _Route:
-    """:func:`ordinary_krige_direct` at every row of ``xs``, against ``factor`` of S."""
+def _cholesky_blocks(data: Dataset, kernel: KernelSpec, xs, factor: SpdFactor):
+    """The (factor, K*^T, (S^-1 K*)^T) triple the Cholesky routes of one run share.
+
+    ``factor`` is a factor of S (``verify`` passes the engine's); K*^T is
+    the m x n block k(X*, X), solved against ``factor`` once for every
+    :func:`_direct_route` and :func:`_plugin_route` call that reads it.
+    """
     kt = kernel_matrix(kernel, xs, data.x)
+    return factor, kt, solve_spd(factor, kt.T).T
+
+
+def _direct_route(data: Dataset, kernel: KernelSpec, blocks) -> _Route:
+    """:func:`ordinary_krige_direct` at every target of ``blocks`` (:func:`_cholesky_blocks`)."""
+    factor, kt, s = blocks
     ones = np.ones(data.n)
-    s = solve_spd(factor, kt.T).T
     w = solve_spd(factor, ones)
     denom = float(ones @ w)
     s_sum = _rowdot(s, ones)
@@ -108,20 +121,20 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     the plug-in predictor is not conditioning on a truly known mean.
     """
     _check_basis_size(mean, data)
-    return _plugin_route(data, kernel, mean, _one_row(xstar),
-                         _factor_observation_cov(data, kernel, max_jitter)).records()[0]
+    xs = _one_row(xstar)
+    factor = _factor_observation_cov(data, kernel, max_jitter)
+    return _plugin_route(data, kernel, mean, xs,
+                         _cholesky_blocks(data, kernel, xs, factor)).records()[0]
 
 
-def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                  factor: SpdFactor) -> _Route:
-    """:func:`sk_with_plugin_mean` at every row of ``xs``, against ``factor`` of S."""
+def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs, blocks) -> _Route:
+    """:func:`sk_with_plugin_mean` at every row of ``xs``, from their :func:`_cholesky_blocks`."""
+    factor, kt, s = blocks
     m_mat = basis_matrix(mean, data.x)
     w = solve_spd(factor, m_mat)
     gram_factor = _factor_constraint_gram(m_mat.T @ w)
     beta = solve_spd(gram_factor, w.T @ data.y)
-    kt = kernel_matrix(kernel, xs, data.x)
     f = basis_matrix(mean, xs)
-    s = solve_spd(factor, kt.T).T
 
     mean_value = _rowdot(f, beta) + _rowdot(s, data.y - m_mat @ beta)
 
@@ -143,16 +156,19 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
 
 
 def bordered_solve(sigma, m, r_top, r_bot):
-    """Solve [[Sigma, M], [M^T, 0]] (lambda; mu) = (r_top; r_bot) by one dense LU.
+    """Solve [[Sigma, M], [M^T, 0]] (lambda; mu) = (r_top; r_bot) by one LDL^T.
 
     The right-hand side is one vector pair (``r_top`` of length n, ``r_bot``
     of length p) or a block of k pairs (n x k and p x k), solved against
     one factorization; the solution has the same shape.  Returns
     ``(lambda, mu)`` with ``mu`` in the block-system sign convention
     (Sigma lambda + M mu = r_top).  Rank deficiency of M is checked on M
-    itself, so it is found without solving against Sigma.  The bordered
-    matrix is assembled in a Fortran-ordered buffer of its own and
-    LU-factored in place, so the caller's arrays are never written.
+    itself, so it is found without solving against Sigma.  Sigma is read
+    from its upper triangle only, as LAPACK's symmetric solvers and
+    ``numpy.linalg.eigh`` read one triangle, and is not checked for
+    symmetry.  The lower triangle of the bordered matrix is assembled in a
+    Fortran-ordered buffer of its own and factored there by
+    :func:`_ldl_in_place`, so the caller's arrays are never written.
     """
     sigma, m = np.asarray(sigma, dtype=float), np.asarray(m, dtype=float)
     if m.ndim != 2 or sigma.shape != (m.shape[0], m.shape[0]):
@@ -170,19 +186,36 @@ def bordered_solve(sigma, m, r_top, r_bot):
             raise InputError(f"{name} contains infs or NaNs")
     if np.linalg.matrix_rank(m) < p:
         raise SingularityError("basis functions linearly dependent at the design points")
+    if n == 0:  # scipy's ?sytrs wrapper rejects an empty system
+        return r_top.copy(), r_bot.copy()
     bordered = np.empty((n + p, n + p), order="F")
-    bordered[:n, :n] = sigma
-    bordered[:n, n:] = m
+    bordered.T[:n, :n] = sigma  # row by row: Sigma's upper triangle fills the lower one
     bordered[n:, :n] = m.T
     bordered[n:, n:] = 0.0
-    with warnings.catch_warnings():
-        # an exact zero pivot only warns; it is raised as a SingularityError below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(bordered, overwrite_a=True, check_finite=False)
-    if not np.all(np.diag(lu)):
-        raise SingularityError("bordered Kriging matrix is singular")
-    solution = lu_solve((lu, piv), np.concatenate([r_top, r_bot]))
+    ldl, ipiv = _ldl_in_place(bordered)
+    (sytrs,) = get_lapack_funcs(("sytrs",), (ldl,))
+    solution, info = sytrs(ldl, ipiv, np.concatenate([r_top, r_bot]), lower=1, overwrite_b=1)
+    if info < 0:
+        raise InputError(f"illegal value in argument {-info} of the LDL^T solve")
     return solution[:n], solution[n:]
+
+
+def _ldl_in_place(a):
+    """Bunch-Kaufman LDL^T of the lower triangle of the column-major ``a``, in ``a``.
+
+    LAPACK ``?sytrf`` pivots symmetrically in 1x1 and 2x2 blocks and
+    returns the packed factor (``a`` itself) and its pivots; the upper
+    triangle is neither read nor written.  An exact zero block of D raises
+    a :class:`SingularityError`.
+    """
+    sytrf, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrf_lwork"), (a,))
+    work, _ = sytrf_lwork(a.shape[0], lower=1)
+    ldl, ipiv, info = sytrf(a, lower=1, lwork=int(work), overwrite_a=1)
+    if info < 0:
+        raise InputError(f"illegal value in argument {-info} of the LDL^T factorization")
+    if info > 0:
+        raise SingularityError("bordered Kriging matrix is singular")
+    return ldl, ipiv
 
 
 _Moments = namedtuple("_Moments", ["mean", "variance"])  # per target, like a _Route's
@@ -192,8 +225,9 @@ def _bordered_blocks(data: Dataset, kernel: KernelSpec, xs, jitter: float):
     """The (S, K*) pair every :func:`_bordered_route` call of one run shares.
 
     S comes from :func:`build_gram` plus ``jitter`` on its diagonal, apart
-    from the engine's, which the engine factors in place; K* is the n x m
-    block k(X, X*).
+    from the engine's, which the engine factors in place; it is C-ordered,
+    so :func:`bordered_solve` copies it row by row.  K* is the n x m block
+    k(X, X*).
     """
     sigma = build_gram(kernel, data.x, data.noise_variance)
     sigma[np.diag_indices(data.n)] += jitter
@@ -205,10 +239,10 @@ def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     """GPR at every row of ``xs`` from [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T).
 
     ``blocks`` is the (S, K*) pair of :func:`_bordered_blocks`, read but not
-    written, so one pair serves every call; each call LU-factors its own
-    bordered matrix.  A known mean borders S by no columns and enters as the
-    offset m(X).  The variance is not clamped, so an ill-conditioned S fails
-    a row, not the run.
+    written, so one pair serves every call; each call factors its own
+    bordered matrix by one symmetric-indefinite LDL^T (:func:`bordered_solve`).
+    A known mean borders S by no columns and enters as the offset m(X).  The
+    variance is not clamped, so an ill-conditioned S fails a row, not the run.
     """
     sigma, kstar = blocks
     offset, design = _mean_parts(mean, data.x)

@@ -654,24 +654,25 @@ class TestVerify:
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
         # the engine Cholesky-factors the n x n Gram once and the Cholesky
-        # routes solve against that factor; the bordered route builds its S
-        # once and LU-factors it once for the known mean and the
-        # (n + p) x (n + p) system once for the basis, however many targets
-        # share the call
+        # routes share one K* solve against that factor; the bordered route
+        # builds its S once and LDL^T-factors it once for the known mean and
+        # the (n + p) x (n + p) system once for the basis, however many
+        # targets share the call
         data, config = self.make_dataset(tmp_path)
         n, p = 20, 2
-        orders, lu_orders, grams = [], [], []
+        orders, ldl_orders, grams, solves = [], [], [], []
         monkeypatch.setattr(linalg, "_try_cholesky", counted(linalg._try_cholesky, orders))
-        monkeypatch.setattr(oracle, "lu_factor", counted(oracle.lu_factor, lu_orders))
+        monkeypatch.setattr(oracle, "_ldl_in_place", counted(oracle._ldl_in_place, ldl_orders))
         monkeypatch.setattr(oracle, "build_gram", counted(oracle.build_gram, grams))
+        monkeypatch.setattr(cli, "_cholesky_blocks", counted(cli._cholesky_blocks, solves))
         full = {}
         for count in (3, 9):
-            orders.clear()
-            lu_orders.clear()
-            grams.clear()
+            for calls in (orders, ldl_orders, grams, solves):
+                calls.clear()
             assert main(["verify", "--data", data, "--config", config,
                          "--grid", f"0.05:0.95:{count}"]) == 0
-            full[count] = (orders.count(n), lu_orders, len(grams))
+            full[count] = (orders.count(n), ldl_orders, len(grams))
+            assert len(solves) == 1
         assert full == {3: (1, [n, n + p], 1), 9: (1, [n, n + p], 1)}
 
     def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):

@@ -29,6 +29,7 @@ from gpkrige.kernels import KERNEL_FAMILIES
 from gpkrige.kriging import _Engine
 from gpkrige.linalg import spd_factor
 from gpkrige.oracle import (
+    _cholesky_blocks,
     _direct_route,
     _plugin_route,
     gls_constant,
@@ -536,9 +537,11 @@ class TestPluginRoute:
 class TestOracleBlocks:
     """Each oracle's block form, row by row, is its public one-point function."""
 
-    # route -> (block form, one-point function, mean for the data or None)
+    # route -> (block form, one-point function, mean for the data or None);
+    # each block form reads the targets' _cholesky_blocks
     ROUTES = {
-        "ok_direct": (_direct_route, ordinary_krige_direct, None),
+        "ok_direct": (lambda data, kernel, xs, blocks: _direct_route(data, kernel, blocks),
+                      ordinary_krige_direct, None),
         "plugin_constant": (_plugin_route, sk_with_plugin_mean,
                             lambda data: MeanSpec.constant_unknown()),
         "plugin_basis": (_plugin_route, sk_with_plugin_mean,
@@ -554,7 +557,8 @@ class TestOracleBlocks:
             spec = () if mean_for is None else (mean_for(data),)
             xs = rng.uniform(0.0, 6.0, (7, data.dim))
             factor = kriging._factor_observation_cov(data, kernel, 0.0)
-            for row, rec in zip(xs, block(data, kernel, *spec, xs, factor).records()):
+            blocks = _cholesky_blocks(data, kernel, xs, factor)
+            for row, rec in zip(xs, block(data, kernel, *spec, xs, blocks).records()):
                 one = single(data, kernel, *spec, row)
                 assert rec.mean == one.mean
                 assert rec.error_variance == one.error_variance

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsytrf
 
 from gpkrige import InputError, SingularityError, linalg
 from gpkrige.linalg import (
@@ -321,6 +322,32 @@ class TestSolveSaddle:
         before = sigma.tobytes(), m.tobytes()
         bordered_solve(sigma, m, rng.normal(size=(6, 3)), rng.normal(size=(p, 3)))
         assert (sigma.tobytes(), m.tobytes()) == before
+
+    def test_two_by_two_pivots_match_dense_solve(self):
+        # a tiny Sigma against a column of ones: the first pivot is a 2x2 block
+        n = 5
+        sigma, m = 1e-6 * np.eye(n), np.ones((n, 1))
+        full = np.block([[sigma, m], [m.T, np.zeros((1, 1))]])
+        _, ipiv, info = dsytrf(full, lower=1)
+        assert info == 0 and (ipiv < 0).any()
+        rhs = np.arange(1.0, n + 2.0)
+        lam, mu = bordered_solve(sigma, m, rhs[:n], rhs[n:])
+        dense = np.linalg.solve(full, rhs)
+        np.testing.assert_allclose(np.concatenate([lam, mu]), dense, rtol=1e-8)
+
+    def test_lower_triangle_of_sigma_is_not_read(self):
+        rng = np.random.default_rng(15)
+        sigma, m = random_spd(rng, 6), rng.normal(size=(6, 2))
+        r_top, r_bot = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+        lam, mu = bordered_solve(sigma, m, r_top, r_bot)
+        sigma[4, 1] = 123.0
+        lam_b, mu_b = bordered_solve(sigma, m, r_top, r_bot)
+        np.testing.assert_array_equal(lam_b, lam)
+        np.testing.assert_array_equal(mu_b, mu)
+
+    def test_empty_system(self):
+        lam, mu = bordered_solve(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+        assert lam.shape == (0,) and mu.shape == (0,)
 
     def test_singular_bordered_matrix_raises_without_warning(self):
         # M has full rank, but the rows of [Sigma, M] repeat

@@ -32,8 +32,14 @@ from gpkrige.cli import read_point_table
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
 from gpkrige.kriging import _factor_observation_cov
-from gpkrige.oracle import _bordered_blocks, _bordered_route, _plugin_route
-from helpers import FAMILIES
+from gpkrige.oracle import (
+    _bordered_blocks,
+    _bordered_route,
+    _cholesky_blocks,
+    _plugin_route,
+    bordered_solve,
+)
+from helpers import FAMILIES, random_spd
 
 TOL = 1e-8
 SIDE = 12
@@ -70,8 +76,8 @@ def rel(a, b):
 def test_ok_equals_sk_plus_gls(instance):
     data, kernel, xs = instance
     ok = predict_points(data, kernel, xs, "ok")
-    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs,
-                           _factor_observation_cov(data, kernel, 0.0))
+    blocks = _cholesky_blocks(data, kernel, xs, _factor_observation_cov(data, kernel, 0.0))
+    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs, blocks)
     assert rel(np.array([p.mean for p in ok]), oracle.mean) <= TOL
     assert rel(np.array([p.error_variance for p in ok]), oracle.variance) <= TOL
 
@@ -84,7 +90,8 @@ def test_gpr_basis_equals_uk(instance):
     design = np.hstack([np.ones((data.n, 1)), data.x])
     assume(np.linalg.cond(design) < MAX_COND)
     post = gpr_predict_basis(data, kernel, basis, xs)
-    oracle = _plugin_route(data, kernel, basis, xs, _factor_observation_cov(data, kernel, 0.0))
+    blocks = _cholesky_blocks(data, kernel, xs, _factor_observation_cov(data, kernel, 0.0))
+    oracle = _plugin_route(data, kernel, basis, xs, blocks)
     assert rel(post.mean, oracle.mean) <= TOL
     assert rel(post.variance, oracle.variance) <= TOL
 
@@ -104,6 +111,33 @@ def test_gpr_basis_equals_bordered_solve(instance):
         route = _bordered_route(data, kernel, spec, xs, blocks)
         assert rel(post.mean, route.mean) <= TOL
         assert rel(post.variance, route.variance) <= TOL
+
+
+@st.composite
+def bordered_systems(draw):
+    """A bordered system with 2..40 rows of Sigma and 0..4 full-rank columns of M.
+
+    Sigma is shrunk by 10^-k (k in 0..6) against M's O(1) entries, so that
+    about half the draws pivot in 2x2 blocks; three right-hand sides.
+    """
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(0, min(4, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = random_spd(rng, n) * 10.0 ** -draw(st.integers(0, 6))
+    m = rng.normal(size=(n, p))
+    full = np.block([[sigma, m], [m.T, np.zeros((p, p))]])
+    assume(np.linalg.matrix_rank(m) == p and np.linalg.cond(full) < MAX_COND)
+    return sigma, m, full, rng.normal(size=(n + p, 3))
+
+
+@PROPERTY_SETTINGS
+@given(bordered_systems())
+def test_bordered_solve_matches_dense_solve(system):
+    sigma, m, full, rhs = system
+    n = sigma.shape[0]
+    lam, mu = bordered_solve(sigma, m, rhs[:n], rhs[n:])
+    dense = np.linalg.solve(full, rhs)
+    assert np.linalg.norm(np.vstack([lam, mu]) - dense) <= TOL * np.linalg.norm(dense)
 
 
 @PROPERTY_SETTINGS
