@@ -37,13 +37,7 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import _Engine, _variant_mean
-from .oracle import (
-    _bordered_blocks,
-    _bordered_route,
-    _cholesky_blocks,
-    _direct_route,
-    _plugin_route,
-)
+from .oracle import _bordered_route, _direct_route, _plugin_route, _route_blocks
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -334,15 +328,7 @@ def cmd_verify(args) -> int:
             route = route(data, kernel, *route_args)
             record(name, batch.mean[:m], batch.variance[:m], route.mean, route.variance)
 
-    # the Cholesky routes solve against the engine's factor with their own
-    # algebra and share one K* solve; the LDL^T routes share one S of their
-    # own, with the engine's jitter
     ok = engine.predict("ok")
-    chol = _cholesky_blocks(data, kernel, targets, engine.factor)
-    blocks = _bordered_blocks(data, kernel, targets, engine.factor.jitter_used)
-
-    row("ok_vs_ok_direct", ok, _direct_route, chol)
-    row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, chol)
     # a trend row runs where the engine can fit the trend basis, whatever the
     # configured variant; uk and gpr-basis resolve it to one assumption
     if basis.p > data.n:
@@ -352,7 +338,14 @@ def cmd_verify(args) -> int:
             trend = engine.predict("uk", basis)
         except SingularityError:  # S is factored, so only the basis Gram can fail
             trend = "skipped (rank < p)"
-    row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, chol)
+    # every route reads one S of its own, with the engine's jitter, and one
+    # LDL^T solve of it for the targets, the constant and the trend basis;
+    # only the trend's bordered system is factored again
+    blocks = _route_blocks(data, kernel, targets, basis, engine.factor.jitter_used)
+
+    row("ok_vs_ok_direct", ok, _direct_route, blocks)
+    row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, blocks)
+    row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, blocks)
     row("gpr_vs_sk", engine.predict("gpr", known), _bordered_route, known, targets, blocks)
     row("gpr_basis_vs_uk", trend, _bordered_route, basis, targets, blocks)
 

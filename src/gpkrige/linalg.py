@@ -9,9 +9,9 @@ by one BLAS ``dtrsm``); Sigma^-1 is never formed.  Every factorization runs
 in place through :func:`_factor_in_place`: the engine hands it the buffer
 it built S in, already finite and read only in its lower triangle, so S is
 neither mirrored, scanned nor copied; :func:`spd_factor` checks a
-caller's matrix and hands it a copy.  The route that avoids these
-factors (a symmetric-indefinite LDL^T of the bordered system) lives in
-:mod:`gpkrige.oracle`.
+caller's matrix and hands it a copy.  The oracle routes in
+:mod:`gpkrige.oracle` use none of these factors: they solve an S of their
+own by a symmetric-indefinite LDL^T.
 """
 
 from __future__ import annotations

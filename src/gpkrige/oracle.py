@@ -6,20 +6,15 @@ the first block row instead of factoring the constraint Gram, SK around a
 GLS plug-in mean, the GLS constant in closed form, the bordered Kriging
 system by one symmetric-indefinite LDL^T, and the joint prior over
 (Y, Z(X*)).  ``gpkrige verify`` and the tests compare the engine against
-these routes; no production path calls them, and no route runs the engine.
+these routes; no production path calls them, and no route runs the engine
+or reads its factor.
 
-Each block route serves every target with one multi-right-hand-side solve;
-the one-point functions call that block form with a single row.  The direct
-and plug-in routes solve against a factor of S from the caller
-(``verify`` passes the engine's; a fresh one would repeat it bit for bit)
-with ``cho_solve``, so they share the factor but not the algorithm; the
-K* block and its solve against S, which both need, come once per run from
-:func:`_cholesky_blocks`.  The bordered route shares nothing with the
-engine: an S of its own, built once per ``verify`` run by
-:func:`build_gram` and read by both of its calls, and per call one
-Bunch-Kaufman LDL^T of the whole bordered matrix, which pivots
-symmetrically in 1x1 and 2x2 blocks and is factored in the buffer it is
-assembled in (:func:`bordered_solve`).
+The routes have one solver, the Bunch-Kaufman LDL^T of
+:func:`bordered_solve`.  One LDL^T of an S of their own, built once per
+run by :func:`_route_blocks`, gives every S^-1 column they read (S^-1 K*,
+S^-1 1 and S^-1 M); only the trend's bordered system [[S, M], [M^T, 0]]
+is factored again.  Each route serves every target at once; the one-point
+functions call that block form with a single row.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
 from .kernels import (
@@ -46,43 +42,55 @@ from .kriging import (
     Prediction,
     _check_basis_size,
     _clamped,
-    _factor_observation_cov,
     _mean_parts,
     _one_row,
     _Route,
 )
-from .linalg import SpdFactor, _factor_constraint_gram, solve_spd
+from .linalg import _factor_constraint_gram, solve_spd
+
+_Blocks = namedtuple("_Blocks", ["sigma", "kt", "s", "solved", "jitter"])
 
 
-def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar,
-                          max_jitter: float = 0.0) -> Prediction:
+def _route_blocks(data: Dataset, kernel: KernelSpec, xs, trend: MeanSpec,
+                  jitter: float = 0.0) -> _Blocks:
+    """The S, K*^T and S^-1 columns that every route of one run reads.
+
+    ``sigma`` is S, :func:`build_gram` plus ``jitter`` on its diagonal
+    (``verify`` passes the engine's), and ``kt`` is k(X*, X).  One
+    :func:`bordered_solve` with an empty border gives ``s`` = (S^-1 K*)^T
+    and ``solved``, which maps the unknown constant and ``trend`` to
+    (M, S^-1 M); its factor is freed on return.  The designs come first, so
+    a mean without a basis is rejected before S is built.
+    """
+    designs = {mean: basis_matrix(mean, data.x) for mean in (MeanSpec.constant_unknown(), trend)}
+    sigma = build_gram(kernel, data.x, data.noise_variance)
+    sigma[np.diag_indices(data.n)] += jitter
+    kt = kernel_matrix(kernel, xs, data.x)
+    rhs = np.hstack([kt.T, *designs.values()])
+    columns, _ = bordered_solve(sigma, np.empty((data.n, 0)), rhs, np.empty((0, rhs.shape[1])))
+    widths = np.cumsum([kt.shape[0], *(m.shape[1] for m in designs.values())])
+    s, *solves = np.split(columns, widths[:-1], axis=1)
+    return _Blocks(sigma, kt, s.T, dict(zip(designs, zip(designs.values(), solves))), jitter)
+
+
+def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar) -> Prediction:
     """Ordinary Kriging without the block machinery.
 
     Isolates lambda in the first block row, contracts with 1^T, and solves
     the resulting scalar equation for the multiplier.  Must agree with
-    :func:`ordinary_krige` to full working precision.
+    :func:`ordinary_krige` to the rounding of its own LDL^T of S, which
+    grows with S's condition number.
     """
     xs = _one_row(xstar)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    return _direct_route(data, kernel, _cholesky_blocks(data, kernel, xs, factor)).records()[0]
+    blocks = _route_blocks(data, kernel, xs, MeanSpec.constant_unknown())
+    return _direct_route(data, kernel, blocks).records()[0]
 
 
-def _cholesky_blocks(data: Dataset, kernel: KernelSpec, xs, factor: SpdFactor):
-    """The (factor, K*^T, (S^-1 K*)^T) triple the Cholesky routes of one run share.
-
-    ``factor`` is a factor of S (``verify`` passes the engine's); K*^T is
-    the m x n block k(X*, X), solved against ``factor`` once for every
-    :func:`_direct_route` and :func:`_plugin_route` call that reads it.
-    """
-    kt = kernel_matrix(kernel, xs, data.x)
-    return factor, kt, solve_spd(factor, kt.T).T
-
-
-def _direct_route(data: Dataset, kernel: KernelSpec, blocks) -> _Route:
-    """:func:`ordinary_krige_direct` at every target of ``blocks`` (:func:`_cholesky_blocks`)."""
-    factor, kt, s = blocks
+def _direct_route(data: Dataset, kernel: KernelSpec, blocks: _Blocks) -> _Route:
+    """:func:`ordinary_krige_direct` at every target of ``blocks`` (:func:`_route_blocks`)."""
+    kt, s = blocks.kt, blocks.s
     ones = np.ones(data.n)
-    w = solve_spd(factor, ones)
+    w = blocks.solved[MeanSpec.constant_unknown()][1][:, 0]  # S^-1 1
     denom = float(ones @ w)
     s_sum = _rowdot(s, ones)
     mu_contracted = (s_sum - 1.0) / denom
@@ -100,19 +108,19 @@ def _direct_route(data: Dataset, kernel: KernelSpec, blocks) -> _Route:
         lam=lam,
         lam0=np.zeros(lam.shape[0]),
         mu_tilde=mu_tilde[:, None],
-        jitter=factor.jitter_used > 0.0,
+        jitter=blocks.jitter > 0.0,
     )
 
 
-def gls_constant(data: Dataset, kernel: KernelSpec, max_jitter: float = 0.0) -> float:
+def gls_constant(data: Dataset, kernel: KernelSpec) -> float:
     """GLS estimate of an unknown constant mean: (1^T S^-1 Y) / (1^T S^-1 1)."""
-    factor = _factor_observation_cov(data, kernel, max_jitter)
-    w = solve_spd(factor, np.ones(data.n))
+    constant = MeanSpec.constant_unknown()
+    w = _route_blocks(data, kernel, np.empty((0, data.dim)), constant).solved[constant][1][:, 0]
     return float(w @ data.y) / float(np.sum(w))
 
 
-def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
-                        max_jitter: float = 0.0) -> Prediction:
+def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
+                        xstar) -> Prediction:
     """Two-step route: estimate the mean by GLS, then Simple-Krige around it.
 
     T(Y) = f(x*)^T beta-hat + k*^T S^-1 (Y - M beta-hat).  Provably equal to
@@ -122,16 +130,15 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar
     """
     _check_basis_size(mean, data)
     xs = _one_row(xstar)
-    factor = _factor_observation_cov(data, kernel, max_jitter)
     return _plugin_route(data, kernel, mean, xs,
-                         _cholesky_blocks(data, kernel, xs, factor)).records()[0]
+                         _route_blocks(data, kernel, xs, mean)).records()[0]
 
 
-def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs, blocks) -> _Route:
-    """:func:`sk_with_plugin_mean` at every row of ``xs``, from their :func:`_cholesky_blocks`."""
-    factor, kt, s = blocks
-    m_mat = basis_matrix(mean, data.x)
-    w = solve_spd(factor, m_mat)
+def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
+                  blocks: _Blocks) -> _Route:
+    """:func:`sk_with_plugin_mean` at every row of ``xs``, from their :func:`_route_blocks`."""
+    kt, s = blocks.kt, blocks.s
+    m_mat, w = blocks.solved[mean]
     gram_factor = _factor_constraint_gram(m_mat.T @ w)
     beta = solve_spd(gram_factor, w.T @ data.y)
     f = basis_matrix(mean, xs)
@@ -151,7 +158,7 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs, blocks)
         lam=lam,
         lam0=np.zeros(lam.shape[0]),
         mu_tilde=h,
-        jitter=factor.jitter_used > 0.0,
+        jitter=blocks.jitter > 0.0,
     )
 
 
@@ -167,8 +174,8 @@ def bordered_solve(sigma, m, r_top, r_bot):
     from its upper triangle only, as LAPACK's symmetric solvers and
     ``numpy.linalg.eigh`` read one triangle, and is not checked for
     symmetry.  The lower triangle of the bordered matrix is assembled in a
-    Fortran-ordered buffer of its own and factored there by
-    :func:`_ldl_in_place`, so the caller's arrays are never written.
+    Fortran-ordered buffer of its own, factored there by :func:`_ldl_in_place`
+    and solved by :func:`_ldl_solve`, so the caller's arrays are never written.
     """
     sigma, m = np.asarray(sigma, dtype=float), np.asarray(m, dtype=float)
     if m.ndim != 2 or sigma.shape != (m.shape[0], m.shape[0]):
@@ -186,17 +193,14 @@ def bordered_solve(sigma, m, r_top, r_bot):
             raise InputError(f"{name} contains infs or NaNs")
     if np.linalg.matrix_rank(m) < p:
         raise SingularityError("basis functions linearly dependent at the design points")
-    if n == 0:  # scipy's ?sytrs wrapper rejects an empty system
+    if n == 0:  # scipy's LAPACK wrappers reject an empty system
         return r_top.copy(), r_bot.copy()
     bordered = np.empty((n + p, n + p), order="F")
     bordered.T[:n, :n] = sigma  # row by row: Sigma's upper triangle fills the lower one
     bordered[n:, :n] = m.T
     bordered[n:, n:] = 0.0
-    ldl, ipiv = _ldl_in_place(bordered)
-    (sytrs,) = get_lapack_funcs(("sytrs",), (ldl,))
-    solution, info = sytrs(ldl, ipiv, np.concatenate([r_top, r_bot]), lower=1, overwrite_b=1)
-    if info < 0:
-        raise InputError(f"illegal value in argument {-info} of the LDL^T solve")
+    rhs = np.concatenate([r_top, r_bot])
+    solution = _ldl_solve(*_ldl_in_place(bordered), rhs.reshape(n + p, -1)).reshape(rhs.shape)
     return solution[:n], solution[n:]
 
 
@@ -218,38 +222,65 @@ def _ldl_in_place(a):
     return ldl, ipiv
 
 
+def _ldl_solve(ldl, ipiv, b):
+    """X with A X = B for the n x k ``b``, from :func:`_ldl_in_place`'s factor of A.
+
+    LAPACK ``?sytrs2``'s algorithm, which scipy does not wrap: the factor
+    becomes, in place, a unit lower L and D with A = P L D L^T P^T, and
+    BLAS ``dtrsm`` applies L and L^T, so a column of X rounds as it would
+    alone wherever the engine's ``dtrsm`` does.  ``?sytrs`` rounds some
+    columns by how many share its matrix-vector products.
+    """
+    n = len(ipiv)
+    order, pairs, after = np.arange(n), [], 0
+    for k in np.flatnonzero(ipiv != np.arange(1, n + 1)).tolist():  # ipiv is 1-based
+        if k < after:
+            continue  # the second row of a 2x2 block
+        # a 2x2 block at k, k + 1 interchanges row k + 1; the rows of L's
+        # earlier columns move with each interchange
+        row, swap = (k, ipiv[k] - 1) if ipiv[k] > 0 else (k + 1, -ipiv[k] - 1)
+        ldl[[row, swap], :k] = ldl[[swap, row], :k]
+        order[[row, swap]] = order[[swap, row]]
+        if row > k:
+            pairs.append(k)
+        after = row + 1
+    two = np.array(pairs, dtype=np.intp)
+    e = ldl[two + 1, two][:, None]  # D's off-diagonal in each 2x2 block, out of L
+    ldl[two + 1, two] = 0.0
+    y = dtrsm(1.0, ldl, b[order], lower=1, diag=1, overwrite_b=1)
+    d = ldl.diagonal()[:, None].copy()
+    d1, d2, y1, y2 = d[two] / e, d[two + 1] / e, y[two] / e, y[two + 1] / e
+    d[two] = d[two + 1] = 1.0  # the 2x2 blocks' rows are solved below
+    y /= d
+    det = d1 * d2 - 1.0
+    y[two], y[two + 1] = (d2 * y1 - y2) / det, (d1 * y2 - y1) / det
+    x = np.empty_like(y)
+    x[order] = dtrsm(1.0, ldl, y, lower=1, trans_a=1, diag=1, overwrite_b=1)
+    return x
+
+
 _Moments = namedtuple("_Moments", ["mean", "variance"])  # per target, like a _Route's
 
 
-def _bordered_blocks(data: Dataset, kernel: KernelSpec, xs, jitter: float):
-    """The (S, K*) pair every :func:`_bordered_route` call of one run shares.
-
-    S comes from :func:`build_gram` plus ``jitter`` on its diagonal, apart
-    from the engine's, which the engine factors in place; it is C-ordered,
-    so :func:`bordered_solve` copies it row by row.  K* is the n x m block
-    k(X, X*).
-    """
-    sigma = build_gram(kernel, data.x, data.noise_variance)
-    sigma[np.diag_indices(data.n)] += jitter
-    return sigma, kernel_matrix(kernel, data.x, xs)
-
-
 def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
-                    blocks) -> _Moments:
+                    blocks: _Blocks) -> _Moments:
     """GPR at every row of ``xs`` from [[S, M], [M^T, 0]] (Lam; Nu) = (K*; F*^T).
 
-    ``blocks`` is the (S, K*) pair of :func:`_bordered_blocks`, read but not
-    written, so one pair serves every call; each call factors its own
-    bordered matrix by one symmetric-indefinite LDL^T (:func:`bordered_solve`).
-    A known mean borders S by no columns and enters as the offset m(X).  The
-    variance is not clamped, so an ill-conditioned S fails a row, not the run.
+    ``blocks`` is the run's :func:`_route_blocks`, read but not written, so
+    it serves every call.  A known mean borders S by no columns and enters
+    as the offset m(X), so its Lam is the S^-1 K* already solved there; a
+    basis borders S by M, and the call factors that bordered matrix by one
+    symmetric-indefinite LDL^T (:func:`bordered_solve`).  The variance is
+    not clamped, so an ill-conditioned S fails a row, not the run.
     """
-    sigma, kstar = blocks
     offset, design = _mean_parts(mean, data.x)
     offset_star, fstar = _mean_parts(mean, xs)
-    lam, nu = bordered_solve(sigma, design, kstar, fstar.T)
-    return _Moments(offset_star + (data.y - offset) @ lam,
-                    kernel.variance - np.sum(lam * kstar, axis=0) - np.sum(nu * fstar.T, axis=0))
+    if design.shape[1] == 0:  # no border: Lam is the S^-1 K* already solved, Nu is empty
+        lam, nu = blocks.s, np.zeros_like(fstar)
+    else:
+        lam, nu = (block.T for block in bordered_solve(blocks.sigma, design, blocks.kt.T, fstar.T))
+    return _Moments(offset_star + _rowdot(lam, data.y - offset),
+                    kernel.variance - _rowdot(lam, blocks.kt) - _rowdot(nu, fstar))
 
 
 def joint_prior(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs):

@@ -494,6 +494,11 @@ class TestStudy:
         assert report["predictors"]["ls"]["failures"] == 0
 
 
+# the verify rows that compare the engine with an oracle route
+ROUTE_ROWS = ("ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
+              "gpr_vs_sk", "gpr_basis_vs_uk")
+
+
 class TestVerify:
     @staticmethod
     def make_dataset(tmp_path, noise=0.0):
@@ -628,8 +633,8 @@ class TestVerify:
 
     def test_bordered_rows_see_their_own_s(self, tmp_path, capsys, monkeypatch):
         # a 1e-6 shift of S[0, 1] in the engine's assembly moves the engine
-        # and the Cholesky routes, which solve against its factor, together;
-        # only the LU rows, whose S is built apart from it, can see it
+        # alone: every route solves an S built apart from it, so all five
+        # route rows see it
         assemble = kernels._observation_cov
 
         def shifted(*args, **kwargs):
@@ -647,24 +652,20 @@ class TestVerify:
         status = {line.split()[0]: line.split()[-1]
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
-        assert {name for name, s in status.items() if s == "fail"} == {
-            "gpr_vs_sk", "gpr_basis_vs_uk"}
-        for name in ("ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta"):
-            assert status[name] == "pass"
+        assert {name for name, s in status.items() if s == "fail"} == set(ROUTE_ROWS)
 
     def test_factorizations_do_not_grow_with_targets(self, tmp_path, capsys, monkeypatch):
-        # the engine Cholesky-factors the n x n Gram once and the Cholesky
-        # routes share one K* solve against that factor; the bordered route
-        # builds its S once and LDL^T-factors it once for the known mean and
-        # the (n + p) x (n + p) system once for the basis, however many
-        # targets share the call
+        # the engine Cholesky-factors the n x n Gram once; the routes build
+        # their S once, LDL^T-factor it once for every column they read and
+        # the (n + p) x (n + p) trend system once, however many targets
+        # share the call
         data, config = self.make_dataset(tmp_path)
         n, p = 20, 2
         orders, ldl_orders, grams, solves = [], [], [], []
         monkeypatch.setattr(linalg, "_try_cholesky", counted(linalg._try_cholesky, orders))
         monkeypatch.setattr(oracle, "_ldl_in_place", counted(oracle._ldl_in_place, ldl_orders))
         monkeypatch.setattr(oracle, "build_gram", counted(oracle.build_gram, grams))
-        monkeypatch.setattr(cli, "_cholesky_blocks", counted(cli._cholesky_blocks, solves))
+        monkeypatch.setattr(cli, "_route_blocks", counted(cli._route_blocks, solves))
         full = {}
         for count in (3, 9):
             for calls in (orders, ldl_orders, grams, solves):
@@ -677,7 +678,8 @@ class TestVerify:
 
     def test_ill_conditioned_bordered_row_fails(self, tmp_path, capsys):
         # cond(Sigma) ~ 3e16: the engine's Cholesky/Schur answers and the
-        # dense LU of S, bordered or not, disagree, and both rows must say so
+        # routes' LDL^T of S, bordered or not, disagree, and every route row
+        # must say so
         x = np.linspace(0.0, 1.0, 16)
         y = np.sin(6.0 * x) + 0.1 * np.random.default_rng(0).standard_normal(16)
         data, config = tmp_path / "d.csv", tmp_path / "c.json"
@@ -689,8 +691,7 @@ class TestVerify:
         status = {line.split()[0]: line.split()[-1]
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
-        assert status["gpr_basis_vs_uk"] == "fail"
-        assert status["gpr_vs_sk"] == "fail"
+        assert [status[name] for name in ROUTE_ROWS] == ["fail"] * len(ROUTE_ROWS)
 
     # verify runs the configured model before any row, on the data predict reads
     MATERN = {**SE_CONFIG, "kernel": {"family": "matern52", "variance": 1.0,

@@ -29,9 +29,9 @@ from gpkrige.kernels import KERNEL_FAMILIES
 from gpkrige.kriging import _Engine
 from gpkrige.linalg import spd_factor
 from gpkrige.oracle import (
-    _cholesky_blocks,
     _direct_route,
     _plugin_route,
+    _route_blocks,
     gls_constant,
     joint_prior,
     ordinary_krige_direct,
@@ -326,9 +326,7 @@ def test_bad_mean_rejected_before_factoring(call):
     lambda data, jitter: predict_points(data, SE1, [[0.5]], "ok", max_jitter=jitter),
     lambda data, jitter: gls_beta(data, SE1, MeanSpec.polynomial(1, 1), max_jitter=jitter),
     lambda data, jitter: gpr_predict(data, SE1, ZERO_MEAN, [[0.5]], max_jitter=jitter),
-    lambda data, jitter: ordinary_krige_direct(data, SE1, [0.5], max_jitter=jitter),
-], ids=["ordinary_krige", "predict_points", "gls_beta", "gpr_predict",
-        "ordinary_krige_direct"])
+], ids=["ordinary_krige", "predict_points", "gls_beta", "gpr_predict"])
 def test_bad_max_jitter_rejected_before_factoring(monkeypatch, call, max_jitter):
     def no_cholesky(a):
         raise AssertionError("a Cholesky was attempted")
@@ -538,7 +536,7 @@ class TestOracleBlocks:
     """Each oracle's block form, row by row, is its public one-point function."""
 
     # route -> (block form, one-point function, mean for the data or None);
-    # each block form reads the targets' _cholesky_blocks
+    # each block form reads the targets' _route_blocks
     ROUTES = {
         "ok_direct": (lambda data, kernel, xs, blocks: _direct_route(data, kernel, blocks),
                       ordinary_krige_direct, None),
@@ -556,8 +554,8 @@ class TestOracleBlocks:
             data, kernel, _ = random_instance(rng, n=9, noise=0.2 * (i % 2))
             spec = () if mean_for is None else (mean_for(data),)
             xs = rng.uniform(0.0, 6.0, (7, data.dim))
-            factor = kriging._factor_observation_cov(data, kernel, 0.0)
-            blocks = _cholesky_blocks(data, kernel, xs, factor)
+            trend = MeanSpec.constant_unknown() if mean_for is None else spec[0]
+            blocks = _route_blocks(data, kernel, xs, trend)
             for row, rec in zip(xs, block(data, kernel, *spec, xs, blocks).records()):
                 one = single(data, kernel, *spec, row)
                 assert rec.mean == one.mean

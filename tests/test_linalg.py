@@ -335,6 +335,23 @@ class TestSolveSaddle:
         dense = np.linalg.solve(full, rhs)
         np.testing.assert_allclose(np.concatenate([lam, mu]), dense, rtol=1e-8)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_columns_solve_as_they_would_alone(self, scale):
+        # a block of right-hand sides, column by column, is the one-column
+        # solve bit for bit; a small Sigma pivots in 2x2 blocks and swaps rows
+        rng = np.random.default_rng(16)
+        for n in (3, 9, 23):
+            sigma, m = scale * random_spd(rng, n), rng.normal(size=(n, 2))
+            full = np.block([[sigma, m], [m.T, np.zeros((2, 2))]])
+            _, ipiv, _ = dsytrf(full, lower=1)
+            assert scale == 1.0 or (ipiv < 0).any()
+            r_top, r_bot = rng.normal(size=(n, 7)), rng.normal(size=(2, 7))
+            lam, mu = bordered_solve(sigma, m, r_top, r_bot)
+            for j in range(7):
+                lam_j, mu_j = bordered_solve(sigma, m, r_top[:, j], r_bot[:, j])
+                np.testing.assert_array_equal(lam_j, lam[:, j])
+                np.testing.assert_array_equal(mu_j, mu[:, j])
+
     def test_lower_triangle_of_sigma_is_not_read(self):
         rng = np.random.default_rng(15)
         sigma, m = random_spd(rng, 6), rng.normal(size=(6, 2))

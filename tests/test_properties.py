@@ -31,12 +31,11 @@ from gpkrige import (
 from gpkrige.cli import read_point_table
 from gpkrige.exceptions import InputError
 from gpkrige.kernels import _finite, _integer, _nonnegative
-from gpkrige.kriging import _factor_observation_cov
 from gpkrige.oracle import (
-    _bordered_blocks,
     _bordered_route,
-    _cholesky_blocks,
+    _direct_route,
     _plugin_route,
+    _route_blocks,
     bordered_solve,
 )
 from helpers import FAMILIES, random_spd
@@ -74,12 +73,16 @@ def rel(a, b):
 @PROPERTY_SETTINGS
 @given(instances())
 def test_ok_equals_sk_plus_gls(instance):
+    # both OK routes, the plug-in (SK+GLS) and the direct contraction, on
+    # every drawn instance
     data, kernel, xs = instance
+    constant = MeanSpec.constant_unknown()
     ok = predict_points(data, kernel, xs, "ok")
-    blocks = _cholesky_blocks(data, kernel, xs, _factor_observation_cov(data, kernel, 0.0))
-    oracle = _plugin_route(data, kernel, MeanSpec.constant_unknown(), xs, blocks)
-    assert rel(np.array([p.mean for p in ok]), oracle.mean) <= TOL
-    assert rel(np.array([p.error_variance for p in ok]), oracle.variance) <= TOL
+    blocks = _route_blocks(data, kernel, xs, constant)
+    for oracle in (_plugin_route(data, kernel, constant, xs, blocks),
+                   _direct_route(data, kernel, blocks)):
+        assert rel(np.array([p.mean for p in ok]), oracle.mean) <= TOL
+        assert rel(np.array([p.error_variance for p in ok]), oracle.variance) <= TOL
 
 
 @PROPERTY_SETTINGS
@@ -90,8 +93,7 @@ def test_gpr_basis_equals_uk(instance):
     design = np.hstack([np.ones((data.n, 1)), data.x])
     assume(np.linalg.cond(design) < MAX_COND)
     post = gpr_predict_basis(data, kernel, basis, xs)
-    blocks = _cholesky_blocks(data, kernel, xs, _factor_observation_cov(data, kernel, 0.0))
-    oracle = _plugin_route(data, kernel, basis, xs, blocks)
+    oracle = _plugin_route(data, kernel, basis, xs, _route_blocks(data, kernel, xs, basis))
     assert rel(post.mean, oracle.mean) <= TOL
     assert rel(post.variance, oracle.variance) <= TOL
 
@@ -105,7 +107,7 @@ def test_gpr_basis_equals_bordered_solve(instance):
     basis = MeanSpec.polynomial(data.dim, 1)
     assume(np.linalg.cond(basis_matrix(basis, data.x)) < MAX_COND)
     known = MeanSpec.polynomial(data.dim, 1, coefficients=np.linspace(2.0, -1.0, data.dim + 1))
-    blocks = _bordered_blocks(data, kernel, xs, 0.0)
+    blocks = _route_blocks(data, kernel, xs, basis)
     for post, spec in [(gpr_predict_basis(data, kernel, basis, xs), basis),
                        (gpr_predict(data, kernel, known, xs), known)]:
         route = _bordered_route(data, kernel, spec, xs, blocks)
