@@ -37,7 +37,7 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import _Engine, _variant_mean
-from .oracle import _bordered_route, _direct_route, _plugin_route, _route_blocks
+from .oracle import _bordered_route, _plugin_route, _route_blocks
 from .simulate import run_study, study_config_from_json
 
 EXIT_OK = 0
@@ -343,7 +343,6 @@ def cmd_verify(args) -> int:
     # only the trend's bordered system is factored again
     blocks = _route_blocks(data, kernel, targets, basis, engine.factor.jitter_used)
 
-    row("ok_vs_ok_direct", ok, _direct_route, blocks)
     row("ok_vs_sk_plus_gls", ok, _plugin_route, MeanSpec.constant_unknown(), targets, blocks)
     row("uk_vs_sk_plus_gls_beta", trend, _plugin_route, basis, targets, blocks)
     row("gpr_vs_sk", engine.predict("gpr", known), _bordered_route, known, targets, blocks)

@@ -321,10 +321,9 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
     lies within min(0.5, 16 eps (bins + 1)) of an integer, an edge; only
     those pairs are tested against the exact edges and moved by one.  A
     max_lag / bins that is not a normal float is rejected, because the
-    edges can then repeat or fall out of order.  The running per-bin sums
-    stand in front of each block's weights in one buffer, so one
-    ``bincount`` adds every bin in pair order and the sums round as one
-    pass over all pairs would.
+    edges can then repeat or fall out of order.  ``np.add.at`` adds each
+    block's squared differences to the per-bin sums pair by pair, so the
+    sums round as one pass over all pairs would.
     Responses so far apart that a bin's sum overflows are an input error;
     pairs beyond max_lag are never read, however far apart.
 
@@ -361,14 +360,10 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
         # bin b holds bounds[b] <= h < bounds[b + 1]; the sentinel bin holds h > max_lag
         bounds = np.concatenate((edges[:-1], [beyond, np.inf]))
         counts = np.zeros(bins + 1, dtype=np.intp)
-        # the running sums stand at the head of the block's weights, under their bins
-        index = np.empty(bins + 1 + size, dtype=np.intp)
-        weights = np.empty(bins + 1 + size)
+        sums = np.zeros(bins + 1)
     except (MemoryError, ValueError) as err:  # ValueError: numpy's own size limit
         raise InputError(f"cannot allocate {bins} bins: {err}") from None
-    index[:bins + 1] = np.arange(bins + 1)
-    weights[:bins + 1] = 0.0
-    lags = np.empty(size)
+    index, weights, lags = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
     near = np.empty(size, dtype=bool)
     # an estimate within this distance of an integer may be off by one bin
     tol = min(0.5, 16.0 * np.finfo(float).eps * (bins + 1))
@@ -392,7 +387,7 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
                 lag = lag[sel]
             else:
                 k = m
-            idx, est = index[bins + 1:bins + 1 + k], weights[bins + 1:bins + 1 + k]
+            idx, est = index[:k], weights[:k]
             np.multiply(lag, bins / max_lag, out=est)
             np.minimum(est, bins + 0.5, out=est)
             np.copyto(idx, est, casting="unsafe")  # truncates
@@ -408,20 +403,19 @@ def empirical_semivariogram(x, y, bins: int, max_lag: float):
             sqdiff = est
             if i == tail:  # squared already; the lags are spent too
                 diff = pdist(y[i:, None], "sqeuclidean",
-                             out=weights[bins + 1:bins + 1 + m] if sel is None else lags[:m])
+                             out=weights[:m] if sel is None else lags[:m])
                 if sel is not None:
                     np.take(diff, sel, out=sqdiff)
             else:
-                diff = weights[bins + 1:bins + 1 + m]
+                diff = weights[:m]
                 np.subtract(y[i:i + rows, None], y[None, i + 1:], out=diff.reshape(rows, cols))
                 if sel is not None:
                     sqdiff[:] = diff[sel]
                 sqdiff *= sqdiff
             counts += np.bincount(idx, minlength=bins + 1)
-            weights[:bins + 1] = np.bincount(index[:bins + 1 + k], weights=weights[:bins + 1 + k],
-                                             minlength=bins + 1)
+            np.add.at(sums, idx, sqdiff)  # pair by pair, so it rounds as one pass over the pairs
 
-    counts, sums = counts[:bins], weights[:bins]
+    counts, sums = counts[:bins], sums[:bins]
     if not np.isfinite(sums).all():
         raise InputError("responses too large: a sum of squared differences overflows")
     centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # the sum overflows near the float max

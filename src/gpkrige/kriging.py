@@ -361,7 +361,7 @@ class _Route:
     lam: np.ndarray
     lam0: np.ndarray
     mu_tilde: np.ndarray
-    jitter: bool
+    jitter: bool = False
 
     def records(self) -> list[Prediction]:
         """Per-target :class:`Prediction` records with their Kriging weights."""

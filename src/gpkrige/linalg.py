@@ -10,8 +10,9 @@ in place through :func:`_factor_in_place`: the engine hands it the buffer
 it built S in, already finite and read only in its lower triangle, so S is
 neither mirrored, scanned nor copied; :func:`spd_factor` checks a
 caller's matrix and hands it a copy.  The oracle routes in
-:mod:`gpkrige.oracle` use none of these factors: they solve an S of their
-own by a symmetric-indefinite LDL^T.
+:mod:`gpkrige.oracle` use none of the engine's factors: they solve an S
+of their own by a symmetric-indefinite LDL^T, and factor here only the
+plug-in route's p x p GLS Gram.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class SpdFactor:
 
     chol: np.ndarray
     jitter_used: float
-    n: int
 
 
 def _try_cholesky(a):
@@ -72,7 +72,7 @@ def _factor_in_place(a, max_jitter: float) -> SpdFactor:
     untouched = np.array(a, order="F") if max_jitter > 0.0 else None
     chol, pivot = _try_cholesky(a)
     if chol is not None:
-        return SpdFactor(chol=chol, jitter_used=0.0, n=n)
+        return SpdFactor(chol=chol, jitter_used=0.0)
     if untouched is not None:
         delta = 1e-12 * np.trace(untouched) / n
         if not delta > 0.0:
@@ -80,7 +80,7 @@ def _factor_in_place(a, max_jitter: float) -> SpdFactor:
         while delta <= max_jitter:
             chol, pivot = _try_cholesky(np.add(untouched, delta * np.eye(n), order="F"))
             if chol is not None:
-                return SpdFactor(chol=chol, jitter_used=delta, n=n)
+                return SpdFactor(chol=chol, jitter_used=delta)
             delta *= 10.0
     raise SingularityError(
         f"matrix is not positive definite (Cholesky failed at pivot {pivot})",
@@ -114,8 +114,8 @@ def _right_hand_side(factor: SpdFactor, b) -> np.ndarray:
     The factor is finite by construction, so only B is checked.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.n:
-        raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.n}")
+    if b.shape[0] != factor.chol.shape[0]:
+        raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.chol.shape[0]}")
     if not np.isfinite(b).all():
         raise InputError("right-hand side must be finite")
     return b
@@ -142,7 +142,7 @@ def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
     b = _right_hand_side(factor, b)
     if b.size == 0:
         return np.zeros(b.shape)
-    x = dtrsm(1.0, factor.chol, b.reshape(factor.n, -1), lower=1, trans_a=int(transpose),
+    x = dtrsm(1.0, factor.chol, b.reshape(b.shape[0], -1), lower=1, trans_a=int(transpose),
               overwrite_b=1)
     return x.reshape(b.shape)
 

@@ -1,20 +1,21 @@
 """Independent oracle routes for the classical Kriging and GP identities.
 
 Each function here computes a quantity the engine in :mod:`gpkrige.kriging`
-also computes, along a different route: Ordinary Kriging by contracting
-the first block row instead of factoring the constraint Gram, SK around a
-GLS plug-in mean, the GLS constant in closed form, the bordered Kriging
-system by one symmetric-indefinite LDL^T, and the joint prior over
-(Y, Z(X*)).  ``gpkrige verify`` and the tests compare the engine against
-these routes; no production path calls them, and no route runs the engine
-or reads its factor.
+also computes, along a different route: Ordinary and Universal Kriging as
+SK around a GLS plug-in mean, the GLS constant in closed form, the
+bordered Kriging system by one symmetric-indefinite LDL^T, and the joint
+prior over (Y, Z(X*)).  ``gpkrige verify`` and the tests compare the
+engine against these routes; no production path calls them, and no route
+runs the engine or reads its factor.
 
-The routes have one solver, the Bunch-Kaufman LDL^T of
+The routes solve against S by one solver, the Bunch-Kaufman LDL^T of
 :func:`bordered_solve`.  One LDL^T of an S of their own, built once per
 run by :func:`_route_blocks`, gives every S^-1 column they read (S^-1 K*,
 S^-1 1 and S^-1 M); only the trend's bordered system [[S, M], [M^T, 0]]
-is factored again.  Each route serves every target at once; the one-point
-functions call that block form with a single row.
+is factored again.  The plug-in route's p x p GLS Gram M^T S^-1 M is
+Cholesky-factored by :mod:`gpkrige.linalg`, as the engine factors its
+own.  Each route serves every target at once; the one-point functions
+call that block form with a single row.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .kriging import (
 )
 from .linalg import _factor_constraint_gram, solve_spd
 
-_Blocks = namedtuple("_Blocks", ["sigma", "kt", "s", "solved", "jitter"])
+_Blocks = namedtuple("_Blocks", ["sigma", "kt", "s", "solved"])
 
 
 def _route_blocks(data: Dataset, kernel: KernelSpec, xs, trend: MeanSpec,
@@ -70,46 +71,7 @@ def _route_blocks(data: Dataset, kernel: KernelSpec, xs, trend: MeanSpec,
     columns, _ = bordered_solve(sigma, np.empty((data.n, 0)), rhs, np.empty((0, rhs.shape[1])))
     widths = np.cumsum([kt.shape[0], *(m.shape[1] for m in designs.values())])
     s, *solves = np.split(columns, widths[:-1], axis=1)
-    return _Blocks(sigma, kt, s.T, dict(zip(designs, zip(designs.values(), solves))), jitter)
-
-
-def ordinary_krige_direct(data: Dataset, kernel: KernelSpec, xstar) -> Prediction:
-    """Ordinary Kriging without the block machinery.
-
-    Isolates lambda in the first block row, contracts with 1^T, and solves
-    the resulting scalar equation for the multiplier.  Must agree with
-    :func:`ordinary_krige` to the rounding of its own LDL^T of S, which
-    grows with S's condition number.
-    """
-    xs = _one_row(xstar)
-    blocks = _route_blocks(data, kernel, xs, MeanSpec.constant_unknown())
-    return _direct_route(data, kernel, blocks).records()[0]
-
-
-def _direct_route(data: Dataset, kernel: KernelSpec, blocks: _Blocks) -> _Route:
-    """:func:`ordinary_krige_direct` at every target of ``blocks`` (:func:`_route_blocks`)."""
-    kt, s = blocks.kt, blocks.s
-    ones = np.ones(data.n)
-    w = blocks.solved[MeanSpec.constant_unknown()][1][:, 0]  # S^-1 1
-    denom = float(ones @ w)
-    s_sum = _rowdot(s, ones)
-    mu_contracted = (s_sum - 1.0) / denom
-    lam = s - mu_contracted[:, None] * w
-    mu_tilde = -mu_contracted
-
-    sigma_star2 = kernel.variance
-    sk_part = sigma_star2 - _rowdot(kt, s)
-    inflation = (1.0 - s_sum) ** 2 / denom
-    return _Route(
-        "ok",
-        mean=_rowdot(lam, data.y),
-        variance=_clamped(sk_part + inflation, sigma_star2),
-        estimator_variance=_rowdot(lam, kt) + mu_tilde,
-        lam=lam,
-        lam0=np.zeros(lam.shape[0]),
-        mu_tilde=mu_tilde[:, None],
-        jitter=blocks.jitter > 0.0,
-    )
+    return _Blocks(sigma, kt, s.T, dict(zip(designs, zip(designs.values(), solves))))
 
 
 def gls_constant(data: Dataset, kernel: KernelSpec) -> float:
@@ -127,6 +89,12 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
     Ordinary Kriging (constant mean) or Universal Kriging (basis mean); the
     reported error variance is the one of that equivalent estimator, since
     the plug-in predictor is not conditioning on a truly known mean.
+
+    At p = 1 (constant mean) this route is the direct solution of the
+    Kriging system [[S, 1], [1^T, 0]] (lambda; mu) = (k*; 1): isolating
+    lambda = S^-1 (k* - mu 1) in the first block row and contracting with
+    1^T gives lambda = S^-1 k* + (1 - 1^T S^-1 k*) / (1^T S^-1 1) S^-1 1,
+    this route's weights, with mu-tilde = -mu.
     """
     _check_basis_size(mean, data)
     xs = _one_row(xstar)
@@ -158,7 +126,6 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
         lam=lam,
         lam0=np.zeros(lam.shape[0]),
         mu_tilde=h,
-        jitter=blocks.jitter > 0.0,
     )
 
 

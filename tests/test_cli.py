@@ -495,8 +495,7 @@ class TestStudy:
 
 
 # the verify rows that compare the engine with an oracle route
-ROUTE_ROWS = ("ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
-              "gpr_vs_sk", "gpr_basis_vs_uk")
+ROUTE_ROWS = ("ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta", "gpr_vs_sk", "gpr_basis_vs_uk")
 
 
 class TestVerify:
@@ -524,7 +523,7 @@ class TestVerify:
                      "--grid", "0.05:0.95:7"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("pass") == 6
+        assert out.count("pass") == 5
         assert "interpolation" in out
 
     def test_duplicate_points_exit_3(self, tmp_path):
@@ -560,8 +559,8 @@ class TestVerify:
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
         assert status == {name: "fail" for name in (
-            "ok_vs_ok_direct", "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta",
-            "gpr_vs_sk", "gpr_basis_vs_uk", "interpolation")}
+            "ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta", "gpr_vs_sk", "gpr_basis_vs_uk",
+            "interpolation")}
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_engine_target_block_built_once(self, tmp_path, capsys, monkeypatch, noise):
@@ -603,7 +602,7 @@ class TestVerify:
         for name in ("uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"):
             assert rows.pop(name) == ["-", "skipped (p > n)"]
         assert {status for _, status in rows.values()} == {"pass"}
-        assert len(rows) == 4
+        assert len(rows) == 3
 
     @pytest.mark.parametrize("variant", ["ok", "gpr-basis"])
     def test_configured_trend_beyond_the_data(self, tmp_path, capsys, variant):
@@ -628,12 +627,12 @@ class TestVerify:
         for name in ("uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"):
             assert rows.pop(name) == ["-", "skipped (p > n)"]
         assert {status for _, status in rows.values()} == {"pass"}
-        assert len(rows) == 4
+        assert len(rows) == 3
         assert main(["predict", *argv]) == 0
 
     def test_bordered_rows_see_their_own_s(self, tmp_path, capsys, monkeypatch):
         # a 1e-6 shift of S[0, 1] in the engine's assembly moves the engine
-        # alone: every route solves an S built apart from it, so all five
+        # alone: every route solves an S built apart from it, so all four
         # route rows see it
         assemble = kernels._observation_cov
 

@@ -29,12 +29,10 @@ from gpkrige.kernels import KERNEL_FAMILIES
 from gpkrige.kriging import _Engine
 from gpkrige.linalg import spd_factor
 from gpkrige.oracle import (
-    _direct_route,
     _plugin_route,
     _route_blocks,
     gls_constant,
     joint_prior,
-    ordinary_krige_direct,
     sk_with_plugin_mean,
 )
 from helpers import ONE_BLOCK, random_instance
@@ -234,6 +232,13 @@ class TestOrdinaryKrige:
 
 
 class TestOrdinaryKrigeDirect:
+    """OK by the plug-in constant route, which at p = 1 is the direct
+    solution of the first block row (see :func:`sk_with_plugin_mean`)."""
+
+    @staticmethod
+    def direct(data, kernel, xstar):
+        return sk_with_plugin_mean(data, kernel, MeanSpec.constant_unknown(), xstar)
+
     def test_agrees_with_block_path(self):
         cases = [
             (Dataset([[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0]), WHITE, [0.5]),
@@ -242,7 +247,7 @@ class TestOrdinaryKrigeDirect:
         ]
         for data, kernel, xstar in cases:
             a = ordinary_krige(data, kernel, xstar)
-            b = ordinary_krige_direct(data, kernel, xstar)
+            b = self.direct(data, kernel, xstar)
             assert abs(a.mean - b.mean) <= 1e-10
             assert abs(a.error_variance - b.error_variance) <= 1e-10
             np.testing.assert_allclose(a.weights.lam, b.weights.lam, atol=1e-10)
@@ -254,7 +259,7 @@ class TestOrdinaryKrigeDirect:
         for _ in range(20):
             data, kernel, xstar = random_instance(rng)
             a = ordinary_krige(data, kernel, xstar)
-            b = ordinary_krige_direct(data, kernel, xstar)
+            b = self.direct(data, kernel, xstar)
             assert abs(a.mean - b.mean) <= 1e-10 * max(1.0, abs(a.mean))
             assert abs(a.error_variance - b.error_variance) <= 1e-10
 
@@ -535,29 +540,23 @@ class TestPluginRoute:
 class TestOracleBlocks:
     """Each oracle's block form, row by row, is its public one-point function."""
 
-    # route -> (block form, one-point function, mean for the data or None);
-    # each block form reads the targets' _route_blocks
+    # route -> the mean it assumes for the data; the block form reads the
+    # targets' _route_blocks
     ROUTES = {
-        "ok_direct": (lambda data, kernel, xs, blocks: _direct_route(data, kernel, blocks),
-                      ordinary_krige_direct, None),
-        "plugin_constant": (_plugin_route, sk_with_plugin_mean,
-                            lambda data: MeanSpec.constant_unknown()),
-        "plugin_basis": (_plugin_route, sk_with_plugin_mean,
-                         lambda data: MeanSpec.polynomial(data.dim, 1)),
+        "plugin_constant": lambda data: MeanSpec.constant_unknown(),
+        "plugin_basis": lambda data: MeanSpec.polynomial(data.dim, 1),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_rows_match_one_point_calls(self, route):
-        block, single, mean_for = self.ROUTES[route]
         rng = np.random.default_rng(39)
         for i in range(6):
             data, kernel, _ = random_instance(rng, n=9, noise=0.2 * (i % 2))
-            spec = () if mean_for is None else (mean_for(data),)
+            mean = self.ROUTES[route](data)
             xs = rng.uniform(0.0, 6.0, (7, data.dim))
-            trend = MeanSpec.constant_unknown() if mean_for is None else spec[0]
-            blocks = _route_blocks(data, kernel, xs, trend)
-            for row, rec in zip(xs, block(data, kernel, *spec, xs, blocks).records()):
-                one = single(data, kernel, *spec, row)
+            blocks = _route_blocks(data, kernel, xs, mean)
+            for row, rec in zip(xs, _plugin_route(data, kernel, mean, xs, blocks).records()):
+                one = sk_with_plugin_mean(data, kernel, mean, row)
                 assert rec.mean == one.mean
                 assert rec.error_variance == one.error_variance
                 assert rec.estimator_variance == one.estimator_variance
@@ -724,7 +723,7 @@ class TestVarianceAgainstObjective:
             noise = 0.0 if i % 2 == 0 else 0.3
             data, kernel, xstar = random_instance(rng, noise=noise)
             self.dense_check(ordinary_krige(data, kernel, xstar), data, kernel, xstar)
-            self.dense_check(ordinary_krige_direct(data, kernel, xstar),
+            self.dense_check(sk_with_plugin_mean(data, kernel, MeanSpec.constant_unknown(), xstar),
                              data, kernel, xstar)
 
     def test_uk_and_plugin(self):
