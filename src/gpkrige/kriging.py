@@ -43,9 +43,7 @@ target per row.  Matrix products and column reductions round differently
 depending on how many targets share the call; row reductions do not.  A
 target's numbers are therefore bit-identical whether it is predicted alone
 or in a batch wherever the columns of a multi-right-hand-side BLAS ``dtrsm``
-round alike in any block.  That holds for some BLAS kernels and orders n,
-not all: OpenBLAS 0.3.31 (Haswell) keeps it for n from 250 to 384 and at
-the multiples of 8 tried, and breaks it in the last bits at other n >= 385.
+round alike in any block; :func:`gpkrige.linalg._whiten` says where.
 
 The classical definitions of OK/UK are noise-free; a dataset with
 ``noise_variance > 0`` is accepted for every variant by using
@@ -222,7 +220,8 @@ def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
     offset, m_mat = _mean_parts(mean, data.x)
     u = _whiten(factor, m_mat)
     z = _whiten(factor, data.y - offset)
-    gram, rhs = u.T @ u, u.T @ z
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is rejected below
+        gram, rhs = u.T @ u, u.T @ z
     if not m_mat.shape[1]:
         gram_factor = None
     elif mean.prior_cov is None:
@@ -481,8 +480,9 @@ def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:
     """
     _check_basis_size(mean, data)
     m_mat = basis_matrix(mean, data.x)
-    gram_factor = _factor_constraint_gram(m_mat.T @ m_mat)
-    beta = solve_spd(gram_factor, m_mat.T @ data.y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is rejected below
+        gram, rhs = m_mat.T @ m_mat, m_mat.T @ data.y
+    beta = solve_spd(_factor_constraint_gram(gram), rhs)
     return float(basis_matrix(mean, _one_row(xstar))[0] @ beta)
 
 

@@ -3,16 +3,17 @@
 Every Kriging variant reduces to solving against an SPD observation
 covariance, optionally coupled to unbiasedness constraints through the
 p x p constraint Gram M^T Sigma^-1 M.  This module Cholesky-factors both
-(LAPACK ``potrf``, with an optional diagonal jitter), solves against the
-factors, and whitens against the lower factor L alone (L^-1 B, or L^-T B,
-by one BLAS ``dtrsm``); Sigma^-1 is never formed.  Every factorization runs
-in place through :func:`_factor_in_place`: the engine hands it the buffer
-it built S in, already finite and read only in its lower triangle, so S is
-neither mirrored, scanned nor copied; :func:`spd_factor` checks a
-caller's matrix and hands it a copy.  The oracle routes in
-:mod:`gpkrige.oracle` use none of the engine's factors: they solve an S
-of their own by a symmetric-indefinite LDL^T, and factor here only the
-plug-in route's p x p GLS Gram.
+(LAPACK ``potrf``, with an optional diagonal jitter), and every solve
+against a factor L is BLAS ``dtrsm``: L^-1 B or L^-T B by one call
+(:func:`_whiten`), or both as in LAPACK ``potrs`` (:func:`solve_spd`);
+Sigma^-1 is never formed.  Every factorization runs in place through
+:func:`_factor_in_place`: the engine hands it the buffer it built S in,
+already finite and read only in its lower triangle, so S is neither
+mirrored, scanned nor copied; :func:`spd_factor` checks a caller's matrix
+and hands it a copy.  The oracle routes in :mod:`gpkrige.oracle` use none
+of the engine's factors: they solve an S of their own by a
+symmetric-indefinite LDL^T, and factor here only the plug-in route's
+p x p GLS Gram.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
 
 _SYM_RTOL = 1e-10
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,46 +110,41 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     return _factor_in_place(np.asfortranarray(0.5 * (a + a.T)), max_jitter)
 
 
-def _right_hand_side(factor: SpdFactor, b) -> np.ndarray:
-    """``b`` as a float array checked against the factor.
+def solve_spd(factor: SpdFactor, b) -> np.ndarray:
+    """Solve (A + jitter * I) X = B against a prepared factor: X = L^-T (L^-1 B).
 
-    The factor is finite by construction, so only B is checked.
+    Both ``dtrsm`` calls overwrite a copy of B, never the caller's array.
+    """
+    x = _whiten(factor, np.array(b, dtype=float, order="F"))
+    return _trsm(factor, x, transpose=True)
+
+
+def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
+    """L^-1 B (L^-T B with ``transpose``) by one BLAS ``dtrsm`` on the factor.
+
+    B is a finite n-vector or n x k matrix; a column-major float B is
+    overwritten with the result instead of copied.  The engine's batch and
+    one-target results agree bit for bit where ``dtrsm`` rounds a column
+    alike in any block: OpenBLAS 0.3.31 on Haswell, one thread, does for n
+    from 250 to 384 and every multiple of 8 tried, not at other n >= 385;
+    LAPACK ``trtrs`` (``scipy.linalg.solve_triangular``) does not.  A
+    jittered factor whitens against A + jitter * I.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factor.chol.shape[0]:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.chol.shape[0]}")
     if not np.isfinite(b).all():
         raise InputError("right-hand side must be finite")
-    return b
+    return _trsm(factor, b, transpose)
 
 
-def solve_spd(factor: SpdFactor, b) -> np.ndarray:
-    """Solve (A + jitter * I) X = B against a prepared factor."""
-    return cho_solve((factor.chol, True), _right_hand_side(factor, b), check_finite=False)
-
-
-def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
-    """L^-1 B (L^-T B with ``transpose``) by one BLAS ``dtrsm`` on the factor.
-
-    B is an n-vector or an n x k matrix; a column-major float B is
-    overwritten with the result instead of copied.  The engine's batch
-    and one-target results agree bit for bit where each column of the
-    result rounds the same whether it is solved alone or inside a block.
-    ``dtrsm`` does so on the orders the tests check, though not on every
-    BLAS kernel and order (OpenBLAS 0.3.31 on Haswell fails at n >= 385
-    unless n is a multiple of 8); LAPACK ``trtrs`` behind
-    ``scipy.linalg.solve_triangular`` does not.  A jittered factor
-    whitens against A + jitter * I.
-    """
-    b = _right_hand_side(factor, b)
+def _trsm(factor: SpdFactor, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """:func:`_whiten` on a float B already checked."""
     if b.size == 0:
         return np.zeros(b.shape)
     x = dtrsm(1.0, factor.chol, b.reshape(b.shape[0], -1), lower=1, trans_a=int(transpose),
               overwrite_b=1)
     return x.reshape(b.shape)
-
-
-_RANK_RTOL = 1e-12
 
 
 def _factor_constraint_gram(gram) -> SpdFactor:
@@ -156,16 +153,14 @@ def _factor_constraint_gram(gram) -> SpdFactor:
     Cholesky alone can slip past an exactly rank-deficient Gram whose zero
     pivot rounds to ~1e-16, so near-zero eigenvalues are rejected explicitly.
     """
+    if not np.isfinite(gram).all():
+        raise InputError("matrix must be finite")
     gram = 0.5 * (gram + gram.T)
     eig = np.linalg.eigvalsh(gram)
     if eig[-1] <= 0.0 or eig[0] <= _RANK_RTOL * eig[-1]:
-        raise SingularityError(
-            "basis functions linearly dependent at the design points"
-        )
+        raise SingularityError("basis functions linearly dependent at the design points")
     try:
         return spd_factor(gram)
     except SingularityError as err:
-        raise SingularityError(
-            "basis functions linearly dependent at the design points",
-            pivot=err.pivot,
-        ) from err
+        raise SingularityError("basis functions linearly dependent at the design points",
+                               pivot=err.pivot) from err

@@ -932,6 +932,40 @@ def test_overflowing_gram_reports_only_the_finite_check(tmp_path, capsys, family
     assert captured.err == ("error: matrix must be finite\n" if code else "")
 
 
+FAR_CONFIG = {"kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [1e160]},
+              "mean": POLY_MEAN, "noise_variance": 0.1}
+
+
+@pytest.mark.parametrize("command, variant", [
+    ("predict", "uk"), ("predict", "gpr-basis"), ("verify", "ok"),
+])
+def test_overflowing_basis_gram_reports_only_the_finite_check(tmp_path, capsys, command,
+                                                              variant):
+    # a degree-1 basis at x = 0, 1e160, 2e160 squares past the float max in
+    # the basis Gram (verify's through its trend row): the finite check alone
+    # speaks; a numpy warning would be an error
+    data, config = tmp_path / "d.csv", tmp_path / "c.json"
+    write_csv(data, [0.0, 1e160, 2e160], [1.0, 2.0, 3.0])
+    write_config(config, {**FAR_CONFIG, "variant": variant})
+    assert main([command, "--data", str(data), "--config", str(config),
+                 "--grid", "0:1e160:2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: matrix must be finite\n")
+
+
+def test_overflowing_basis_gram_is_a_study_failure(tmp_path, capsys):
+    # uk's degree-1 basis over [0, 1e300] overflows its Gram: the replicate
+    # records uk as failed, silently, while ls fits its constant
+    config, out = tmp_path / "s.json", tmp_path / "r.json"
+    write_config(config, {**TestStudy.STUDY, "domain": [[0.0, 1e300]], "replicates": 1,
+                          "predictors": ["ls", "uk"]})
+    assert main(["study", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["predictors"]["uk"]["failures"] == 1
+    assert report["predictors"]["ls"]["failures"] == 0
+
+
 def test_reused_parser_matches_fresh_ones(tmp_path, capsys):
     # main builds its parser once; back-to-back calls, an argparse exit and
     # --grid appends between them, give what a freshly built parser gives

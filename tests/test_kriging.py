@@ -483,29 +483,40 @@ def test_engine_rows_do_not_depend_on_their_batch(variant):
 
 @pytest.mark.parametrize("variant", ENGINE_MEANS)
 def test_one_triangular_solve_over_the_targets(monkeypatch, variant):
-    # the target stage is one dtrsm of the n x n factor over all m targets;
-    # nothing is solved against S itself (the only cho_solve left is the
-    # p x p constraint Gram's)
+    # the target stage is one forward dtrsm of the n x n factor over all m
+    # targets; nothing is solved against S itself, which would take a
+    # transposed order-n dtrsm (the p x p Grams' solves are of order p)
     rng = np.random.default_rng(41)
     data, kernel, _ = random_instance(rng, n=12, dim=2, noise=0.1)
     xs = rng.uniform(0.0, 8.0, (7, 2))
-    trsm, cho = [], []
-    dtrsm, cho_solve = linalg.dtrsm, linalg.cho_solve
+    trsm = []
+    dtrsm = linalg.dtrsm
 
     def counted_trsm(alpha, a, b, **kwargs):
         trsm.append((a.shape[0], b.shape[1], kwargs.get("trans_a", 0)))
         return dtrsm(alpha, a, b, **kwargs)
 
-    def counted_cho(c_and_lower, b, **kwargs):
-        cho.append(c_and_lower[0].shape[0])
-        return cho_solve(c_and_lower, b, **kwargs)
-
     monkeypatch.setattr(linalg, "dtrsm", counted_trsm)
-    monkeypatch.setattr(linalg, "cho_solve", counted_cho)
     _Engine(data, kernel, xs).predict(variant, ENGINE_MEANS[variant])
-    assert [call for call in trsm if call[1] == 7] == [(12, 7, 0)]
-    assert all(order == 12 for order, _, _ in trsm)
-    assert 12 not in cho
+    order_n = [(columns, trans) for order, columns, trans in trsm if order == 12]
+    assert [call for call in order_n if call[0] == 7] == [(7, 0)]
+    assert all(trans == 0 for _, trans in order_n)
+
+
+# a degree-1 basis at x = 0, 1e160, 2e160 squares past the float max in the
+# basis Gram: the finite check alone speaks; a numpy warning would be an error
+FAR_DATA = Dataset([[0.0], [1e160], [2e160]], [1.0, 2.0, 3.0], noise_variance=0.1)
+FAR_KERNEL = KernelSpec("exponential", 1.0, (1e160,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda mean: predict_points(FAR_DATA, FAR_KERNEL, [[0.0]], "uk", mean),
+    lambda mean: ls_predict(FAR_DATA, mean, [0.0]),
+    lambda mean: sk_with_plugin_mean(FAR_DATA, FAR_KERNEL, mean, [0.0]),
+], ids=["predict_points_uk", "ls_predict", "sk_with_plugin_mean"])
+def test_overflowing_basis_gram_reports_only_the_finite_check(call):
+    with pytest.raises(InputError, match="^matrix must be finite$"):
+        call(MeanSpec.polynomial(1, 1))
 
 
 class TestPluginRoute:

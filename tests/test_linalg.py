@@ -125,6 +125,16 @@ class TestSpdFactor:
         assert err.value.pivot == 1
         assert isinstance(err.value.__cause__, SingularityError)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_non_finite_constraint_gram_rejected(self, p, bad):
+        # checked before the eigenvalue screen, which reads some of these
+        # as a dependent basis
+        gram = np.eye(p)
+        gram[0, 0] = bad
+        with pytest.raises(InputError, match="^matrix must be finite$"):
+            _factor_constraint_gram(gram)
+
 
 class TestCheckSymmetric:
     # a 600 x 600 SPD matrix; (10, 590) lies far from the diagonal, where an
@@ -215,6 +225,21 @@ class TestSolveSpd:
         f = spd_factor(np.eye(3))
         with pytest.raises(InputError):
             solve_spd(f, np.ones(4))
+
+    @pytest.mark.parametrize("layout", ["c-ordered", "transposed-view", "vector"])
+    def test_right_hand_side_not_written(self, layout):
+        # callers pass views of arrays they still use, such as gamma.T;
+        # dtrsm overwrites a column-major B, so the solve works on a copy
+        rng = np.random.default_rng(15)
+        a = random_spd(rng, 4)
+        b = {"c-ordered": rng.normal(size=(4, 3)),
+             "transposed-view": rng.normal(size=(3, 4)).T,
+             "vector": rng.normal(size=4)}[layout]
+        before = b.copy()
+        x = solve_spd(spd_factor(a), b)
+        np.testing.assert_array_equal(b, before)
+        assert not np.shares_memory(x, b)
+        np.testing.assert_allclose(a @ x, b, atol=1e-9)
 
 
 class TestSolveSaddle:

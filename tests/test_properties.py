@@ -114,13 +114,19 @@ def test_gpr_basis_equals_bordered_solve(instance):
 def bordered_systems(draw):
     """A bordered system with 2..40 rows of Sigma and 0..4 full-rank columns of M.
 
-    Sigma is shrunk by 10^-k (k in 0..6) against M's O(1) entries, so that
-    about half the draws pivot in 2x2 blocks; three right-hand sides.
+    Sigma is either SPD, shrunk by 10^-k (k in 0..6) against M's O(1)
+    entries, so that about half the draws pivot in 2x2 blocks, or the
+    indefinite A + A^T with A standard normal, as the bordered systems of
+    generalized covariances are; three right-hand sides.
     """
     n = draw(st.integers(2, 40))
     p = draw(st.integers(0, min(4, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    sigma = random_spd(rng, n) * 10.0 ** -draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        a = rng.normal(size=(n, n))
+        sigma = a + a.T
+    else:
+        sigma = random_spd(rng, n) * 10.0 ** -draw(st.integers(0, 6))
     m = rng.normal(size=(n, p))
     full = np.block([[sigma, m], [m.T, np.zeros((p, p))]])
     assume(np.linalg.matrix_rank(m) == p and np.linalg.cond(full) < MAX_COND)
@@ -135,6 +141,9 @@ def test_bordered_solve_matches_dense_solve(system):
     lam, mu = bordered_solve(sigma, m, rhs[:n], rhs[n:])
     dense = np.linalg.solve(full, rhs)
     assert np.linalg.norm(np.vstack([lam, mu]) - dense) <= TOL * np.linalg.norm(dense)
+    for j in range(rhs.shape[1]):  # each column rounds as it would alone
+        lam_j, mu_j = bordered_solve(sigma, m, rhs[:n, j], rhs[n:, j])
+        assert np.array_equal(lam[:, j], lam_j) and np.array_equal(mu[:, j], mu_j)
 
 
 @PROPERTY_SETTINGS
