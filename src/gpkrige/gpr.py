@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, _finite, build_gram
+from .kernels import Dataset, KernelSpec, MeanSpec, _as_locations, _finite
 from .kriging import _clamped, _Engine
 
 
@@ -90,17 +90,12 @@ def gpr_predict_basis(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
 
 
 def _posterior(data, kernel, variant, mean, xs, observe_noise, max_jitter):
-    """The engine's mean and variances plus the joint m x m covariance.
-
-    cov = K** - V^T V + Gamma^T G^-1 Gamma with V = L^-1 K*, with the
-    engine's variances on the diagonal.
-    """
+    """The engine's means, and its ``posterior_cov`` with its variances on the diagonal."""
     xs = _as_locations(xs, data.dim, "test points")
-    batch = _Engine(data, kernel, xs, max_jitter).predict(variant, mean)
-    post_cov = (build_gram(kernel, xs, 0.0) - batch.vt @ batch.vt.T
-                + batch.gamma @ batch.h.T)
+    engine = _Engine(data, kernel, xs, max_jitter)
+    batch = engine.predict(variant, mean)
+    post_cov = engine.posterior_cov(batch)
     np.fill_diagonal(post_cov, batch.variance)
     if observe_noise:
         post_cov = post_cov + data.noise_variance * np.eye(xs.shape[0])
     return GaussianPredictive(mean=batch.mean, covariance=post_cov)
-

@@ -30,12 +30,14 @@ U = L^-1 M and z = L^-1 (y - m(X)), and is all a variant adds:
     mean  = m(X*) + F* beta + V^T (z - U beta)
     var   = sigma*^2 - ||v||^2 + Gamma G^-1 Gamma^T   (per target, clamped)
 
-A known mean is a basis with zero columns.  The Kriging weights
+A known mean is a basis with zero columns.  The engine alone factors S,
+clamps its variances and forms the joint posterior covariance that GPR
+and the study's sampler read.  The Kriging weights
 lambda = L^-T (v + U mu_tilde) cost a second triangular solve and are
 formed only by the functions that return them.  The public predictors are
-thin wrappers over the engine.  The independent routes that
-``verify`` and the tests check it against live in :mod:`gpkrige.oracle`;
-this module never imports them.
+thin wrappers over the engine.  The independent routes that ``verify``
+and the tests check it against live in :mod:`gpkrige.oracle`; this
+module never imports them.
 
 Rows, not columns: every per-target reduction in the engine and in the
 oracle routes runs along a contiguous row of an (m, k) array that holds one
@@ -72,6 +74,7 @@ from .kernels import (
     _real,
     _rowdot,
     basis_matrix,
+    build_gram,
     kernel_matrix,
 )
 from .linalg import (
@@ -127,24 +130,6 @@ def _clamped(value, scale: float):
             f"error variance {value.min():.6e} is negative beyond tolerance {tol:.1e}"
         )
     return np.maximum(value, 0.0)
-
-
-def _factor_observation_cov(data: Dataset, kernel: KernelSpec,
-                            max_jitter: float) -> SpdFactor:
-    """Factor S = Sigma + sigma^2 I where it is built; ``max_jitter`` is checked first.
-
-    S is assembled in the upper triangle of a row-major buffer, checked
-    finite block by block, whose column-major transpose LAPACK factors in
-    place: the factor is bit for bit ``spd_factor(build_gram(...))``'s,
-    without the lower triangle, the symmetry and finite scans or the copy.
-    """
-    max_jitter = _nonnegative(max_jitter, "max_jitter")
-    if kernel.dim != data.dim:
-        raise InputError(
-            f"kernel dimension {kernel.dim} does not match data dimension {data.dim}"
-        )
-    upper = _observation_cov(kernel, data.x, data.noise_variance)
-    return _factor_in_place(upper.T, max_jitter)
 
 
 def _check_basis_size(mean: MeanSpec, data: Dataset) -> None:
@@ -268,7 +253,8 @@ class _Engine:
     ``dtrsm`` over every target) is computed on first use and shared by
     every later :meth:`predict`, whose mean stage adds U = L^-1 M,
     z = L^-1 (y - m(X)), G = U^T U and Gamma = F* - V^T U for its mean
-    assumption.  A batch depends only on the mean assumption its variant
+    assumption, and :meth:`posterior_cov` for the joint covariance.  A batch
+    depends only on the mean assumption its variant
     resolves to, so each assumption's batch is computed once and returned
     to every later call that resolves to it; its arrays are shared and
     are not to be written.  Being lazy, the target stage lets a bad variant
@@ -285,8 +271,19 @@ class _Engine:
 
     @cached_property
     def _factor_or_error(self) -> SpdFactor | SingularityError:
+        """Factor S = Sigma + sigma^2 I where it is built; ``max_jitter`` is checked first.
+
+        S fills the upper triangle of a row-major buffer, checked finite block
+        by block, and LAPACK factors its column-major transpose in place: bit
+        for bit ``spd_factor(build_gram(...))``'s factor, with no copy or scan.
+        """
+        max_jitter = _nonnegative(self.max_jitter, "max_jitter")
+        if self.kernel.dim != self.data.dim:
+            raise InputError(f"kernel dimension {self.kernel.dim} does not match "
+                             f"data dimension {self.data.dim}")
+        upper = _observation_cov(self.kernel, self.data.x, self.data.noise_variance)
         try:
-            return _factor_observation_cov(self.data, self.kernel, self.max_jitter)
+            return _factor_in_place(upper.T, max_jitter)
         except SingularityError as err:
             return err
 
@@ -303,6 +300,15 @@ class _Engine:
         # whitened where it lies
         kt = kernel_matrix(self.kernel, self.xs, self.data.x)
         return _whiten(self.factor, kt.T).T
+
+    def posterior_cov(self, batch: _Batch | None = None) -> np.ndarray:
+        """The m x m covariance K** - V^T V of the targets given the data.
+
+        With ``batch``, one of :meth:`predict`'s, its mean stage's
+        Gamma h^T = Gamma G^-1 Gamma^T is added.
+        """
+        cov = build_gram(self.kernel, self.xs, 0.0) - self._targets @ self._targets.T
+        return cov if batch is None else cov + batch.gamma @ batch.h.T
 
     def observing(self, y) -> _Engine:
         """This engine with responses ``y`` at the same locations.
@@ -468,9 +474,10 @@ def universal_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
 
 def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
              max_jitter: float = 0.0) -> np.ndarray:
-    """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y."""
+    """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y, on the engine's factor of S."""
     spec = _variant_mean("uk", mean)
-    return _fit(data, spec, _factor_observation_cov(data, kernel, max_jitter)).beta
+    factor = _Engine(data, kernel, np.empty((0, data.dim)), max_jitter).factor
+    return _fit(data, spec, factor).beta
 
 
 def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:

@@ -4,8 +4,8 @@ Every Kriging variant reduces to solving against an SPD observation
 covariance, optionally coupled to unbiasedness constraints through the
 p x p constraint Gram M^T Sigma^-1 M.  This module Cholesky-factors both
 (LAPACK ``potrf``, with an optional diagonal jitter), and every solve
-against a factor L is BLAS ``dtrsm``: L^-1 B or L^-T B by one call
-(:func:`_whiten`), or both as in LAPACK ``potrs`` (:func:`solve_spd`);
+against a factor L is one BLAS ``dtrsm`` in :func:`_whiten`, L^-1 B or
+L^-T B; :func:`solve_spd` is the two in turn, as in LAPACK ``potrs``.
 Sigma^-1 is never formed.  Every factorization runs in place through
 :func:`_factor_in_place`: the engine hands it the buffer it built S in,
 already finite and read only in its lower triangle, so S is neither
@@ -113,10 +113,10 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
 def solve_spd(factor: SpdFactor, b) -> np.ndarray:
     """Solve (A + jitter * I) X = B against a prepared factor: X = L^-T (L^-1 B).
 
-    Both ``dtrsm`` calls overwrite a copy of B, never the caller's array.
+    Both :func:`_whiten` calls overwrite a copy of B, never the caller's array.
     """
     x = _whiten(factor, np.array(b, dtype=float, order="F"))
-    return _trsm(factor, x, transpose=True)
+    return _whiten(factor, x, transpose=True)
 
 
 def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
@@ -135,11 +135,6 @@ def _whiten(factor: SpdFactor, b, transpose: bool = False) -> np.ndarray:
         raise InputError(f"right-hand side has {b.shape[0]} rows, expected {factor.chol.shape[0]}")
     if not np.isfinite(b).all():
         raise InputError("right-hand side must be finite")
-    return _trsm(factor, b, transpose)
-
-
-def _trsm(factor: SpdFactor, b: np.ndarray, transpose: bool) -> np.ndarray:
-    """:func:`_whiten` on a float B already checked."""
     if b.size == 0:
         return np.zeros(b.shape)
     x = dtrsm(1.0, factor.chol, b.reshape(b.shape[0], -1), lower=1, trans_a=int(transpose),

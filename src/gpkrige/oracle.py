@@ -15,7 +15,9 @@ S^-1 1 and S^-1 M); only the trend's bordered system [[S, M], [M^T, 0]]
 is factored again.  The plug-in route's p x p GLS Gram M^T S^-1 M is
 Cholesky-factored by :mod:`gpkrige.linalg`, as the engine factors its
 own.  Each route serves every target at once; the one-point functions
-call that block form with a single row.
+call that block form with a single row.  No route clamps its variances,
+so a negative one from an ill-conditioned S fails a ``verify`` row, not
+the run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .kernels import (
 from .kriging import (
     Prediction,
     _check_basis_size,
-    _clamped,
     _mean_parts,
     _one_row,
     _Route,
@@ -88,7 +89,8 @@ def sk_with_plugin_mean(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
     T(Y) = f(x*)^T beta-hat + k*^T S^-1 (Y - M beta-hat).  Provably equal to
     Ordinary Kriging (constant mean) or Universal Kriging (basis mean); the
     reported error variance is the one of that equivalent estimator, since
-    the plug-in predictor is not conditioning on a truly known mean.
+    the plug-in predictor is not conditioning on a truly known mean, and is
+    not clamped: round-off can leave it slightly negative.
 
     At p = 1 (constant mean) this route is the direct solution of the
     Kriging system [[S, 1], [1^T, 0]] (lambda; mu) = (k*; 1): isolating
@@ -115,15 +117,14 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
 
     mean_value = _rowdot(f, beta) + _rowdot(s, data.y - m_mat @ beta)
 
-    sigma_star2 = kernel.variance
     gamma = f - np.einsum("ji,li->jl", s, np.ascontiguousarray(m_mat.T))
     h = solve_spd(gram_factor, gamma.T).T
-    sk_part = sigma_star2 - _rowdot(kt, s)
+    sk_part = kernel.variance - _rowdot(kt, s)
     lam = s + np.einsum("jl,il->ji", h, w)
     return _Route(
         "ok" if mean.kind == CONSTANT_UNKNOWN else "uk",
         mean=mean_value,
-        variance=_clamped(sk_part + _rowdot(gamma, h), sigma_star2),
+        variance=sk_part + _rowdot(gamma, h),
         estimator_variance=_rowdot(lam, kt) + _rowdot(f, h),
         lam=lam,
         lam0=np.zeros(lam.shape[0]),
@@ -241,8 +242,7 @@ def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     it serves every call.  A known mean borders S by no columns and enters
     as the offset m(X), so its Lam is the S^-1 K* already solved there; a
     basis borders S by M, and the call factors that bordered matrix by one
-    symmetric-indefinite LDL^T (:func:`bordered_solve`).  The variance is
-    not clamped, so an ill-conditioned S fails a row, not the run.
+    symmetric-indefinite LDL^T (:func:`bordered_solve`).
     """
     offset, design = _mean_parts(mean, data.x)
     offset_star, fstar = _mean_parts(mean, xs)

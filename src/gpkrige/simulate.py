@@ -6,11 +6,11 @@ Z(X*) at the test points, factored as p(y) p(z* | y).  The observations
 are y = m(X) + L xi, with L the Cholesky factor of S = Sigma + sigma^2 I
 that the replicate's Kriging engine uses anyway; the test values come from
 the exact conditional, mean m(X*) + K*^T S^-1 (y - m(X)) = m(X*) + V^T xi
-and covariance K** - V^T V, with V = L^-1 K* the engine's whitened target
-stage, drawn through the symmetric eigendecomposition of that m x m matrix
-(conditioning by Kriging).  When S does not factor or that covariance is
-not positive semidefinite (noise-free data at coincident points), the
-replicate falls back to :func:`sample_field`'s joint draw.
+and the engine's posterior covariance, drawn through the symmetric
+eigendecomposition of that m x m matrix (conditioning by Kriging).  When
+S does not factor or that covariance is not positive semidefinite
+(noise-free data at coincident points), the replicate falls back to
+:func:`sample_field`'s joint draw.
 The study then fits the requested predictors, scores squared prediction
 error against the latent field values at the test points, and reports for
 GPR the empirical coverage of its central 95% predictive intervals.
@@ -171,8 +171,7 @@ def _sample_replicate(cfg, x_train, x_test, rng):
                      cfg.kernel, x_test)
     try:
         chol = engine.factor.chol
-        vt = engine._targets
-        deviation = _sample_zero_mean(build_gram(cfg.kernel, x_test) - vt @ vt.T, rng)
+        deviation = _sample_zero_mean(engine.posterior_cov(), rng)
     except SingularityError:
         z_all = sample_field(cfg.kernel, cfg.true_mean, np.vstack([x_train, x_test]), 0.0,
                              rng)
@@ -185,7 +184,7 @@ def _sample_replicate(cfg, x_train, x_test, rng):
     # y - m(X) = L xi, so the conditional mean K*^T S^-1 (y - m(X)) is V^T xi
     xi = rng.standard_normal(cfg.n_train)
     y_train = _mean_vector(cfg.true_mean, x_train) + chol @ xi
-    z_test = _mean_vector(cfg.true_mean, x_test) + vt @ xi + deviation
+    z_test = _mean_vector(cfg.true_mean, x_test) + engine._targets @ xi + deviation
     return engine.observing(y_train), z_test
 
 

@@ -138,8 +138,8 @@ def test_no_oracle_route_runs_the_engine():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert "bordered_solve" in names
-    assert sorted(names & {"_Engine", "_engine_route", "_factor_observation_cov",
-                           "_factor_in_place", "_whiten", "SpdFactor"}) == []
+    assert sorted(names & {"_Engine", "_engine_route", "_clamped", "_factor_in_place",
+                           "_whiten", "SpdFactor"}) == []
 
 
 def test_readme_function_table_matches_the_code():

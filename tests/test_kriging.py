@@ -408,7 +408,7 @@ def test_engine_factor_is_the_public_factor(family, dim, n):
     rng = np.random.default_rng(n + 10 * dim)
     data = Dataset(rng.uniform(0.0, 3.0, (n, dim)), rng.normal(size=n), 1e-3)
     kernel = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 1.5, dim)))
-    factor = kriging._factor_observation_cov(data, kernel, 0.0)
+    factor = _Engine(data, kernel, np.empty((0, dim))).factor
     public = spd_factor(build_gram(kernel, data.x, data.noise_variance))
     assert factor.jitter_used == public.jitter_used == 0.0
     assert factor.chol.flags.f_contiguous and public.chol.flags.f_contiguous
@@ -432,7 +432,7 @@ def test_engine_jitter_retries_start_from_an_untouched_s(monkeypatch, family, re
     monkeypatch.setattr(linalg, "_try_cholesky", refusing)
     x = np.repeat(np.random.default_rng(4).uniform(0.0, 1.0, (40, 2)), 2, axis=0)
     data, kernel = Dataset(x, np.zeros(80)), KernelSpec(family, 1.0, (0.3, 0.3))
-    factor = kriging._factor_observation_cov(data, kernel, 1e-6)
+    factor = _Engine(data, kernel, np.empty((0, 2)), 1e-6).factor
     calls.clear()
     public = spd_factor(build_gram(kernel, x, 0.0), max_jitter=1e-6)
     assert factor.jitter_used == public.jitter_used == pytest.approx(1e-12 * 10.0 ** refused)
