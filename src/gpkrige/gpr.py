@@ -42,7 +42,7 @@ class GaussianPredictive:
             raise InputError(
                 f"covariance shape {cov.shape} does not match {mean.shape[0]} means"
             )
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * cov + 0.5 * cov.T
         _clamped(np.diag(cov), np.abs(np.diag(cov)).max(initial=0.0))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)

@@ -482,14 +482,20 @@ class MeanSpec:
             object.__setattr__(self, "constant", float(constant))
         if self.kind == KNOWN and (self.function is None) == (self.constant is None):
             raise InputError("known mean requires exactly one of a function and a constant")
+        if self.function is not None and self.kind != KNOWN:
+            raise InputError("only a known mean takes a function")
+        if self.functions and self.kind != BASIS:
+            raise InputError("only a basis mean takes functions")
         if self.exponents is not None:
             e = _real(self.exponents, "exponents")
             if self.kind != BASIS or self.functions or e.ndim != 2:
                 raise InputError("a polynomial basis takes exponents and no functions")
             object.__setattr__(self, "exponents", _frozen(e))
-        if self.kind == KNOWN:
-            if any(v is not None for v in (self.coefficients, self.prior_mean, self.prior_cov)):
-                raise InputError("a known mean takes no coefficients or prior")
+        if self.kind != BASIS:
+            for name in ("coefficients", "prior_mean", "prior_cov"):
+                if getattr(self, name) is not None:
+                    raise InputError(f"a {self.kind} mean takes no coefficients or prior, got "
+                                     f"{name}; a degree-0 polynomial basis takes them")
             return
         p = self.p
         if p < 1:
@@ -506,7 +512,7 @@ class MeanSpec:
             if name == "prior_cov":
                 if np.abs(v - v.T).max() > 1e-10 * max(1.0, np.abs(v).max()):
                     raise InputError("prior_cov must be symmetric")
-                v = 0.5 * (v + v.T)
+                v = 0.5 * v + 0.5 * v.T
             object.__setattr__(self, name, _frozen(v))
 
     # -- constructors -------------------------------------------------------
@@ -750,15 +756,16 @@ def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
 
 
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
+    """Parse a mean document; a kind other than basis rejects coefficients and a prior."""
     (mtype,) = _fields(doc, "mean document", "type")
+    priors = {name: doc.get(name) for name in ("coefficients", "prior_mean", "prior_cov")}
     if mtype == "constant_unknown":
-        return MeanSpec.constant_unknown()
+        return MeanSpec(kind=CONSTANT_UNKNOWN, **priors)
     if mtype == "known":
         (constant,) = _fields(doc, "known mean document", "constant")
-        return MeanSpec.known_constant(constant)
+        return MeanSpec(kind=KNOWN, constant=constant, **priors)
     if mtype == "basis":
         if doc.get("basis", "polynomial") != "polynomial":
             raise InputError(f"unsupported basis family {doc.get('basis')!r}")
-        return MeanSpec.polynomial(dim, doc.get("degree", 1), doc.get("coefficients"),
-                                   doc.get("prior_mean"), doc.get("prior_cov"))
+        return MeanSpec.polynomial(dim, doc.get("degree", 1), **priors)
     raise InputError(f"unknown mean type {mtype!r}")

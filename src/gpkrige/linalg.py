@@ -94,7 +94,7 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     """Factor a symmetric positive-definite matrix, leaving ``a`` as it is.
 
     ``a`` must be square, finite (so solves need not rescan it) and
-    symmetric to a relative 1e-10; a column-major copy of 0.5 * (a + a^T),
+    symmetric to a relative 1e-10; a column-major copy of 0.5 * a + 0.5 * a^T,
     ``a`` bit for bit if exactly symmetric, is factored with
     :func:`_factor_in_place`'s jitter escalation.  ``max_jitter`` must
     already be a nonnegative finite float, validated by the caller.
@@ -107,7 +107,7 @@ def spd_factor(a, max_jitter: float = 0.0) -> SpdFactor:
     scale = max(1.0, np.abs(a).max(initial=0.0))
     if np.abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
         raise InputError("matrix is not symmetric")
-    return _factor_in_place(np.asfortranarray(0.5 * (a + a.T)), max_jitter)
+    return _factor_in_place(np.asfortranarray(0.5 * a + 0.5 * a.T), max_jitter)
 
 
 def solve_spd(factor: SpdFactor, b) -> np.ndarray:
@@ -150,7 +150,7 @@ def _factor_constraint_gram(gram) -> SpdFactor:
     """
     if not np.isfinite(gram).all():
         raise InputError("matrix must be finite")
-    gram = 0.5 * (gram + gram.T)
+    gram = 0.5 * gram + 0.5 * gram.T
     eig = np.linalg.eigvalsh(gram)
     if eig[-1] <= 0.0 or eig[0] <= _RANK_RTOL * eig[-1]:
         raise SingularityError("basis functions linearly dependent at the design points")

@@ -180,6 +180,49 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    # a known or constant-unknown mean reads no coefficients or prior: a
+    # document carrying one is refused by name, not predicted without it
+    UNREAD_MEAN_FIELDS = {
+        f"{mtype}-{name}": ({"type": mtype, **extra}, variant, name, value)
+        for mtype, extra, variant in (("known", {"constant": 1.0}, "sk"),
+                                      ("constant_unknown", {}, "gpr-basis"))
+        for name, value in (("coefficients", [1.0]), ("prior_mean", [5.0]),
+                            ("prior_cov", [[1e-6]]))
+    }
+
+    @pytest.mark.parametrize("mean, variant, name, value", UNREAD_MEAN_FIELDS.values(),
+                             ids=UNREAD_MEAN_FIELDS.keys())
+    def test_unread_mean_field_exits_2(self, demo, capsys, mean, variant, name, value):
+        tmp, data, _ = demo
+        bad = tmp / "bad.json"
+        write_config(bad, {**SE_CONFIG, "variant": variant, "mean": {**mean, name: value}})
+        assert main(["predict", "--data", data, "--config", str(bad),
+                     "--grid", "0:1:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a ") and f" got {name};" in captured.err
+
+    def test_constant_prior_is_a_degree_0_polynomial(self, tmp_path, capsys):
+        # the prior N(5, 1e-6) pins the constant near 5; an unknown constant
+        # without it predicts about 0.89 at x = 3
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, [0.0, 0.4, 1.1], [1.0, 2.0, 0.5])
+        prior = {"prior_mean": [5.0], "prior_cov": [[1e-6]]}
+        doc = {**SE_CONFIG, "variant": "gpr-basis",
+               "kernel": {"family": "matern52", "variance": 1.0, "lengthscales": [0.5]}}
+        outputs = []
+        for mean in ({"type": "constant_unknown", **prior}, {**POLY_MEAN, "degree": 0, **prior},
+                     {"type": "constant_unknown"}):
+            write_config(config, {**doc, "mean": mean})
+            code = main(["predict", "--data", str(data), "--config", str(config),
+                         "--grid", "3:3:1"])
+            outputs.append((code, *capsys.readouterr()))
+        refused, pinned, free = outputs
+        assert refused[:2] == (2, "") and "got prior_mean;" in refused[2]
+        assert pinned[0] == free[0] == 0
+        assert float(pinned[1].splitlines()[1].split(",")[1]) == pytest.approx(4.9696, abs=1e-4)
+        assert float(free[1].splitlines()[1].split(",")[1]) == pytest.approx(0.8926, abs=1e-4)
+
     def test_invalid_json_exits_2(self, demo, capsys):
         tmp, data, _ = demo
         bad = tmp / "bad.json"
@@ -691,6 +734,23 @@ class TestVerify:
                   for line in capsys.readouterr().out.splitlines()}
         assert code == 5
         assert [status[name] for name in ROUTE_ROWS] == ["fail"] * len(ROUTE_ROWS)
+
+    def test_negative_route_variance_fails_its_row(self, tmp_path, capsys):
+        # 40 points in the unit square under a lengthscale-1 SE kernel: a route's
+        # variance negative beyond round-off fails its row, where clamping
+        # it ended the run with exit 3; every row prints and fails
+        rng = np.random.default_rng(2)
+        x = rng.random((40, 2))
+        y = np.sin(6.0 * (x[:, 0] + x[:, 1])) + 0.1 * rng.standard_normal(40)
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        write_csv(data, x, y)
+        write_config(config, SE_CONFIG)
+        code = main(["verify", "--data", str(data), "--config", str(config),
+                     "--grid", "0:1:7", "--grid", "0:1:7"])
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert code == 5
+        assert [row[0] for row in rows] == [*ROUTE_ROWS, "interpolation"]
+        assert [row[-1] for row in rows] == ["fail"] * 5
 
     # verify runs the configured model before any row, on the data predict reads
     MATERN = {**SE_CONFIG, "kernel": {"family": "matern52", "variance": 1.0,

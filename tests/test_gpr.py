@@ -18,6 +18,7 @@ from gpkrige import (
     simple_krige,
     universal_krige,
 )
+from gpkrige.kriging import _Engine
 from gpkrige.oracle import joint_prior
 from helpers import random_instance
 
@@ -62,6 +63,11 @@ class TestGaussianPredictive:
     def test_round_off_negative_variance_is_clamped(self):
         post = GaussianPredictive(mean=[0.0, 0.0], covariance=np.diag([1.0, -1e-12]))
         assert post.variance.tolist() == [1.0, 0.0]
+
+    def test_entries_above_half_the_float_max_stay_finite(self):
+        # symmetrized by halves: the sum of cov and cov^T would overflow
+        big = np.array([[1e308, 0.0], [0.0, 1e308]])
+        np.testing.assert_array_equal(GaussianPredictive(np.zeros(2), big).covariance, big)
 
     def test_covariance_shape_must_match_mean(self):
         with pytest.raises(InputError, match="does not match 2 means"):
@@ -238,3 +244,22 @@ class TestMapPredict:
         data = Dataset([[0.0], [1.0]], [1.0, 2.0])
         post = gpr_predict_basis(data, SE1, MeanSpec.basis([lambda x: 1.0]), [[0.5]])
         assert post.mean[0] == pytest.approx(1.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("predict, variant, mean", [
+    (gpr_predict, "gpr", MeanSpec.known_constant(0.5)),
+    (gpr_predict_basis, "gpr-basis", MeanSpec.polynomial(2, 1)),
+    (gpr_predict_basis, "gpr-basis", MeanSpec.polynomial(2, 1, prior_mean=[0.0, 1.0, 0.0],
+                                                         prior_cov=np.diag([1.0, 2.0, 0.5]))),
+], ids=["gpr", "gpr-basis", "gpr-basis-prior"])
+def test_off_diagonal_is_the_engine_posterior_cov(predict, variant, mean):
+    # off the diagonal, which holds the engine's clamped variances, the joint
+    # covariance is the engine's K** - V^T V + Gamma h^T, symmetrized by halves
+    rng = np.random.default_rng(44)
+    data, kernel, _ = random_instance(rng, n=15, dim=2, noise=0.1)
+    xs = rng.uniform(0.0, 6.0, (7, 2))
+    engine = _Engine(data, kernel, xs)
+    cov = engine.posterior_cov(engine.predict(variant, mean))
+    off = ~np.eye(7, dtype=bool)
+    np.testing.assert_array_equal(predict(data, kernel, mean, xs).covariance[off],
+                                  (0.5 * cov + 0.5 * cov.T)[off])

@@ -584,6 +584,11 @@ class TestMeanSpec:
         mean = MeanSpec.polynomial(1, 1)
         np.testing.assert_allclose(basis_matrix(mean, [[4.0]])[0], [1.0, 4.0])
 
+    def test_prior_cov_above_half_the_float_max_kept(self):
+        # symmetrized by halves: the sum of a and a^T would overflow
+        big = ((1e308, 0.0), (0.0, 1e308))
+        assert MeanSpec.polynomial(1, 1, prior_cov=big).prior_cov == big
+
     def test_prior_shape_validation(self):
         with pytest.raises(InputError):
             MeanSpec.polynomial(1, 1, prior_cov=np.eye(3))
@@ -598,6 +603,18 @@ class TestMeanSpec:
         ({"kind": "basis"}, "at least one function"),
         ({"kind": "basis", "exponents": ((0.0,), (1.0,)),
           "prior_cov": ((1.0, 0.5), (0.0, 1.0))}, "prior_cov must be symmetric"),
+        # fields a kind does not read are refused, not dropped
+        ({"kind": "basis", "exponents": ((0.0,),), "function": lambda x: 1.0},
+         "only a known mean takes a function"),
+        ({"kind": "constant_unknown", "function": lambda x: 1.0},
+         "only a known mean takes a function"),
+        ({"kind": "known", "constant": 1.0, "functions": (lambda x: 1.0,)},
+         "only a basis mean takes functions"),
+        ({"kind": "constant_unknown", "functions": (lambda x: 1.0,)},
+         "only a basis mean takes functions"),
+        ({"kind": "constant_unknown", "coefficients": (1.0,)}, "got coefficients;"),
+        ({"kind": "constant_unknown", "prior_mean": (5.0,)}, "got prior_mean;"),
+        ({"kind": "constant_unknown", "prior_cov": ((1e-6,),)}, "got prior_cov;"),
     ])
     def test_invalid_specs_rejected(self, kwargs, message):
         with pytest.raises(InputError, match=message):

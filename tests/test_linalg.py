@@ -65,7 +65,18 @@ class TestSpdFactor:
             spd_factor(m)
             spd_factor(m, max_jitter=1e-6)
             np.testing.assert_array_equal(m, before)
-        np.testing.assert_array_equal(spd_factor(b).chol, spd_factor(0.5 * (b + b.T)).chol)
+        np.testing.assert_array_equal(spd_factor(b).chol, spd_factor(0.5 * b + 0.5 * b.T).chol)
+
+    def test_entries_above_half_the_float_max_stay_finite(self):
+        # symmetrized by halves: the sum of a and a^T would overflow
+        a = np.array([[1e308, 5e307], [5e307, 1e308]])
+        chol = spd_factor(a).chol
+        assert np.isfinite(chol).all()
+        np.testing.assert_allclose(chol @ chol.T, a, rtol=1e-15)
+
+    def test_constraint_gram_above_half_the_float_max_stays_finite(self):
+        chol = _factor_constraint_gram(np.diag([1e308, 1e308])).chol
+        np.testing.assert_array_equal(chol, np.diag([np.sqrt(1e308)] * 2))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError, match="symmetric"):
@@ -162,7 +173,7 @@ class TestCheckSymmetric:
         before = a.copy()
         got = spd_factor(a)
         np.testing.assert_array_equal(a, before)
-        np.testing.assert_array_equal(got.chol, spd_factor(0.5 * (a + a.T)).chol)
+        np.testing.assert_array_equal(got.chol, spd_factor(0.5 * a + 0.5 * a.T).chol)
 
 
 class TestWhiten:

@@ -349,6 +349,26 @@ class TestReplicateSampler:
         np.testing.assert_array_equal(base, mean)
         assert np.abs(r @ r.T - cov).max() <= 1e-10 * np.abs(cov).max()
 
+    @pytest.mark.parametrize("noise", [0.05, 0.0], ids=["noisy", "noise-free"])
+    def test_conditional_covariance_is_the_engine_posterior_cov(self, monkeypatch, noise):
+        # the sampler draws z* | y from the engine's own K** - V^T V, bit for bit
+        sample, drawn = simulate._sample_zero_mean, []
+
+        def recorded(cov, rng):
+            drawn.append(cov.copy())
+            return sample(cov, rng)
+
+        monkeypatch.setattr(simulate, "_sample_zero_mean", recorded)
+        cfg = self.config(noise)
+        rng = np.random.default_rng(11)
+        x_train = rng.uniform(0.0, 1.0, (cfg.n_train, 2))
+        x_test = rng.uniform(0.0, 1.0, (cfg.n_test, 2))
+        simulate._sample_replicate(cfg, x_train, x_test, rng)
+        engine = kriging._Engine(Dataset(x_train, np.zeros(cfg.n_train), noise), cfg.kernel,
+                                 x_test)
+        assert len(drawn) == 1
+        np.testing.assert_array_equal(drawn[0], engine.posterior_cov())
+
     def test_fallback_replays_the_joint_draw(self):
         # noise-free data at coincident points: S does not factor, and the
         # replicate draws what sample_field draws from the same stream
