@@ -442,7 +442,8 @@ class MeanSpec:
 
     * ``known``: an explicit mean function ``m(x)``;
     * ``constant_unknown``: an unknown constant (Ordinary Kriging case),
-      semantically identical to a one-function basis f == 1;
+      semantically identical to a one-function basis f == 1, without its
+      coefficients or prior (a degree-0 :meth:`polynomial` takes them);
     * ``basis``: m(x) = sum_l f_l(x) * beta_l for known functions f_l, with
       the coefficients possibly unknown (Universal Kriging case). When
       ``coefficients`` is set the mean is fully identified; ``prior_mean`` /
@@ -458,7 +459,8 @@ class MeanSpec:
     evaluates the exponents in one vectorised product, and they are what
     lets the basis be written back to JSON.  Every number is stored as a
     tuple of floats, so specs compare equal and hash by value (a function
-    by identity), and a spec never shares an array with its caller.
+    by identity), and a spec never shares an array with its caller.  A
+    field its kind does not read is an :class:`InputError`, not dropped.
     """
 
     kind: str

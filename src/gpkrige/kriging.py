@@ -253,11 +253,10 @@ class _Engine:
     ``dtrsm`` over every target) is computed on first use and shared by
     every later :meth:`predict`, whose mean stage adds U = L^-1 M,
     z = L^-1 (y - m(X)), G = U^T U and Gamma = F* - V^T U for its mean
-    assumption, and :meth:`posterior_cov` for the joint covariance.  A batch
-    depends only on the mean assumption its variant
-    resolves to, so each assumption's batch is computed once and returned
-    to every later call that resolves to it; its arrays are shared and
-    are not to be written.  Being lazy, the target stage lets a bad variant
+    assumption, and by :meth:`posterior_cov`.  A batch depends only on the
+    mean assumption its variant resolves to, so each assumption's batch is
+    computed once and returned to every later call that resolves to it;
+    its arrays are shared and are not to be written.  Being lazy, the target stage lets a bad variant
     or mean be rejected before anything is factored.  A factorization that
     fails is remembered too: every later use raises a fresh
     :class:`SingularityError` with the same message and pivot instead of

@@ -736,9 +736,9 @@ class TestVerify:
         assert [status[name] for name in ROUTE_ROWS] == ["fail"] * len(ROUTE_ROWS)
 
     def test_negative_route_variance_fails_its_row(self, tmp_path, capsys):
-        # 40 points in the unit square under a lengthscale-1 SE kernel: a route's
-        # variance negative beyond round-off fails its row, where clamping
-        # it ended the run with exit 3; every row prints and fails
+        # 40 points in the unit square under a lengthscale-1 SE kernel: a route
+        # variance negative beyond round-off fails its row, not the run, so
+        # every row prints, and each fails
         rng = np.random.default_rng(2)
         x = rng.random((40, 2))
         y = np.sin(6.0 * (x[:, 0] + x[:, 1])) + 0.1 * rng.standard_normal(40)
