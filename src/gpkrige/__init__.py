@@ -24,7 +24,6 @@ from .kernels import (
     empirical_semivariogram,
     kernel_matrix,
     model_from_json,
-    model_to_json,
     semivariogram_of,
 )
 from .kriging import (
@@ -66,7 +65,6 @@ __all__ = [
     "empirical_semivariogram",
     "kernel_matrix",
     "model_from_json",
-    "model_to_json",
     "semivariogram_of",
     "KrigingWeights",
     "Prediction",

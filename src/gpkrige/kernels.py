@@ -450,17 +450,16 @@ class MeanSpec:
       ``prior_cov`` optionally place a Gaussian prior on the coefficients.
 
     A known mean is either a ``function`` of one 1-D location, called row
-    by row, or a ``constant``, evaluated as a broadcast; only a constant
-    can be written to JSON.
+    by row, or a ``constant``, evaluated as a broadcast.
 
     A basis is either hand-built ``functions``, each taking a 1-D location
     array of length d and returning a float, or a polynomial given by its
     p x d matrix of monomial ``exponents`` alone; :func:`basis_matrix`
-    evaluates the exponents in one vectorised product, and they are what
-    lets the basis be written back to JSON.  Every number is stored as a
-    tuple of floats, so specs compare equal and hash by value (a function
-    by identity), and a spec never shares an array with its caller.  A
-    field its kind does not read is an :class:`InputError`, not dropped.
+    evaluates the exponents in one vectorised product.  Every number is
+    stored as a tuple of floats, so specs compare equal and hash by value
+    (a function by identity), and a spec never shares an array with its
+    caller.  A field its kind does not read is an :class:`InputError`, not
+    dropped.
     """
 
     kind: str
@@ -684,50 +683,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # JSON model documents
 # ---------------------------------------------------------------------------
-
-
-def model_to_json(kernel: KernelSpec, mean: MeanSpec, noise_variance: float) -> dict:
-    """Serialize a model to the interchange document.
-
-    Only means constructed from a named family (known constant, polynomial
-    basis) are representable.
-    """
-    return {
-        "kernel": _kernel_to_json(kernel),
-        "mean": _mean_to_json(mean),
-        "noise_variance": _nonnegative(noise_variance, "noise_variance"),
-    }
-
-
-def _kernel_to_json(kernel: KernelSpec) -> dict:
-    return {
-        "family": kernel.family,
-        "variance": kernel.variance,
-        "lengthscales": list(kernel.lengthscales),
-    }
-
-
-def _mean_to_json(mean: MeanSpec) -> dict:
-    if mean.kind == CONSTANT_UNKNOWN:
-        return {"type": "constant_unknown"}
-    if mean.kind == KNOWN:
-        if mean.constant is not None:
-            return {"type": "known", "constant": mean.constant}
-        raise InputError("only constant known means are JSON-representable")
-    if mean.exponents is not None:
-        dim, degree = len(mean.exponents[0]), int(max(map(sum, mean.exponents)))
-        if (degree < 0 or len(mean.exponents) != math.comb(dim + degree, dim)
-                or list(map(list, mean.exponents)) != _monomial_exponents(dim, degree)):
-            raise InputError("only all monomials up to a degree, in order, are JSON-representable")
-        doc = {"type": "basis", "basis": "polynomial", "degree": degree}
-        if mean.coefficients is not None:
-            doc["coefficients"] = list(mean.coefficients)
-        if mean.prior_mean is not None:
-            doc["prior_mean"] = list(mean.prior_mean)
-        if mean.prior_cov is not None:
-            doc["prior_cov"] = [list(row) for row in mean.prior_cov]
-        return doc
-    raise InputError("basis means built from raw callables are not JSON-representable")
 
 
 def _fields(doc, what: str, *keys) -> list:

@@ -102,7 +102,6 @@ class KrigingWeights:
     lam: np.ndarray
     lam0: float
     mu_tilde: np.ndarray
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,6 @@ class _Route:
     other arrays hold one value per target.
     """
 
-    variant: str
     mean: np.ndarray
     variance: np.ndarray
     estimator_variance: np.ndarray
@@ -375,7 +373,7 @@ class _Route:
                 error_variance=float(self.variance[j]),
                 estimator_variance=float(self.estimator_variance[j]),
                 weights=KrigingWeights(lam=self.lam[j], lam0=float(self.lam0[j]),
-                                       mu_tilde=self.mu_tilde[j], variant=self.variant),
+                                       mu_tilde=self.mu_tilde[j]),
                 jitter_warning=self.jitter,
             )
             for j in range(self.mean.shape[0])
@@ -403,8 +401,8 @@ def _engine_route(engine: _Engine, variant: str, mean: MeanSpec | None) -> _Rout
                 "expanded and compact OK variance forms disagree: "
                 f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
             )
-    return _Route(variant, batch.mean, batch.variance, estimator_var, lam, lam0,
-                  batch.h, engine.factor.jitter_used > 0.0)
+    return _Route(batch.mean, batch.variance, estimator_var, lam, lam0, batch.h,
+                  engine.factor.jitter_used > 0.0)
 
 
 def _one_row(xstar) -> np.ndarray:

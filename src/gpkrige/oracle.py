@@ -30,7 +30,6 @@ from scipy.linalg.blas import dtrsm
 
 from .exceptions import InputError, SingularityError
 from .kernels import (
-    CONSTANT_UNKNOWN,
     Dataset,
     KernelSpec,
     MeanSpec,
@@ -122,7 +121,6 @@ def _plugin_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     sk_part = kernel.variance - _rowdot(kt, s)
     lam = s + np.einsum("jl,il->ji", h, w)
     return _Route(
-        "ok" if mean.kind == CONSTANT_UNKNOWN else "uk",
         mean=mean_value,
         variance=sk_part + _rowdot(gamma, h),
         estimator_variance=_rowdot(lam, kt) + _rowdot(f, h),

@@ -17,7 +17,6 @@ from gpkrige import (
     empirical_semivariogram,
     kernel_matrix,
     model_from_json,
-    model_to_json,
     semivariogram_of,
 )
 from gpkrige.kernels import (
@@ -662,66 +661,59 @@ class TestDataset:
 
 
 class TestModelJson:
+    """The reader on literal model documents: each test parses a document and
+    checks the kernel, mean and noise it yields."""
+
     def test_roundtrip(self):
-        kernel = KernelSpec("squared_exponential", 1.0, (1.0,))
-        mean = MeanSpec.constant_unknown()
-        doc = model_to_json(kernel, mean, 0.0)
-        assert doc == {
-            "kernel": {
-                "family": "squared_exponential",
-                "variance": 1.0,
-                "lengthscales": [1.0],
-            },
+        doc = {
+            "kernel": {"family": "squared_exponential", "variance": 1.0, "lengthscales": [1.0]},
             "mean": {"type": "constant_unknown"},
             "noise_variance": 0.0,
         }
         k2, m2, noise = model_from_json(doc)
-        assert k2 == kernel
+        assert k2 == KernelSpec("squared_exponential", 1.0, (1.0,))
         assert m2.kind == "constant_unknown"
         assert noise == 0.0
 
     def test_known_constant_roundtrip(self):
-        doc = model_to_json(KernelSpec("matern32", 2.0, (0.5,)),
-                            MeanSpec.known_constant(5.0), 0.1)
+        doc = {
+            "kernel": {"family": "matern32", "variance": 2.0, "lengthscales": [0.5]},
+            "mean": {"type": "known", "constant": 5.0},
+            "noise_variance": 0.1,
+        }
         k2, m2, noise = model_from_json(doc)
         assert m2.kind == "known"
         assert _mean_vector(m2, np.array([[0.0]]))[0] == 5.0
         assert noise == 0.1
 
     def test_polynomial_basis_roundtrip(self):
-        mean = MeanSpec.polynomial(2, 1, coefficients=[1.0, 2.0, 3.0])
-        doc = model_to_json(KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2), mean, 0.0)
+        doc = {
+            "kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [1.0, 1.0]},
+            "mean": {"type": "basis", "basis": "polynomial", "degree": 1,
+                     "coefficients": [1.0, 2.0, 3.0]},
+            "noise_variance": 0.0,
+        }
         _, m2, _ = model_from_json(doc)
         assert _mean_vector(m2, np.array([[1.0, 1.0]]))[0] == 6.0
 
     def test_prior_roundtrip(self):
-        mean = MeanSpec.polynomial(1, 1, prior_mean=[0.5, -2.0],
-                                   prior_cov=[[2.0, 0.3], [0.3, 1.0]])
-        doc = model_to_json(KernelSpec("matern52", 1.0, (0.7,)), mean, 0.01)
-        assert doc["mean"] == {"type": "basis", "basis": "polynomial", "degree": 1,
-                               "prior_mean": [0.5, -2.0],
-                               "prior_cov": [[2.0, 0.3], [0.3, 1.0]]}
+        doc = {
+            "kernel": {"family": "matern52", "variance": 1.0, "lengthscales": [0.7]},
+            "mean": {"type": "basis", "basis": "polynomial", "degree": 1,
+                     "prior_mean": [0.5, -2.0], "prior_cov": [[2.0, 0.3], [0.3, 1.0]]},
+            "noise_variance": 0.01,
+        }
         _, m2, _ = model_from_json(doc)
-        assert m2 == mean
-
-    @pytest.mark.parametrize("exponents, coefficients", [
-        (((0.0,), (2.0,)), None),  # a gap: not the monomials up to degree 2
-        (((0.0,), (2.0,)), (1.0, 2.0)),
-        (((0.5,),), None),  # not a monomial
-        (((1.0,), (0.0,)), None),  # out of order
-        (((1e9,),), None),  # degree 1e9: rejected by the count, before any monomial is built
-    ])
-    def test_other_exponents_not_serializable(self, exponents, coefficients):
-        # each was once written as a polynomial of another degree
-        mean = MeanSpec(kind="basis", exponents=exponents, coefficients=coefficients)
-        with pytest.raises(InputError, match="JSON-representable"):
-            model_to_json(KernelSpec("exponential", 1.0, (1.0,)), mean, 0.0)
+        assert m2 == MeanSpec.polynomial(1, 1, prior_mean=[0.5, -2.0],
+                                         prior_cov=[[2.0, 0.3], [0.3, 1.0]])
 
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_polynomial_degree_from_exponents(self, degree):
-        kernel = KernelSpec("exponential", 1.0, (1.0, 1.0), dim=2)
-        doc = model_to_json(kernel, MeanSpec.polynomial(2, degree), 0.0)
-        assert doc["mean"] == {"type": "basis", "basis": "polynomial", "degree": degree}
+        doc = {
+            "kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [1.0, 1.0]},
+            "mean": {"type": "basis", "basis": "polynomial", "degree": degree},
+            "noise_variance": 0.0,
+        }
         _, m2, _ = model_from_json(doc)
         assert m2.p == MeanSpec.polynomial(2, degree).p
 
@@ -733,14 +725,6 @@ class TestModelJson:
         }
         kernel, _, _ = model_from_json(doc, dim=3)
         assert kernel.lengthscales == (2.0, 2.0, 2.0)
-
-    def test_arbitrary_callable_not_serializable(self):
-        with pytest.raises(InputError):
-            model_to_json(KernelSpec("exponential", 1.0, (1.0,)),
-                          MeanSpec.known(lambda x: x[0] ** 3), 0.0)
-        with pytest.raises(InputError, match="raw callables"):
-            model_to_json(KernelSpec("exponential", 1.0, (1.0,)),
-                          MeanSpec.basis([lambda x: 1.0]), 0.0)
 
     @pytest.mark.parametrize("doc, message", [
         ({"type": "basis", "basis": "fourier"}, "unsupported basis family"),
