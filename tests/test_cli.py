@@ -202,6 +202,29 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err.startswith("error: a ") and f" got {name};" in captured.err
 
+    # a null where a value belongs is refused by name, not read as an absent
+    # field: each of these once predicted as if the field were left out
+    NULL_MEAN_FIELDS = {
+        "constant-unknown-prior": ("gpr-basis", {"type": "constant_unknown",
+                                                 "prior_mean": None, "prior_cov": None},
+                                   "prior_mean"),
+        "basis-coefficients": ("uk", {**POLY_MEAN, "coefficients": None}, "coefficients"),
+        "basis-prior-cov": ("gpr-basis", {**POLY_MEAN, "prior_mean": [0.0, 0.0],
+                                          "prior_cov": None}, "prior_cov"),
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "verify"])
+    @pytest.mark.parametrize("variant, mean, name", NULL_MEAN_FIELDS.values(),
+                             ids=NULL_MEAN_FIELDS.keys())
+    def test_null_mean_field_exits_2(self, demo, capsys, command, variant, mean, name):
+        tmp, data, _ = demo
+        bad = tmp / "bad.json"
+        write_config(bad, {**SE_CONFIG, "variant": variant, "mean": mean})
+        assert main([command, "--data", data, "--config", str(bad), "--grid", "0:1:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: mean field {name!r} is null")
+
     def test_constant_prior_is_a_degree_0_polynomial(self, tmp_path, capsys):
         # the prior N(5, 1e-6) pins the constant near 5; an unknown constant
         # without it predicts about 0.89 at x = 3

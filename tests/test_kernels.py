@@ -717,6 +717,21 @@ class TestModelJson:
         _, m2, _ = model_from_json(doc)
         assert m2.p == MeanSpec.polynomial(2, degree).p
 
+    @pytest.mark.parametrize("mdoc, name", [
+        ({"type": "constant_unknown", "prior_mean": None, "prior_cov": None}, "prior_mean"),
+        ({"type": "basis", "basis": "polynomial", "degree": 1, "coefficients": None},
+         "coefficients"),
+        ({"type": "basis", "basis": "polynomial", "degree": 0, "prior_mean": [5.0],
+          "prior_cov": None}, "prior_cov"),
+        ({"type": "known", "constant": None}, "constant"),
+    ])
+    def test_null_mean_field_rejected(self, mdoc, name):
+        # a null is not an absent field: only the fields a document holds reach MeanSpec
+        doc = {"kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [1.0]},
+               "mean": mdoc, "noise_variance": 0.0}
+        with pytest.raises(InputError, match=f"mean field '{name}' is null"):
+            model_from_json(doc)
+
     def test_isotropic_broadcast_from_data_dim(self):
         doc = {
             "kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [2.0]},

@@ -158,6 +158,14 @@ class TestStudyConfig:
         assert cfg.predictors == ("ls", "ok", "gpr")
         assert cfg.seed == 123
 
+    @pytest.mark.parametrize("name", ["coefficients", "prior_mean", "prior_cov"])
+    def test_null_true_mean_field_rejected(self, name):
+        # refused by name, not read as an absent field
+        mdoc = {"type": "basis", "basis": "polynomial", "degree": 1,
+                "coefficients": [5.0, -0.5], name: None}
+        with pytest.raises(InputError, match=f"mean field '{name}' is null"):
+            study_config_from_json(dict(self.STUDY_DOC, true_mean=mdoc))
+
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):
             study_config_from_json({"kernel": {}})
