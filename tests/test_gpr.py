@@ -20,7 +20,7 @@ from gpkrige import (
 )
 from gpkrige.kriging import _Engine
 from gpkrige.oracle import joint_prior
-from helpers import random_instance
+from helpers import random_instance, random_spd
 
 SE1 = KernelSpec("squared_exponential", 1.0, (1.0,))
 ZERO_MEAN = MeanSpec.known_constant(0.0)
@@ -209,23 +209,31 @@ class TestGprPredictBasis:
 
     def test_finite_prior_matches_dense_conditioning_oracle(self):
         # condition the joint Gaussian [Y, Z*] directly at a moderate prior
+        # beta ~ N(b, B): Y ~ N(Mb, S + M B M^T), Cov(Y, Z*) = K* + M B F*^T,
+        # Cov(Z*) = K** + F* B F*^T; means and the full m x m covariance
         rng = np.random.default_rng(49)
         data, kernel, xstar = random_instance(rng, n=7, dim=1)
-        prior_cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        b = np.array([0.4, -0.1])
-        mean = MeanSpec.polynomial(1, 1, prior_mean=b, prior_cov=prior_cov)
-        post = gpr_predict_basis(data, kernel, mean, [xstar])
+        cases = [(data, kernel, np.array([xstar]), np.array([[2.0, 0.3], [0.3, 1.0]]),
+                  np.array([0.4, -0.1]))]
+        for noise in (0.0, 0.1):
+            data, kernel, _ = random_instance(rng, n=20, dim=2, noise=noise)
+            xs = rng.uniform(data.x.min(axis=0), data.x.max(axis=0), (6, 2))
+            cases.append((data, kernel, xs, random_spd(rng, 3), rng.normal(size=3)))
+        for data, kernel, xs, prior_cov, b in cases:
+            dim = data.dim
+            mean = MeanSpec.polynomial(dim, 1, prior_mean=b, prior_cov=prior_cov)
+            post = gpr_predict_basis(data, kernel, mean, xs)
 
-        m = np.hstack([np.ones((7, 1)), data.x])
-        ms = np.array([[1.0, float(xstar[0])]])
-        v = m @ prior_cov @ m.T + build_gram(kernel, data.x, data.noise_variance)
-        c = m @ prior_cov @ ms.T + kernel_matrix(kernel, data.x, [xstar])
-        vss = ms @ prior_cov @ ms.T + kernel.variance
-        sol = np.linalg.solve(v, np.column_stack([c, data.y - m @ b]))
-        oracle_mean = (ms @ b).item() + c[:, 0] @ sol[:, 1]
-        oracle_var = vss[0, 0] - c[:, 0] @ sol[:, 0]
-        assert post.mean[0] == pytest.approx(oracle_mean, abs=1e-9)
-        assert post.variance[0] == pytest.approx(oracle_var, abs=1e-9)
+            m = np.hstack([np.ones((data.n, 1)), data.x])
+            ms = np.hstack([np.ones((len(xs), 1)), xs])
+            v = m @ prior_cov @ m.T + build_gram(kernel, data.x, data.noise_variance)
+            c = m @ prior_cov @ ms.T + kernel_matrix(kernel, data.x, xs)
+            vss = ms @ prior_cov @ ms.T + build_gram(kernel, xs)
+            sol = np.linalg.solve(v, np.column_stack([c, data.y - m @ b]))
+            oracle_mean = ms @ b + c.T @ sol[:, -1]
+            oracle_cov = vss - c.T @ sol[:, :-1]
+            np.testing.assert_allclose(post.mean, oracle_mean, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(post.covariance, oracle_cov, rtol=0, atol=1e-9)
 
     def test_prior_must_be_positive_definite(self):
         data = Dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
