@@ -715,15 +715,13 @@ def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
     """Parse a mean document; a kind other than basis rejects coefficients and a prior.
 
-    Only the fields the document holds reach :class:`MeanSpec`; a field
-    held as ``null`` is refused by name, not read as absent.
+    A field held as ``null`` is refused by name, not read as absent.
     """
     (mtype,) = _fields(doc, "mean document", "type")
     for name, value in doc.items():
         if value is None:
             raise InputError(f"mean field {name!r} is null; leave it out or give a value")
-    priors = {name: doc[name] for name in ("coefficients", "prior_mean", "prior_cov")
-              if name in doc}
+    priors = {name: doc.get(name) for name in ("coefficients", "prior_mean", "prior_cov")}
     if mtype == "constant_unknown":
         return MeanSpec(kind=CONSTANT_UNKNOWN, **priors)
     if mtype == "known":

@@ -18,7 +18,6 @@ Run with ``-s`` to print the matrix, one ``[fault-matrix]`` line per case.
 import contextlib
 import dataclasses
 import io
-import json
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ import pytest
 from gpkrige import kernels, kriging
 from gpkrige.cli import main
 from gpkrige.kernels import _rowdot
+from test_cli import write_config, write_csv
 
 ROUTE_ROWS = frozenset({"ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta", "gpr_vs_sk",
                         "gpr_basis_vs_uk"})
@@ -44,14 +44,12 @@ def inputs(tmp_path_factory):
     paths = {}
     for name, (x, y, noise) in (("noisy", noisy), ("noise-free", noise_free)):
         data, config = tmp / f"{name}.csv", tmp / f"{name}.json"
-        with open(data, "w") as fh:
-            fh.write("x1,x2,y\n")
-            fh.writelines(f"{a!r},{b!r},{v!r}\n" for (a, b), v in zip(x.tolist(), y.tolist()))
-        with open(config, "w") as fh:
-            json.dump({"variant": "uk",
-                       "kernel": {"family": "matern52", "variance": 1.0, "lengthscales": [0.25]},
-                       "mean": {"type": "basis", "basis": "polynomial", "degree": 1},
-                       "noise_variance": noise}, fh)
+        write_csv(data, x, y)
+        write_config(config, {"variant": "uk",
+                              "kernel": {"family": "matern52", "variance": 1.0,
+                                         "lengthscales": [0.25]},
+                              "mean": {"type": "basis", "basis": "polynomial", "degree": 1},
+                              "noise_variance": noise})
         paths[name] = (str(data), str(config))
     return paths
 
