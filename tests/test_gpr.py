@@ -220,8 +220,7 @@ class TestGprPredictBasis:
             xs = rng.uniform(data.x.min(axis=0), data.x.max(axis=0), (6, 2))
             cases.append((data, kernel, xs, random_spd(rng, 3), rng.normal(size=3)))
         for data, kernel, xs, prior_cov, b in cases:
-            dim = data.dim
-            mean = MeanSpec.polynomial(dim, 1, prior_mean=b, prior_cov=prior_cov)
+            mean = MeanSpec.polynomial(data.dim, 1, prior_mean=b, prior_cov=prior_cov)
             post = gpr_predict_basis(data, kernel, mean, xs)
 
             m = np.hstack([np.ones((data.n, 1)), data.x])
