@@ -7,8 +7,8 @@ noise of variance ``noise_variance``.  This module owns the three building
 blocks every predictor needs:
 
 * :class:`KernelSpec` and the Gram/cross-covariance assembly,
-* :class:`MeanSpec` (known function or constant, unknown constant, or a
-  linear basis expansion) together with mean and basis-matrix evaluation,
+* :class:`MeanSpec` (known constant, unknown constant, or a linear basis
+  expansion) together with mean and basis-matrix evaluation,
 * the semivariogram identity ``gamma(tau) = variance - C(tau)`` and the
   binned empirical semivariogram estimator.
 
@@ -440,17 +440,15 @@ class MeanSpec:
 
     Three variants:
 
-    * ``known``: an explicit mean function ``m(x)``;
+    * ``known``: a known constant;
     * ``constant_unknown``: an unknown constant (Ordinary Kriging case),
       semantically identical to a one-function basis f == 1, without its
       coefficients or prior (a degree-0 :meth:`polynomial` takes them);
     * ``basis``: m(x) = sum_l f_l(x) * beta_l for known functions f_l, with
       the coefficients possibly unknown (Universal Kriging case). When
-      ``coefficients`` is set the mean is fully identified; ``prior_mean`` /
-      ``prior_cov`` optionally place a Gaussian prior on the coefficients.
-
-    A known mean is either a ``function`` of one 1-D location, called row
-    by row, or a ``constant``, evaluated as a broadcast.
+      ``coefficients`` is set the mean is fully identified (a known mean
+      function is such a basis); ``prior_mean`` / ``prior_cov`` optionally
+      place a Gaussian prior on the coefficients.
 
     A basis is either hand-built ``functions``, each taking a 1-D location
     array of length d and returning a float, or a polynomial given by its
@@ -463,7 +461,6 @@ class MeanSpec:
     """
 
     kind: str
-    function: Callable | None = None
     constant: float | None = None
     functions: tuple[Callable, ...] = ()
     coefficients: tuple[float, ...] | None = None
@@ -481,10 +478,8 @@ class MeanSpec:
             if constant.ndim:
                 raise InputError(f"constant must be one number, got shape {constant.shape}")
             object.__setattr__(self, "constant", float(constant))
-        if self.kind == KNOWN and (self.function is None) == (self.constant is None):
-            raise InputError("known mean requires exactly one of a function and a constant")
-        if self.function is not None and self.kind != KNOWN:
-            raise InputError("only a known mean takes a function")
+        if self.kind == KNOWN and self.constant is None:
+            raise InputError("known mean requires a constant")
         if self.functions and self.kind != BASIS:
             raise InputError("only a basis mean takes functions")
         if self.exponents is not None:
@@ -517,10 +512,6 @@ class MeanSpec:
             object.__setattr__(self, name, _frozen(v))
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def known(cls, function: Callable) -> "MeanSpec":
-        return cls(kind=KNOWN, function=function)
 
     @classmethod
     def known_constant(cls, value: float) -> "MeanSpec":
@@ -593,16 +584,14 @@ def _rowdot(a, b) -> np.ndarray:
 def _mean_vector(mean: MeanSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate an identified mean at every row of a 2-D ``x``.
 
-    A known constant is a broadcast, a known function is called row by row,
-    and a basis with coefficients is its basis matrix reduced row by row
-    against them, so a row's value does not depend on the batch it is in.
+    A known constant is a broadcast and a basis with coefficients is its
+    basis matrix reduced row by row against them, so a row's value does not
+    depend on the batch it is in.
     Raises an input error for means whose coefficients are not identified
     (the caller must run GLS first).
     """
     if mean.constant is not None:
         return np.full(x.shape[0], mean.constant)
-    if mean.kind == KNOWN:
-        return np.array([float(mean.function(xi)) for xi in x])
     if mean.kind == BASIS and mean.coefficients is not None:
         return _rowdot(basis_matrix(mean, x), np.asarray(mean.coefficients))
     raise InputError("mean not identified: coefficients unknown, estimate them first")

@@ -13,9 +13,7 @@ minimize the error variance V[T(Y) - Z(x*)] subject to unbiasedness:
 
 The multiplier stored on :class:`KrigingWeights` follows the closed-form
 convention lambda = Sigma^-1 (k* + M mu_tilde); the multiplier of the block
-system carries the opposite sign.  The classic compact variance expression
-uses the block-system sign and is asserted against the expanded form
-whenever OK weights are built.
+system carries the opposite sign.
 
 Every variant runs through one two-stage engine, :class:`_Engine`, over one
 dataset and one batch of targets, in whitened form (Rasmussen & Williams
@@ -87,7 +85,6 @@ from .linalg import (
 )
 
 _VARIANCE_TOL = 1e-9
-_COMPACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,6 @@ class _Fit:
     the whitened residual z - U beta, z = L^-1 (y - offset).
     """
 
-    mean: MeanSpec
     offset: np.ndarray
     u: np.ndarray
     gram_factor: SpdFactor | None
@@ -221,23 +217,21 @@ def _fit(data: Dataset, mean: MeanSpec, factor: SpdFactor) -> _Fit:
         gram_factor = spd_factor(gram + precision)
         rhs = rhs + precision @ b
     beta = solve_spd(gram_factor, rhs) if gram_factor is not None else np.empty(0)
-    return _Fit(mean, offset, u, gram_factor, beta, z - u @ beta)
+    return _Fit(offset, u, gram_factor, beta, z - u @ beta)
 
 
 @dataclass(frozen=True)
 class _Batch:
     """Engine output for m targets, one target per row.
 
-    ``vt`` = V^T = (L^-1 K*)^T is m x n and is the engine's own, shared
-    array; ``f`` = f(X*), ``gamma`` = f(X*) - V^T U and ``h`` = Gamma G^-1
-    (the rows are the multipliers mu_tilde) are m x p; ``offset`` is the
-    known mean m(X*).
+    ``f`` = f(X*), ``gamma`` = f(X*) - V^T U and ``h`` = Gamma G^-1 (the
+    rows are the multipliers mu_tilde) are m x p; ``offset`` is the known
+    mean m(X*).  V^T itself is the engine's ``_targets``.
     """
 
     fit: _Fit
     mean: np.ndarray
     variance: np.ndarray
-    vt: np.ndarray
     f: np.ndarray
     gamma: np.ndarray
     h: np.ndarray
@@ -335,12 +329,12 @@ class _Engine:
             return self._batches[assumption]
         fit = _fit(self.data, assumption, self.factor)
         vt = self._targets
-        offset, f = _mean_parts(fit.mean, self.xs)
+        offset, f = _mean_parts(assumption, self.xs)
         gamma = f - np.einsum("ji,li->jl", vt, fit.u.T)
         h = gamma if fit.gram_factor is None else solve_spd(fit.gram_factor, gamma.T).T
         mean = offset + _rowdot(f, fit.beta) + _rowdot(vt, fit.residual)
         raw = self.kernel.variance - _rowdot(vt, vt) + _rowdot(gamma, h)
-        batch = _Batch(fit, mean, _clamped(raw, self.kernel.variance), vt, f, gamma, h, offset)
+        batch = _Batch(fit, mean, _clamped(raw, self.kernel.variance), f, gamma, h, offset)
         self._batches[assumption] = batch
         return batch
 
@@ -383,24 +377,13 @@ class _Route:
 def _engine_route(engine: _Engine, variant: str, mean: MeanSpec | None) -> _Route:
     """The engine's predictions of ``variant`` with their Kriging weights."""
     batch = engine.predict(variant, mean)
-    fit = batch.fit
-    # lam = L^-T (v + U mu_tilde), so lam^T k* = (v + U mu_tilde)^T v and
-    # lam^T S lam = lam^T k* + f^T mu_tilde need no further solve
-    whitened = batch.vt + np.einsum("jl,il->ji", batch.h, fit.u)
-    lam_kstar = _rowdot(whitened, batch.vt)
-    lam = _whiten(engine.factor, whitened.T, transpose=True).T
-    estimator_var = lam_kstar + _rowdot(batch.f, batch.h)
+    fit, vt = batch.fit, engine._targets
+    # lam = L^-T (v + U mu_tilde), so lam^T S lam = (v + U mu_tilde)^T v
+    # + f^T mu_tilde needs no further solve
+    whitened = vt + np.einsum("jl,il->ji", batch.h, fit.u)
+    estimator_var = _rowdot(whitened, vt) + _rowdot(batch.f, batch.h)
+    lam = _whiten(engine.factor, whitened.T, transpose=True).T  # overwrites whitened
     lam0 = batch.offset - _rowdot(lam, fit.offset)
-    if variant == "ok":
-        # classic compact form, written with the block-system multiplier
-        compact = engine.kernel.variance - lam_kstar + batch.h[:, 0]
-        gap = np.abs(batch.variance - compact)
-        if np.any(gap > _COMPACT_TOL * np.maximum(1.0, batch.variance)):
-            j = int(np.argmax(gap))
-            raise NumericalError(
-                "expanded and compact OK variance forms disagree: "
-                f"{batch.variance[j]:.17g} vs {compact[j]:.17g}"
-            )
     return _Route(batch.mean, batch.variance, estimator_var, lam, lam0, batch.h,
                   engine.factor.jitter_used > 0.0)
 
@@ -443,12 +426,12 @@ def ordinary_krige(data: Dataset, kernel: KernelSpec, xstar,
                    max_jitter: float = 0.0) -> Prediction:
     """Ordinary Kriging: unknown constant mean, weights summing to one.
 
-    Solves the Kriging system through the engine's constraint Gram and
-    checks the expanded variance
+    Solves the Kriging system through the engine's constraint Gram; the
+    error variance is the expanded form
 
-        sigma*^2 - k*^T Sigma^-1 k* + (1 - 1^T Sigma^-1 k*)^2 / (1^T Sigma^-1 1)
+        sigma*^2 - k*^T Sigma^-1 k* + (1 - 1^T Sigma^-1 k*)^2 / (1^T Sigma^-1 1),
 
-    against the compact form sigma*^2 - lam^T k* - mu on every call.
+    equal to the classic compact form sigma*^2 - lam^T k* - mu.
     """
     return _predict_one(data, kernel, None, xstar, "ok", max_jitter)
 
@@ -471,10 +454,8 @@ def universal_krige(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xstar,
 
 def gls_beta(data: Dataset, kernel: KernelSpec, mean: MeanSpec,
              max_jitter: float = 0.0) -> np.ndarray:
-    """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y, on the engine's factor of S."""
-    spec = _variant_mean("uk", mean)
-    factor = _Engine(data, kernel, np.empty((0, data.dim)), max_jitter).factor
-    return _fit(data, spec, factor).beta
+    """GLS coefficients beta-hat = (M^T S^-1 M)^-1 M^T S^-1 Y: the engine's uk fit."""
+    return _Engine(data, kernel, np.empty((0, data.dim)), max_jitter).predict("uk", mean).fit.beta
 
 
 def ls_predict(data: Dataset, mean: MeanSpec, xstar) -> float:

@@ -485,10 +485,6 @@ class TestEmpiricalSemivariogram:
 
 
 class TestMeanSpec:
-    def test_known_zero(self):
-        mean = MeanSpec.known(lambda x: 0.0)
-        assert _mean_vector(mean, np.array([[3.0]]))[0] == 0.0
-
     def test_constant_basis(self):
         mean = MeanSpec.basis([lambda x: 1.0], coefficients=[5.0])
         assert _mean_vector(mean, np.array([[0.0]]))[0] == 5.0
@@ -498,9 +494,9 @@ class TestMeanSpec:
         assert _mean_vector(mean, np.array([[3.0]]))[0] == 7.0
 
     def test_known_mean_takes_function_or_constant_not_both(self):
-        with pytest.raises(InputError):
-            MeanSpec(kind="known", function=lambda x: 10.0 * x[0], constant=1.0)
-        with pytest.raises(InputError):
+        # a known mean is its constant; a known mean function is a basis
+        # with coefficients
+        with pytest.raises(InputError, match="known mean requires a constant"):
             MeanSpec(kind="known")
 
     def test_compares_and_hashes_by_value(self):
@@ -603,10 +599,9 @@ class TestMeanSpec:
         ({"kind": "basis", "exponents": ((0.0,), (1.0,)),
           "prior_cov": ((1.0, 0.5), (0.0, 1.0))}, "prior_cov must be symmetric"),
         # fields a kind does not read are refused, not dropped
-        ({"kind": "basis", "exponents": ((0.0,),), "function": lambda x: 1.0},
-         "only a known mean takes a function"),
-        ({"kind": "constant_unknown", "function": lambda x: 1.0},
-         "only a known mean takes a function"),
+        ({"kind": "known", "constant": 1.0, "exponents": ((0.0,),)},
+         "exponents and no functions"),
+        ({"kind": "constant_unknown", "exponents": ((0.0,),)}, "exponents and no functions"),
         ({"kind": "known", "constant": 1.0, "functions": (lambda x: 1.0,)},
          "only a basis mean takes functions"),
         ({"kind": "constant_unknown", "functions": (lambda x: 1.0,)},
