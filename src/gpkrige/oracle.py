@@ -43,7 +43,6 @@ from .kernels import (
 from .kriging import (
     Prediction,
     _check_basis_size,
-    _mean_parts,
     _one_row,
     _Route,
 )
@@ -239,16 +238,17 @@ def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     ``blocks`` is the run's :func:`_route_blocks`, read but not written, so
     it serves every call.  A known mean borders S by no columns and enters
     as the offset m(X), so its Lam is the S^-1 K* already solved there; a
-    basis borders S by M, and the call factors that bordered matrix by one
-    symmetric-indefinite LDL^T (:func:`bordered_solve`).
+    basis borders S by its M there, and the call factors that bordered
+    matrix by one symmetric-indefinite LDL^T (:func:`bordered_solve`).
     """
-    offset, design = _mean_parts(mean, data.x)
-    offset_star, fstar = _mean_parts(mean, xs)
-    if design.shape[1] == 0:  # no border: Lam is the S^-1 K* already solved, Nu is empty
-        lam, nu = blocks.s, np.zeros_like(fstar)
-    else:
-        lam, nu = (block.T for block in bordered_solve(blocks.sigma, design, blocks.kt.T, fstar.T))
-    return _Moments(offset_star + _rowdot(lam, data.y - offset),
+    if mean.is_identified:  # no border: Lam is the S^-1 K* already solved
+        residual = data.y - _mean_vector(mean, data.x)
+        return _Moments(_mean_vector(mean, xs) + _rowdot(blocks.s, residual),
+                        kernel.variance - _rowdot(blocks.s, blocks.kt))
+    fstar = basis_matrix(mean, xs)
+    design = blocks.solved[mean][0]
+    lam, nu = (block.T for block in bordered_solve(blocks.sigma, design, blocks.kt.T, fstar.T))
+    return _Moments(_rowdot(lam, data.y),
                     kernel.variance - _rowdot(lam, blocks.kt) - _rowdot(nu, fstar))
 
 

@@ -139,7 +139,7 @@ def test_no_oracle_route_runs_the_engine():
             names.add(node.name)
     assert "bordered_solve" in names
     assert sorted(names & {"_Engine", "_engine_route", "_clamped", "_factor_in_place",
-                           "_whiten", "SpdFactor"}) == []
+                           "_whiten", "SpdFactor", "_mean_parts"}) == []
 
 
 def test_readme_function_table_matches_the_code():

@@ -8,7 +8,10 @@ exact set of rows that fail.  The inputs:
 * ``noisy``: the benchmark's verify kind, 300 random points on the unit
   square, Matern-5/2 with lengthscale 0.25, noise variance 1e-4, ``uk`` with
   a degree-1 basis and a 3 x 3 grid; ``interpolation`` is skipped there;
-* ``noise-free``: 60 random points, the same kernel and model, noise 0.
+* ``noise-free``: 60 random points, the same kernel and model, noise 0;
+* ``noisy-prior``: the noisy data with ``gpr-basis`` and a Gaussian prior
+  on the three coefficients, mean (0.5, -1, 1) and covariance
+  diag(1, 2, 0.5).
 
 A fault that no row catches is a recorded gap: its case asserts that
 nothing fails, and the change that closes the gap flips the assertion.
@@ -27,8 +30,8 @@ from gpkrige.cli import main
 from gpkrige.kernels import _rowdot
 from test_cli import write_config, write_csv
 
-ROUTE_ROWS = frozenset({"ok_vs_sk_plus_gls", "uk_vs_sk_plus_gls_beta", "gpr_vs_sk",
-                        "gpr_basis_vs_uk"})
+TREND_ROWS = frozenset({"uk_vs_sk_plus_gls_beta", "gpr_basis_vs_uk"})
+ROUTE_ROWS = TREND_ROWS | {"ok_vs_sk_plus_gls", "gpr_vs_sk"}
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +44,19 @@ def inputs(tmp_path_factory):
     noisy = (x, y, 1e-4)
     x = rng.random((60, 2))
     noise_free = (x, np.sin(6.0 * (x[:, 0] + x[:, 1])), 0.0)
+    basis = {"type": "basis", "basis": "polynomial", "degree": 1}
+    prior = {**basis, "prior_mean": [0.5, -1.0, 1.0],
+             "prior_cov": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
     paths = {}
-    for name, (x, y, noise) in (("noisy", noisy), ("noise-free", noise_free)):
+    for name, (x, y, noise), variant, mean in (("noisy", noisy, "uk", basis),
+                                               ("noise-free", noise_free, "uk", basis),
+                                               ("noisy-prior", noisy, "gpr-basis", prior)):
         data, config = tmp / f"{name}.csv", tmp / f"{name}.json"
         write_csv(data, x, y)
-        write_config(config, {"variant": "uk",
+        write_config(config, {"variant": variant,
                               "kernel": {"family": "matern52", "variance": 1.0,
                                          "lengthscales": [0.25]},
-                              "mean": {"type": "basis", "basis": "polynomial", "degree": 1},
-                              "noise_variance": noise})
+                              "mean": mean, "noise_variance": noise})
         paths[name] = (str(data), str(config))
     return paths
 
@@ -103,10 +110,29 @@ def known_mean_shift(monkeypatch):
     monkeypatch.setattr(kriging._Engine, "predict", faulty)
 
 
+def dropped_basis_column(monkeypatch):
+    # the engine's basis M and F* lose their last column when p >= 2
+    basis_matrix = kriging.basis_matrix
+
+    def faulty(mean, x):
+        m = basis_matrix(mean, x)
+        return m[:, :-1] if m.shape[1] >= 2 else m
+
+    monkeypatch.setattr(kriging, "basis_matrix", faulty)
+
+
+def prior_ignored(monkeypatch):
+    # the engine fits gpr-basis as uk, without the coefficient prior
+    variant_mean = kriging._variant_mean
+    monkeypatch.setattr(kriging, "_variant_mean", lambda variant, mean: variant_mean(
+        "uk" if variant == "gpr-basis" else variant, mean))
+
+
 # (fault, input, exit code, failing rows)
 MATRIX = [
     (no_fault, "noisy", 0, set()),
     (no_fault, "noise-free", 0, set()),
+    (no_fault, "noisy-prior", 0, set()),
     # a gap: both sides read the one profile, so no row can see it;
     # ROADMAP item 19B's gram_vs_bessel row is to catch it
     (profile_lag, "noisy", 0, set()),
@@ -123,6 +149,14 @@ MATRIX = [
     (variance_trend_term, "noise-free", 5, ROUTE_ROWS - {"gpr_vs_sk"}),
     (known_mean_shift, "noisy", 5, {"gpr_vs_sk"}),
     (known_mean_shift, "noise-free", 5, {"gpr_vs_sk"}),
+    # the oracle builds M and F* with its own basis_matrix, so both trend
+    # rows see the engine's narrower trend; on a prior-bearing input the
+    # fault crashes on the prior's shapes, so it runs on the uk inputs only
+    (dropped_basis_column, "noisy", 5, TREND_ROWS),
+    (dropped_basis_column, "noise-free", 5, TREND_ROWS),
+    # a gap: every row strips the prior, so none reads the configured fit;
+    # ROADMAP item 14's gpr_prior_vs_marginal_sk row is to catch it
+    (prior_ignored, "noisy-prior", 0, set()),
 ]
 
 
