@@ -674,13 +674,20 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _fields(doc, what: str, *keys) -> list:
-    """The values of ``keys`` in ``doc``, which must be a JSON object holding them all."""
+def _fields(doc, what: str, *keys, optional=()) -> list:
+    """The values of ``keys`` in ``doc``, a JSON object holding them all.
+
+    A key that is neither in ``keys`` nor in ``optional`` is refused by
+    name, so a misspelt key is not read as an absent one.
+    """
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be a JSON object")
     missing = [key for key in keys if key not in doc]
     if missing:
         raise InputError(f"{what} lacks {', '.join(map(repr, missing))}")
+    unknown = [key for key in doc if key not in keys and key not in optional]
+    if unknown:
+        raise InputError(f"{what} does not define {', '.join(map(repr, unknown))}")
     return [doc[key] for key in keys]
 
 
@@ -689,8 +696,10 @@ def model_from_json(doc: dict, dim: int | None = None):
 
     ``dim`` (e.g. taken from a dataset) broadcasts an isotropic lengthscale.
     Values go to the constructors as they are, whose validators reject non-numbers.
+    ``variant`` and ``max_jitter`` are the CLI's keys, read there.
     """
-    kdoc, mdoc, noise = _fields(doc, "model document", "kernel", "mean", "noise_variance")
+    kdoc, mdoc, noise = _fields(doc, "model document", "kernel", "mean", "noise_variance",
+                                optional=("variant", "max_jitter"))
     kernel = _kernel_from_json(kdoc, dim)
     return kernel, _mean_from_json(mdoc, kernel.dim), _nonnegative(noise, "noise_variance")
 
@@ -701,23 +710,30 @@ def _kernel_from_json(kdoc: dict, dim: int | None = None) -> KernelSpec:
                       dim=dim)
 
 
+_PRIOR_KEYS = ("coefficients", "prior_mean", "prior_cov")
+_MEAN_KEYS = {"constant_unknown": (), "known": ("constant",), "basis": ("basis", "degree")}
+
+
 def _mean_from_json(doc: dict, dim: int) -> MeanSpec:
     """Parse a mean document; a kind other than basis rejects coefficients and a prior.
 
-    A field held as ``null`` is refused by name, not read as absent.
+    A field held as ``null`` is refused by name, not read as absent, and
+    so is a key the document's type does not define.
     """
-    (mtype,) = _fields(doc, "mean document", "type")
+    mtype = doc.get("type") if isinstance(doc, dict) else None
+    if mtype is not None and mtype not in tuple(_MEAN_KEYS):  # a list type is unhashable
+        raise InputError(f"unknown mean type {mtype!r}")
+    _fields(doc, "mean document", "type", optional=_PRIOR_KEYS + _MEAN_KEYS.get(mtype, ()))
     for name, value in doc.items():
         if value is None:
             raise InputError(f"mean field {name!r} is null; leave it out or give a value")
-    priors = {name: doc.get(name) for name in ("coefficients", "prior_mean", "prior_cov")}
+    priors = {name: doc.get(name) for name in _PRIOR_KEYS}
     if mtype == "constant_unknown":
         return MeanSpec(kind=CONSTANT_UNKNOWN, **priors)
     if mtype == "known":
-        (constant,) = _fields(doc, "known mean document", "constant")
-        return MeanSpec(kind=KNOWN, constant=constant, **priors)
-    if mtype == "basis":
-        if doc.get("basis", "polynomial") != "polynomial":
-            raise InputError(f"unsupported basis family {doc.get('basis')!r}")
-        return MeanSpec.polynomial(dim, doc.get("degree", 1), **priors)
-    raise InputError(f"unknown mean type {mtype!r}")
+        if "constant" not in doc:
+            raise InputError("known mean document lacks 'constant'")
+        return MeanSpec(kind=KNOWN, constant=doc["constant"], **priors)
+    if doc.get("basis", "polynomial") != "polynomial":
+        raise InputError(f"unsupported basis family {doc.get('basis')!r}")
+    return MeanSpec.polynomial(dim, doc.get("degree", 1), **priors)

@@ -270,7 +270,7 @@ def study_config_from_json(doc: dict) -> StudyConfig:
     """Parse a study config; its values go to :class:`StudyConfig` as they are."""
     kdoc, mdoc, noise, n_train, n_test, domain, replicates, seed = _fields(
         doc, "study config", "kernel", "true_mean", "noise_variance", "n_train", "n_test",
-        "domain", "replicates", "seed")
+        "domain", "replicates", "seed", optional=("predictors",))
     # one interval per dimension broadcasts an isotropic lengthscale
     kernel = _kernel_from_json(kdoc, dim=len(domain) if isinstance(domain, list) else None)
     return StudyConfig(kernel=kernel, true_mean=_mean_from_json(mdoc, kernel.dim),

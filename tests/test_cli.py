@@ -180,6 +180,28 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    # a key a document does not define is refused by name: each of these once
+    # ran as if the key were left out, with its default
+    UNKNOWN_KEYS = {
+        "model": ({**SE_CONFIG, "max_jiter": 1e-3}, "model document", "max_jiter"),
+        "kernel": ({**SE_CONFIG, "kernel": {**SE_CONFIG["kernel"], "nugget": 0.1}},
+                   "kernel document", "nugget"),
+        "basis-mean": ({**SE_CONFIG, "variant": "uk", "mean": {**POLY_MEAN, "degre": 3}},
+                       "mean document", "degre"),
+        "known-mean": ({**SE_CONFIG, "variant": "sk",
+                        "mean": {"type": "known", "constant": 1.0, "degree": 1}},
+                       "mean document", "degree"),
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "verify"])
+    @pytest.mark.parametrize("doc, what, key", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+    def test_unknown_key_exits_2(self, demo, capsys, command, doc, what, key):
+        tmp, data, _ = demo
+        bad = tmp / "bad.json"
+        write_config(bad, doc)
+        assert main([command, "--data", data, "--config", str(bad), "--grid", "0:1:2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} does not define {key!r}\n")
+
     # a known or constant-unknown mean reads no coefficients or prior: a
     # document carrying one is refused by name, not predicted without it
     UNREAD_MEAN_FIELDS = {
@@ -505,6 +527,17 @@ class TestStudy:
         config = tmp_path / "s.json"
         write_config(config, {**self.STUDY, "predictors": ["nope"]})
         assert main(["study", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("doc, what, key", [
+        ({**STUDY, "predictor": ["ok"]}, "study config", "predictor"),
+        ({**STUDY, "true_mean": {"type": "known", "constant": 5.0, "degree": 1}},
+         "mean document", "degree"),
+    ], ids=["study", "true-mean"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, doc, what, key):
+        config = tmp_path / "s.json"
+        write_config(config, doc)
+        assert main(["study", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} does not define {key!r}\n")
 
     @pytest.mark.parametrize("seed, override", [(-3, []), (77, ["--seed", "-3"])])
     def test_negative_seed_exits_2(self, tmp_path, capsys, seed, override):

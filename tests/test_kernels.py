@@ -736,9 +736,33 @@ class TestModelJson:
         kernel, _, _ = model_from_json(doc, dim=3)
         assert kernel.lengthscales == (2.0, 2.0, 2.0)
 
+    MODEL = {"kernel": {"family": "exponential", "variance": 1.0, "lengthscales": [1.0]},
+             "mean": {"type": "constant_unknown"}, "noise_variance": 0.0}
+
+    @pytest.mark.parametrize("doc, what, key", [
+        ({**MODEL, "max_jiter": 1e-3}, "model document", "max_jiter"),
+        ({**MODEL, "kernel": {**MODEL["kernel"], "nugget": 0.1}}, "kernel document", "nugget"),
+        ({**MODEL, "mean": {"type": "basis", "basis": "polynomial", "degre": 3}},
+         "mean document", "degre"),
+        ({**MODEL, "mean": {"type": "known", "constant": 1.0, "basis": "polynomial"}},
+         "mean document", "basis"),
+        ({**MODEL, "mean": {"type": "constant_unknown", "degree": 0}}, "mean document", "degree"),
+        ({**MODEL, "mean": {"type": "constant_unknown", "constant": 1.0}},
+         "mean document", "constant"),
+    ], ids=["model", "kernel", "basis-mean", "known-mean", "constant-degree",
+            "constant-constant"])
+    def test_unknown_keys_rejected(self, doc, what, key):
+        # a misspelt or misplaced key is refused by name, not read as absent
+        with pytest.raises(InputError, match=f"^{what} does not define '{key}'$"):
+            model_from_json(doc)
+
     @pytest.mark.parametrize("doc, message", [
         ({"type": "basis", "basis": "fourier"}, "unsupported basis family"),
         ({"type": "spline"}, "unknown mean type"),
+        # an unknown type is named before the keys it would define
+        ({"type": "spline", "knots": 3}, "unknown mean type 'spline'"),
+        ({"type": ["basis"]}, "unknown mean type"),
+        ({"type": "known"}, "known mean document lacks 'constant'"),
     ])
     def test_bad_mean_documents_rejected(self, doc, message):
         with pytest.raises(InputError, match=message):

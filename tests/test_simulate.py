@@ -166,6 +166,17 @@ class TestStudyConfig:
         with pytest.raises(InputError, match=f"mean field '{name}' is null"):
             study_config_from_json(dict(self.STUDY_DOC, true_mean=mdoc))
 
+    @pytest.mark.parametrize("doc, what, key", [
+        ({**STUDY_DOC, "predictor": ["ok"]}, "study config", "predictor"),
+        ({**STUDY_DOC, "true_mean": {"type": "known", "constant": 5.0, "degree": 1}},
+         "mean document", "degree"),
+        ({**STUDY_DOC, "kernel": {**STUDY_DOC["kernel"], "lengthscale": [0.3]}},
+         "kernel document", "lengthscale"),
+    ], ids=["study", "true-mean", "kernel"])
+    def test_unknown_key_rejected(self, doc, what, key):
+        with pytest.raises(InputError, match=f"^{what} does not define '{key}'$"):
+            study_config_from_json(doc)
+
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):
             study_config_from_json({"kernel": {}})
