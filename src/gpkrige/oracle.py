@@ -238,8 +238,9 @@ def _bordered_route(data: Dataset, kernel: KernelSpec, mean: MeanSpec, xs,
     ``blocks`` is the run's :func:`_route_blocks`, read but not written, so
     it serves every call.  A known mean borders S by no columns and enters
     as the offset m(X), so its Lam is the S^-1 K* already solved there; a
-    basis borders S by its M there, and the call factors that bordered
-    matrix by one symmetric-indefinite LDL^T (:func:`bordered_solve`).
+    basis, the run's trend or the unknown constant, borders S by its M
+    there, and the call factors that bordered matrix by one
+    symmetric-indefinite LDL^T (:func:`bordered_solve`).
     """
     if mean.is_identified:  # no border: Lam is the S^-1 K* already solved
         residual = data.y - _mean_vector(mean, data.x)
