@@ -19,7 +19,6 @@ from .kernels import (
     Dataset,
     KernelSpec,
     MeanSpec,
-    basis_matrix,
     build_gram,
     empirical_semivariogram,
     kernel_matrix,
@@ -27,7 +26,6 @@ from .kernels import (
     semivariogram_of,
 )
 from .kriging import (
-    KrigingWeights,
     Prediction,
     gls_beta,
     ls_predict,
@@ -37,13 +35,11 @@ from .kriging import (
     universal_krige,
 )
 from .gpr import (
-    GaussianPredictive,
     gpr_predict,
     gpr_predict_basis,
 )
 from .simulate import (
     StudyConfig,
-    StudyReport,
     run_study,
     sample_field,
     study_config_from_json,
@@ -60,13 +56,11 @@ __all__ = [
     "Dataset",
     "KernelSpec",
     "MeanSpec",
-    "basis_matrix",
     "build_gram",
     "empirical_semivariogram",
     "kernel_matrix",
     "model_from_json",
     "semivariogram_of",
-    "KrigingWeights",
     "Prediction",
     "gls_beta",
     "ls_predict",
@@ -74,11 +68,9 @@ __all__ = [
     "predict_points",
     "simple_krige",
     "universal_krige",
-    "GaussianPredictive",
     "gpr_predict",
     "gpr_predict_basis",
     "StudyConfig",
-    "StudyReport",
     "run_study",
     "sample_field",
     "study_config_from_json",

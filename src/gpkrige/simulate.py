@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import GpKrigeError, InputError, SingularityError, StudyError
 from .kernels import (
@@ -48,7 +47,7 @@ from .kriging import _Engine, ls_predict
 
 PREDICTORS = ("ls", "sk", "ok", "uk", "gpr")
 
-_Z95 = float(ndtri(0.975))
+_Z95 = 1.959963984540054  # the 0.975 normal quantile, scipy.special.ndtri(0.975)
 _PSD_TOL = 1e-9
 
 

@@ -2,6 +2,7 @@
 imports of its modules and of the tests, and the README examples that use it."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -17,13 +18,13 @@ from gpkrige import cli, model_from_json, study_config_from_json
 
 PUBLIC_NAMES = {
     "GpKrigeError", "InputError", "NumericalError", "SingularityError", "StudyError",
-    "Dataset", "KernelSpec", "MeanSpec", "basis_matrix", "build_gram",
+    "Dataset", "KernelSpec", "MeanSpec", "build_gram",
     "empirical_semivariogram", "kernel_matrix",
     "model_from_json", "semivariogram_of",
-    "KrigingWeights", "Prediction", "gls_beta", "ls_predict",
+    "Prediction", "gls_beta", "ls_predict",
     "ordinary_krige", "predict_points", "simple_krige", "universal_krige",
-    "GaussianPredictive", "gpr_predict", "gpr_predict_basis",
-    "StudyConfig", "StudyReport", "run_study", "sample_field",
+    "gpr_predict", "gpr_predict_basis",
+    "StudyConfig", "run_study", "sample_field",
     "study_config_from_json",
 }
 
@@ -48,10 +49,17 @@ def run_python(args):
 
 
 def test_public_names_are_pinned():
-    assert len(gpkrige.__all__) == len(PUBLIC_NAMES) == 30
+    assert len(gpkrige.__all__) == len(PUBLIC_NAMES) == 26
     assert set(gpkrige.__all__) == PUBLIC_NAMES
     for name in gpkrige.__all__:
         assert getattr(gpkrige, name) is not None
+
+
+def test_retired_names_live_in_their_modules_only():
+    for module, name in (("kernels", "basis_matrix"), ("kriging", "KrigingWeights"),
+                         ("gpr", "GaussianPredictive"), ("simulate", "StudyReport")):
+        assert not hasattr(gpkrige, name)
+        assert getattr(importlib.import_module(f"gpkrige.{module}"), name) is not None
 
 
 def test_import_does_not_load_the_oracles():
@@ -82,6 +90,22 @@ def test_every_imported_name_is_used(path):
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                 for value in ast.literal_eval(node.value)}
     assert sorted(imported - used - exported) == []
+
+
+def test_only_the_oracle_imports_scipy_special():
+    # scipy.special is kept for gpkrige.oracle alone
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                names = []
+            if any(n == "scipy.special" or n.startswith("scipy.special.") for n in names):
+                importers.add(path.name)
+    assert sorted(importers - {"oracle.py"}) == []
 
 
 def test_every_private_definition_is_read():

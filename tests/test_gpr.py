@@ -5,7 +5,6 @@ import pytest
 
 from gpkrige import (
     Dataset,
-    GaussianPredictive,
     InputError,
     KernelSpec,
     MeanSpec,
@@ -18,6 +17,7 @@ from gpkrige import (
     simple_krige,
     universal_krige,
 )
+from gpkrige.gpr import GaussianPredictive
 from gpkrige.kriging import _Engine
 from gpkrige.oracle import joint_prior
 from helpers import random_instance, random_spd

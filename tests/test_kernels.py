@@ -12,7 +12,6 @@ from gpkrige import (
     InputError,
     KernelSpec,
     MeanSpec,
-    basis_matrix,
     build_gram,
     empirical_semivariogram,
     kernel_matrix,
@@ -27,6 +26,7 @@ from gpkrige.kernels import (
     _mean_vector,
     _pair_plan,
     _real,
+    basis_matrix,
 )
 from helpers import ONE_BLOCK
 

@@ -21,7 +21,6 @@ from gpkrige import (
     Dataset,
     KernelSpec,
     MeanSpec,
-    basis_matrix,
     build_gram,
     empirical_semivariogram,
     gpr_predict,
@@ -30,7 +29,7 @@ from gpkrige import (
 )
 from gpkrige.cli import read_point_table
 from gpkrige.exceptions import InputError
-from gpkrige.kernels import _finite, _integer, _nonnegative
+from gpkrige.kernels import _finite, _integer, _nonnegative, basis_matrix
 from gpkrige.oracle import (
     _bordered_route,
     _plugin_route,

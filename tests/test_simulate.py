@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gpkrige import (
     Dataset,
@@ -258,6 +259,11 @@ class TestRunStudy:
         gpr = report.predictors["gpr"]
         assert gpr.coverage_95 is not None
         assert 0.0 <= gpr.coverage_95 <= 1.0
+
+    def test_z95_is_the_normal_quantile(self):
+        # the literal is the double ndtri(0.975) returns; statistics.NormalDist's
+        # inv_cdf(0.975) is one ulp lower and could flip a coverage hit
+        assert simulate._Z95 == float(ndtri(0.975))
 
     def test_per_replicate_failures_recorded(self):
         # a zero-variance noise-free field makes every SK solve singular,
