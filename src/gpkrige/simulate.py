@@ -22,6 +22,7 @@ so reports are identical regardless of execution order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,12 +104,17 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class PredictorSummary:
-    """Per-predictor study results, aggregated over replicates."""
+    """Per-predictor study results, aggregated over replicates.
+
+    ``failure_kinds`` counts the failed replicates by the class name of the
+    :class:`GpKrigeError` raised; it is None when none failed.
+    """
 
     mse_mean: float
     mse_stderr: float
     mse_replicates: tuple[float, ...]
     failures: int
+    failure_kinds: dict[str, int] | None = None
     mean_error_variance: float | None = None
     coverage_95: float | None = None
 
@@ -206,15 +212,16 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     conditional, and then every Kriging and GP predictor, which adds only
     its mean stage; sk and gpr, which assume the same known mean, share
     one.  A predictor that fails inside a replicate with a
-    :class:`GpKrigeError` is recorded and skipped for that replicate; any
-    other exception is a bug and propagates.  The study itself fails only
-    when no replicate yields any usable result.
+    :class:`GpKrigeError` is recorded, by the error's class name, and
+    skipped for that replicate; any other exception is a bug and
+    propagates.  The study itself fails only when no replicate yields any
+    usable result.
     """
     uk_mean = MeanSpec.polynomial(cfg.kernel.dim, 1)
     ls_mean = MeanSpec.constant_unknown()
     mse = {p: [] for p in cfg.predictors}
     variances = {p: [] for p in cfg.predictors}
-    failures = {p: 0 for p in cfg.predictors}
+    failures = {p: Counter() for p in cfg.predictors}  # error class name: count
     gpr_hits = []  # one bool per GPR test prediction: inside its 95% interval
 
     for rep in range(cfg.replicates):
@@ -225,8 +232,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         for name in cfg.predictors:
             try:
                 pred, err_vars = _run_predictor(name, cfg, engine, uk_mean, ls_mean)
-            except GpKrigeError:
-                failures[name] += 1
+            except GpKrigeError as exc:
+                failures[name][type(exc).__name__] += 1
                 continue
             mse[name].append(float(np.mean((pred - z_test) ** 2)))
             if err_vars is not None:
@@ -240,10 +247,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     summaries = {}
     for name in cfg.predictors:
         values = np.array(mse[name])
+        failed = {"failures": failures[name].total(),
+                  "failure_kinds": dict(failures[name]) or None}
         if values.size == 0:
             summaries[name] = PredictorSummary(
-                mse_mean=float("nan"), mse_stderr=float("nan"),
-                mse_replicates=(), failures=failures[name],
+                mse_mean=float("nan"), mse_stderr=float("nan"), mse_replicates=(), **failed,
             )
             continue
         stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
@@ -251,7 +259,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             mse_mean=float(values.mean()),
             mse_stderr=stderr,
             mse_replicates=tuple(float(v) for v in values),
-            failures=failures[name],
+            **failed,
             mean_error_variance=(
                 float(np.mean(variances[name])) if variances[name] else None
             ),

@@ -589,7 +589,8 @@ class TestStudy:
             raise ValueError(f"{name} is not JSON")
 
         report = json.loads(out.read_text(), parse_constant=refuse)
-        assert report["predictors"]["ok"] == {"failures": 2, "mse_replicates": []}
+        assert report["predictors"]["ok"] == {"failures": 2, "mse_replicates": [],
+                                              "failure_kinds": {"SingularityError": 2}}
         assert report["predictors"]["ls"]["failures"] == 0
 
 

@@ -279,6 +279,22 @@ class TestRunStudy:
         assert math.isnan(report.predictors["sk"].mse_mean)
         assert report.predictors["ls"].failures == 0
 
+    def test_failures_are_counted_by_error_class(self):
+        # noise-free SE data of lengthscale 2 on the unit square: S does not
+        # factor, so the four Kriging and GP predictors fail in every replicate
+        cfg = make_config(kernel=KernelSpec("squared_exponential", 1.0, (2.0,), dim=2),
+                          noise_variance=0.0, n_train=40, domain=((0.0, 1.0), (0.0, 1.0)),
+                          predictors=PREDICTORS)
+        report = run_study(cfg)
+        doc = report.to_dict()["predictors"]
+        for name in ("sk", "ok", "uk", "gpr"):
+            assert report.predictors[name].failures == 3
+            assert report.predictors[name].failure_kinds == {"SingularityError": 3}
+            assert doc[name]["failure_kinds"] == {"SingularityError": 3}
+        assert report.predictors["ls"].failures == 0
+        assert report.predictors["ls"].failure_kinds is None
+        assert "failure_kinds" not in doc["ls"]
+
     def test_one_target_stage_per_replicate(self, monkeypatch):
         # sk, ok, uk and gpr share the replicate's K* and its solve
         calls, block = [], kriging.kernel_matrix
