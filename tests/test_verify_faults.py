@@ -9,6 +9,8 @@ exact set of rows that fail.  The inputs:
   square, Matern-5/2 with lengthscale 0.25, noise variance 1e-4, ``uk`` with
   a degree-1 basis and a 3 x 3 grid; ``interpolation`` is skipped there;
 * ``noise-free``: 60 random points, the same kernel and model, noise 0;
+* ``noise-free-duplicate``: the noise-free data plus a copy of its first
+  point, with ``max_jitter`` 1e-3, so the engine jitters S (and warns);
 * ``noisy-prior``: the noisy data with ``gpr-basis`` and a Gaussian prior
   on the three coefficients, mean (0.5, -1, 1) and covariance
   diag(1, 2, 0.5).
@@ -25,7 +27,7 @@ import io
 import numpy as np
 import pytest
 
-from gpkrige import kernels, kriging
+from gpkrige import cli, kernels, kriging
 from gpkrige.cli import main
 from gpkrige.kernels import _rowdot
 from test_cli import write_config, write_csv
@@ -44,19 +46,22 @@ def inputs(tmp_path_factory):
     noisy = (x, y, 1e-4)
     x = rng.random((60, 2))
     noise_free = (x, np.sin(6.0 * (x[:, 0] + x[:, 1])), 0.0)
+    duplicate = tuple(np.concatenate([v, v[:1]]) for v in noise_free[:2]) + (0.0,)
     basis = {"type": "basis", "basis": "polynomial", "degree": 1}
     prior = {**basis, "prior_mean": [0.5, -1.0, 1.0],
              "prior_cov": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
     paths = {}
-    for name, (x, y, noise), variant, mean in (("noisy", noisy, "uk", basis),
-                                               ("noise-free", noise_free, "uk", basis),
-                                               ("noisy-prior", noisy, "gpr-basis", prior)):
+    for name, (x, y, noise), variant, mean, extra in (
+            ("noisy", noisy, "uk", basis, {}),
+            ("noise-free", noise_free, "uk", basis, {}),
+            ("noise-free-duplicate", duplicate, "uk", basis, {"max_jitter": 1e-3}),
+            ("noisy-prior", noisy, "gpr-basis", prior, {})):
         data, config = tmp / f"{name}.csv", tmp / f"{name}.json"
         write_csv(data, x, y)
         write_config(config, {"variant": variant,
                               "kernel": {"family": "matern52", "variance": 1.0,
                                          "lengthscales": [0.25]},
-                              "mean": mean, "noise_variance": noise})
+                              "mean": mean, "noise_variance": noise, **extra})
         paths[name] = (str(data), str(config))
     return paths
 
@@ -128,11 +133,19 @@ def prior_ignored(monkeypatch):
         "uk" if variant == "gpr-basis" else variant, mean))
 
 
+def route_jitter_dropped(monkeypatch):
+    # verify hands the routes' S none of the engine's jitter
+    route_blocks = cli._route_blocks
+    monkeypatch.setattr(cli, "_route_blocks", lambda data, kernel, xs, trend, jitter:
+                        route_blocks(data, kernel, xs, trend, 0.0))
+
+
 # (fault, input, exit code, failing rows)
 MATRIX = [
     (no_fault, "noisy", 0, set()),
     (no_fault, "noise-free", 0, set()),
     (no_fault, "noisy-prior", 0, set()),
+    (no_fault, "noise-free-duplicate", 0, set()),
     # a gap: both sides read the one profile, so no row can see it;
     # ROADMAP item 19B's gram_vs_bessel row is to catch it
     (profile_lag, "noisy", 0, set()),
@@ -157,7 +170,16 @@ MATRIX = [
     # a gap: every row strips the prior, so none reads the configured fit;
     # ROADMAP item 14's gpr_prior_vs_marginal_sk row is to catch it
     (prior_ignored, "noisy-prior", 0, set()),
+    # a gap: the routes' unjittered S does not factor, which stops the run
+    # (exit 3) before any row prints, so no row names the fault
+    (route_jitter_dropped, "noise-free-duplicate", 3, set()),
 ]
+
+
+# how stderr starts in each case that exits 3
+EXIT_3_ERRORS = {"k_star": "numerical error: error variance",
+                 "route_jitter_dropped": "numerical error: bordered Kriging matrix is singular"}
+JITTER_WARNING = "warning: diagonal jitter was added to factor the covariance\n"
 
 
 @pytest.mark.parametrize("fault, name, code, failing", MATRIX,
@@ -175,8 +197,13 @@ def test_fault_fails_exactly_its_rows(inputs, monkeypatch, fault, name, code, fa
           f"{', '.join(sorted(failed)) or 'none'}")
     assert got == code, err.getvalue()
     assert failed == failing
+    errors = err.getvalue()
+    if name == "noise-free-duplicate":
+        # the engine jitters S on this input, whatever the fault
+        assert errors.startswith(JITTER_WARNING)
+        errors = errors[len(JITTER_WARNING):]
     if code == 3:
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("numerical error: error variance")
+        assert errors.startswith(EXIT_3_ERRORS[fault.__name__])
     else:
         assert set(status) == ROUTE_ROWS | {"interpolation"}
