@@ -46,7 +46,7 @@ def inputs(tmp_path_factory):
     noisy = (x, y, 1e-4)
     x = rng.random((60, 2))
     noise_free = (x, np.sin(6.0 * (x[:, 0] + x[:, 1])), 0.0)
-    duplicate = tuple(np.concatenate([v, v[:1]]) for v in noise_free[:2]) + (0.0,)
+    duplicate = (np.vstack([x, x[:1]]), np.append(noise_free[1], noise_free[1][:1]), 0.0)
     basis = {"type": "basis", "basis": "polynomial", "degree": 1}
     prior = {**basis, "prior_mean": [0.5, -1.0, 1.0],
              "prior_cov": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
